@@ -1,0 +1,9 @@
+"""Make ``pytest benchmarks/e2e`` import the program and these modules."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parents[1] / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
