@@ -5,8 +5,9 @@ vectorised surface evaluation, full-surface reconstruction at several
 node counts, the δ metric, relay planning, on-node curvature estimation,
 and one full CMA simulation round.
 
-``tools/bench_compare.py`` diffs two ``--benchmark-json`` dumps of this
-suite; CI runs it against the committed ``BENCH_pr2.json`` snapshot.
+``tools/bench_compare.py`` diffs ``--benchmark-json`` dumps of this
+suite; CI runs ``bench_compare --trajectory`` to show every committed
+``BENCH_*.json`` snapshot side by side with the current run.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def test_bench_cma_round(benchmark):
     assert record.n_alive == 100
 
 
-def _step_simulation(k: int, incremental: bool) -> MobileSimulation:
+def _step_simulation(k: int) -> MobileSimulation:
     """A CMA engine at constant node density (side grows with sqrt(k))."""
     side = 100.0 * float(np.sqrt(k / 100.0))
     field = GreenOrbsLightField(side=side, seed=7, freeze_sun_at=600.0)
@@ -118,35 +119,34 @@ def _step_simulation(k: int, incremental: bool) -> MobileSimulation:
         k=k, rc=10.0, rs=5.0, region=field.region, field=field,
         speed=1.0, t0=600.0, duration=45.0,
     )
-    return MobileSimulation(problem, incremental_geometry=incremental)
+    return MobileSimulation(problem)
 
 
 @pytest.mark.parametrize("k", [100, 400, 900, 2500])
 def test_bench_step_scaling(benchmark, k):
     """Full CMA round at growing fleet sizes, constant density.
 
-    PR 7's acceptance series: with the cell-list neighbor index and the
-    incrementally maintained triangulation, step time must scale
-    sub-quadratically (log-log slope < 1.5 over k in {400, 900, 2500}).
+    The default engine: cell-list neighbor index and a from-scratch
+    measurement triangulation every round. The first round (calibration)
+    is run untimed; steady-state rounds are the target.
     """
-    sim = _step_simulation(k, incremental=True)
-    sim.step()  # warm the geometry cache: steady-state rounds are the target
+    sim = _step_simulation(k)
+    sim.step()
     record = benchmark.pedantic(sim.step, rounds=3, iterations=1,
                                 warmup_rounds=0)
     assert record.n_alive == k
 
 
 def test_bench_step_k900_dense_baseline(benchmark, monkeypatch):
-    """The PR 6 configuration at k=900: dense neighbor matrices, full
-    triangulation rebuild every round. The >= 30% step-time reduction
-    acceptance compares test_bench_step_scaling[900] against this."""
+    """k=900 forced onto dense neighbor matrices: the baseline that
+    test_bench_step_scaling[900] is compared against."""
     import repro.geometry.spatial_index as spatial_index
     import repro.graphs.geometric as geometric
     import repro.sim.radio as radio
 
     for module in (spatial_index, geometric, radio):
         monkeypatch.setattr(module, "DENSE_CROSSOVER", 10**9)
-    sim = _step_simulation(900, incremental=False)
+    sim = _step_simulation(900)
     sim.step()
     record = benchmark.pedantic(sim.step, rounds=3, iterations=1,
                                 warmup_rounds=0)

@@ -93,17 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-phase CPU/allocation/counter-delta profiling as "
         "profile.* events in the obs log (needs --obs-log or --runs-dir)",
     )
-    run_p.add_argument(
-        "--tiles", type=int, default=None, metavar="N",
-        help="execute mobile engines spatially sharded as N tiles with "
-        "ghost-zone exchange at every round barrier (bit-identical to "
-        "the unsharded run; shard.* counters land in the obs log)",
-    )
-    run_p.add_argument(
-        "--tile-workers", type=int, default=None, metavar="M",
-        help="run the tiles on an M-process pool instead of in-process "
-        "(needs --tiles; identical numerics, parallel wall-clock)",
-    )
 
     runs_p = sub.add_parser(
         "runs",
@@ -302,12 +291,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.tiles is not None and args.tiles < 1:
-            print("--tiles must be >= 1", file=sys.stderr)
-            return 2
-        if args.tile_workers is not None and args.tiles is None:
-            print("--tile-workers requires --tiles", file=sys.stderr)
-            return 2
         if args.runs_dir and (
             args.obs_log or args.checkpoint_dir or args.resume
         ):
@@ -328,8 +311,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     profile=args.profile,
                     obs_flush_every=args.obs_flush_every,
                     obs_health=args.obs_health,
-                    tiles=args.tiles,
-                    tile_workers=args.tile_workers,
                 )
             else:
                 manifest = None
@@ -343,8 +324,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     checkpoint_every=args.checkpoint_every,
                     resume=args.resume,
                     profile=args.profile,
-                    tiles=args.tiles,
-                    tile_workers=args.tile_workers,
                 )
         except KeyError as exc:
             print(exc, file=sys.stderr)

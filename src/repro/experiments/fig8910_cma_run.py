@@ -30,23 +30,12 @@ from repro.viz.ascii import render_series, render_topology
 
 _K = 100
 
-# The three experiments share one simulation; cache it per (fast,) config
-# — plus the ambient sharding policy: a sharded run is bit-identical but
-# has its own obs/shard-log side effects, so it must not be served a
-# cached unsharded result (or vice versa).
+# The three experiments share one simulation; cache it per (fast,) config.
 _cache: dict = {}
 
 
 def _simulate(fast: bool):
-    from repro.runtime.sharding import get_sharding_config
-
-    shard = get_sharding_config()
-    key = (
-        bool(fast),
-        None if shard is None else (
-            shard.tiles, shard.workers, shard.obs_shard_dir
-        ),
-    )
+    key = bool(fast)
     if key not in _cache:
         sc = config.scale(fast)
         field = config.ostd_field()

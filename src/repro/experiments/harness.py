@@ -40,8 +40,6 @@ def run_experiment(
     resume: bool = False,
     checkpoint_interrupt: Optional[Callable[[], bool]] = None,
     profile: bool = False,
-    tiles: Optional[int] = None,
-    tile_workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Run one registered experiment by id.
 
@@ -76,14 +74,6 @@ def run_experiment(
     ``obs_log`` instead of truncating it, so a resumed run keeps one
     contiguous event history; the resumed segment opens with its own
     ``run_meta`` header carrying ``resumed: true``.
-
-    ``tiles=N`` installs an ambient spatial-sharding policy (see
-    :mod:`repro.runtime.sharding`): every mobile engine the experiment
-    constructs executes its rounds as N tiles with ghost-zone exchange
-    at the round barrier — bit-identical to the unsharded run.
-    ``tile_workers=M`` runs the tiles on an M-process pool instead of
-    in-process; with an ``obs_log``, per-tile shard logs (each headed by
-    the run's ``run_meta``) land next to it under ``<obs_log>.tiles/``.
     """
     from repro.experiments.config import FIELD_SEED
 
@@ -117,26 +107,6 @@ def run_experiment(
                 params={"experiment_id": experiment_id, "fast": fast},
                 **({"resumed": True} if obs_append else {}),
             )
-        if tiles is not None:
-            from repro.runtime.sharding import ShardingConfig, use_sharding
-
-            # Per-tile shard logs ride next to the main obs log; they get
-            # the same run_meta header (plus shard/tile markers) so
-            # `obs summarize` on a merged shard log still reports the
-            # scenario, seed and params hash.
-            shard_dir = (
-                f"{obs_log}.tiles" if obs_log is not None else None
-            )
-            stack.enter_context(use_sharding(ShardingConfig(
-                tiles=int(tiles),
-                workers=tile_workers,
-                obs_shard_dir=shard_dir,
-                run_meta={
-                    "scenario_id": experiment_id,
-                    "seed": FIELD_SEED,
-                    "params": {"experiment_id": experiment_id, "fast": fast},
-                },
-            )))
         return spec.runner(fast)
 
 
@@ -377,8 +347,6 @@ def run_recorded(
     obs_health: bool = False,
     checkpoints: bool = False,
     checkpoint_every: int = 10,
-    tiles: Optional[int] = None,
-    tile_workers: Optional[int] = None,
     run_id: Optional[str] = None,
     resume: bool = False,
     interrupt: Optional[Callable[[], bool]] = None,
@@ -394,12 +362,7 @@ def run_recorded(
     run then shows up in ``repro-exp runs list`` and survives
     ``runs gc`` (only unmanifested files are orphans).
 
-    ``tiles=N`` executes the experiment's mobile engines spatially
-    sharded (bit-identical — see :func:`run_experiment`); the per-tile
-    obs shard logs land under ``obs.jsonl.tiles/`` in the run directory
-    and are manifested as ``obs_shard`` artifacts, so ``runs gc`` never
-    mistakes them for orphans. ``checkpoints=True`` stores engine
-    checkpoints under the run
+    ``checkpoints=True`` stores engine checkpoints under the run
     directory too (``checkpoints/``), manifested alongside the log. A
     runner that raises still leaves a manifest behind — ``status`` is
     ``"failed"`` and the artifacts are whatever made it to disk — so a
@@ -448,10 +411,6 @@ def run_recorded(
     result_path = run_dir / "result.json"
     checkpoint_dir = run_dir / "checkpoints" if checkpoints else None
 
-    # NOTE: tiles/tile_workers are execution strategy, not run identity —
-    # sharded runs are bit-identical, and keeping them out of the params
-    # hash (and run_meta) is what lets `runs compare` and `obs diff`
-    # agree across tile counts.
     params = {"experiment_id": experiment_id, "fast": fast,
               "profile": profile}
     manifest = RunManifest(
@@ -481,8 +440,6 @@ def run_recorded(
             resume=resume,
             checkpoint_interrupt=interrupt,
             profile=profile,
-            tiles=tiles,
-            tile_workers=tile_workers,
         )
         result_path.write_text(
             json.dumps({
@@ -525,15 +482,6 @@ def run_recorded(
             manifest.artifacts.append(
                 artifact_ref(result_path, "result", "json", base=run_dir)
             )
-        tile_shard_dir = Path(f"{obs_path}.tiles")
-        if tile_shard_dir.exists():
-            for shard in sorted(tile_shard_dir.glob("tile-*.jsonl")):
-                manifest.artifacts.append(artifact_ref(
-                    shard,
-                    str(shard.relative_to(run_dir)),
-                    "obs_shard",
-                    base=run_dir,
-                ))
         if checkpoint_dir is not None and checkpoint_dir.exists():
             for ckpt in sorted(checkpoint_dir.rglob("*")):
                 if ckpt.is_file():

@@ -44,13 +44,12 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
 import numpy as np
 
-from repro.geometry.predicates import EPSILON, incircle, orientation
+from repro.geometry.predicates import EPSILON, incircle
 from repro.geometry.primitives import Point2, PointLike
 
 
@@ -84,11 +83,11 @@ def canonical_simplices(simplices: np.ndarray) -> np.ndarray:
     preserving cyclic orientation, hence each triangle's barycentric
     arithmetic bit-for-bit — then rows are sorted lexicographically. Two
     triangulations over the same point set with the same triangle *set*
-    (e.g. an incrementally maintained mesh and a from-scratch rebuild)
-    canonicalise to the same array regardless of construction history,
-    which makes downstream order-sensitive consumers (the rasteriser's
-    shared-edge tie-break, extrapolation's first-improvement winner)
-    bit-identical across the two.
+    (e.g. built by different insertion orders) canonicalise to the same
+    array regardless of construction history, which makes downstream
+    order-sensitive consumers (the rasteriser's shared-edge tie-break,
+    extrapolation's first-improvement winner) bit-identical across the
+    two.
     """
     simp = np.asarray(simplices, dtype=int).reshape(-1, 3)
     if simp.size == 0:
@@ -143,7 +142,6 @@ class DelaunayTriangulation:
     ) -> None:
         self._dedup_tol = float(dedup_tol)
         self._skip_duplicates = bool(skip_duplicates)
-        self._span = float(span)
 
         # Vertex store: (capacity, 2) float buffer, first _nv rows valid,
         # mirrored by a plain list of (x, y) tuples for the scalar paths
@@ -151,12 +149,6 @@ class DelaunayTriangulation:
         self._vert_buf = np.empty((_INITIAL_CAPACITY, 2), dtype=float)
         self._vert_list: List[Tuple[float, float]] = []
         self._nv = 0
-        # Public-index → internal-slot mapping. Identity (+_N_SUPER offset)
-        # until the first remove() punches a hole; _holes flags that the
-        # arithmetic fast paths are no longer valid and lookups must go
-        # through the mapping.
-        self._pub_to_slot: List[int] = []
-        self._holes = False
         # Deliberately asymmetric super-triangle to dodge degeneracies with
         # axis-aligned / diagonal input.
         for x, y in (
@@ -203,15 +195,11 @@ class DelaunayTriangulation:
         self._vert_buf[self._nv] = (x, y)
         self._vert_list.append((x, y))
         self._nv += 1
-        if self._nv - 1 >= _N_SUPER:
-            self._pub_to_slot.append(self._nv - 1)
         return self._nv - 1
 
     def _pop_vertex(self) -> None:
         self._nv -= 1
         self._vert_list.pop()
-        if self._nv >= _N_SUPER:
-            self._pub_to_slot.pop()
 
     def _grow_triangle_buffers(self, needed: int) -> None:
         cap = len(self._tri_buf)
@@ -255,20 +243,12 @@ class DelaunayTriangulation:
     @property
     def n_points(self) -> int:
         """Number of real (non-synthetic) vertices."""
-        return len(self._pub_to_slot)
+        return self._nv - _N_SUPER
 
     @property
     def points(self) -> np.ndarray:
-        """Real vertices as an ``(n, 2)`` float array (public-index order)."""
-        if not self._holes:
-            return self._vert_buf[_N_SUPER : self._nv].copy()
-        return self._vert_buf[np.asarray(self._pub_to_slot, dtype=np.intp)]
-
-    def _points_view(self) -> np.ndarray:
-        """Real vertices for read-only internal use (no copy when compact)."""
-        if not self._holes:
-            return self._vert_buf[_N_SUPER : self._nv]
-        return self._vert_buf[np.asarray(self._pub_to_slot, dtype=np.intp)]
+        """Real vertices as an ``(n, 2)`` float array (insertion order)."""
+        return self._vert_buf[_N_SUPER : self._nv].copy()
 
     @property
     def triangles(self) -> List[Triangle]:
@@ -280,20 +260,8 @@ class DelaunayTriangulation:
         """Triangles as an ``(m, 3)`` int array (scipy-compatible view)."""
         if self._simplices_cache is None:
             tris = self._tri_buf[: self._nt][self._tri_live[: self._nt]]
-            if not self._holes:
-                real = (tris >= _N_SUPER).all(axis=1)
-                self._simplices_cache = (tris[real] - _N_SUPER).astype(int)
-            else:
-                # Slot → public translation: freed and synthetic slots map
-                # to -1, so any triangle touching one is filtered out
-                # (freed slots never appear in live triangles anyway).
-                slot_to_pub = np.full(self._nv, -1, dtype=np.int64)
-                slot_to_pub[np.asarray(self._pub_to_slot, dtype=np.intp)] = (
-                    np.arange(len(self._pub_to_slot))
-                )
-                pub = slot_to_pub[tris]
-                real = (pub >= 0).all(axis=1)
-                self._simplices_cache = pub[real].astype(int)
+            real = (tris >= _N_SUPER).all(axis=1)
+            self._simplices_cache = (tris[real] - _N_SUPER).astype(int)
             self._simplices_cache.setflags(write=False)
         return self._simplices_cache
 
@@ -301,7 +269,7 @@ class DelaunayTriangulation:
         """The coordinates of public vertex ``index``."""
         if not 0 <= index < self.n_points:
             raise IndexError(f"vertex index {index} out of range")
-        x, y = self._vert_list[self._pub_to_slot[index]]
+        x, y = self._vert_list[index + _N_SUPER]
         return Point2(x, y)
 
     # ------------------------------------------------------------------
@@ -349,246 +317,7 @@ class DelaunayTriangulation:
         v = np.fromiter((e[1] for e in boundary), dtype=np.intp, count=len(boundary))
         self._add_triangles(u, v, np.full(len(boundary), internal_index, dtype=np.intp))
         self._simplices_cache = None
-        return self.n_points - 1
-
-    def remove(self, index: int) -> None:
-        """Remove public vertex ``index`` and re-triangulate its cavity.
-
-        The star of the vertex is replaced by a Delaunay ear-clipping of
-        its link polygon (Devillers-style deletion): only the hole's
-        boundary vertices can appear in the new triangles, and the
-        empty-circumcircle test against those boundary vertices suffices
-        to keep the whole mesh Delaunay. Public indices above ``index``
-        shift down by one, exactly like deleting from a list; the freed
-        internal vertex slot is leaked until the next full rebuild (the
-        leak is bounded by the number of removals).
-
-        Raises :class:`RuntimeError` when the star is too degenerate to
-        re-triangulate reliably (flat triangles breaking the link cycle);
-        the triangulation is left untouched in that case — callers fall
-        back to a from-scratch rebuild.
-        """
-        if not 0 <= index < self.n_points:
-            raise IndexError(f"vertex index {index} out of range")
-        if self._nt > 2 * _INITIAL_CAPACITY and 2 * self._n_live < self._nt:
-            self._compact()
-        slot = self._pub_to_slot[index]
-        star, ears = self._plan_detach(slot)
-        self._tri_live[star] = False
-        self._n_live -= len(star)
-        for a, b, c in ears:
-            self._add_triangle(a, b, c)
-        del self._pub_to_slot[index]
-        self._holes = True
-        self._simplices_cache = None
-
-    def update_positions(
-        self,
-        moved_ids: Sequence[int],
-        new_points: np.ndarray,
-        tol: float = 0.0,
-        full_rebuild: bool = False,
-    ) -> int:
-        """Displace existing vertices, re-triangulating only around them.
-
-        Parameters
-        ----------
-        moved_ids:
-            Public indices of the vertices to update (no duplicates).
-        new_points:
-            ``(len(moved_ids), 2)`` array of their new coordinates.
-        tol:
-            Vertices displaced by at most ``tol`` (Euclidean) keep their
-            old coordinates. The default 0.0 moves every vertex whose new
-            coordinates differ bitwise.
-        full_rebuild:
-            Escape hatch: rebuild the whole triangulation from scratch at
-            the updated coordinates instead of incremental detach/reinsert.
-            Same final mesh (up to triangle order — compare through
-            :func:`canonical_simplices`); used by tests as the oracle and
-            by callers that prefer predictable O(n log n) work.
-
-        Returns the number of vertices actually moved. Raises
-        :class:`DuplicatePointError` when a move lands on another vertex,
-        :class:`ValueError` for malformed input or out-of-span targets and
-        :class:`RuntimeError` for degenerate stars; on incremental-path
-        failures *after* the first successful move the mesh may hold a
-        partially applied update — callers should rebuild from scratch
-        (see :class:`repro.runtime.geometry.IncrementalGeometry`).
-        """
-        ids = np.asarray(moved_ids, dtype=int).reshape(-1)
-        pts = np.asarray(new_points, dtype=float)
-        if pts.ndim != 2 or pts.shape != (len(ids), 2):
-            raise ValueError(
-                f"new_points shape {pts.shape} != ({len(ids)}, 2)"
-            )
-        if len(ids) == 0:
-            return 0
-        if ids.min() < 0 or ids.max() >= self.n_points:
-            raise IndexError("moved_ids out of range")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("moved_ids contains duplicates")
-        current = self.points[ids]
-        if tol > 0.0:
-            disp = np.sqrt(((pts - current) ** 2).sum(axis=1))
-            movers = np.flatnonzero(disp > tol)
-        else:
-            movers = np.flatnonzero((pts != current).any(axis=1))
-        if movers.size == 0:
-            return 0
-        if full_rebuild:
-            allpts = self.points
-            allpts[ids[movers]] = pts[movers]
-            self._rebuild_from(allpts)
-            return int(movers.size)
-        order = movers[np.argsort(ids[movers], kind="stable")]
-        for m in order:
-            self._move_vertex(int(ids[m]), float(pts[m, 0]), float(pts[m, 1]))
-        return int(movers.size)
-
-    def _rebuild_from(self, points: np.ndarray) -> None:
-        """Re-run ``__init__`` over ``points`` (the full-rebuild path)."""
-        self.__init__(
-            points=points,
-            dedup_tol=self._dedup_tol,
-            skip_duplicates=self._skip_duplicates,
-            span=self._span,
-        )
-
-    def _move_vertex(self, index: int, x: float, y: float) -> None:
-        """Detach public vertex ``index`` and reinsert it at ``(x, y)``.
-
-        The duplicate check and the detach plan are validated *before*
-        any mutation, so those failures leave the mesh intact. A failure
-        during reinsertion (out-of-span target) leaves the mesh without
-        the vertex's triangles — callers must rebuild from scratch.
-        """
-        if self._nt > 2 * _INITIAL_CAPACITY and 2 * self._n_live < self._nt:
-            self._compact()
-        hit = self.find_vertex((x, y), tol=self._dedup_tol)
-        if hit is not None and hit != index:
-            raise DuplicatePointError(
-                f"moving vertex {index} onto existing vertex {hit}"
-            )
-        slot = self._pub_to_slot[index]
-        star, ears = self._plan_detach(slot)
-        self._tri_live[star] = False
-        self._n_live -= len(star)
-        for a, b, c in ears:
-            self._add_triangle(a, b, c)
-        self._vert_buf[slot] = (x, y)
-        self._vert_list[slot] = (float(x), float(y))
-        self._reinsert_slot(slot, float(x), float(y))
-        self._simplices_cache = None
-
-    def _reinsert_slot(self, slot: int, px: float, py: float) -> None:
-        """Bowyer–Watson insertion of an already-allocated vertex slot."""
-        bad_slots = self._bad_triangle_slots(px, py)
-        if bad_slots.size == 0:
-            bad_slots = self._bad_triangle_slots_nonstrict(px, py)
-        if bad_slots.size == 0:
-            raise ValueError(
-                f"point ({px}, {py}) is outside the triangulation's "
-                "working area; construct DelaunayTriangulation with a "
-                "larger span"
-            )
-        boundary = self._cavity_boundary(bad_slots)
-        self._tri_live[bad_slots] = False
-        self._n_live -= len(bad_slots)
-        u = np.fromiter((e[0] for e in boundary), dtype=np.intp, count=len(boundary))
-        v = np.fromiter((e[1] for e in boundary), dtype=np.intp, count=len(boundary))
-        self._add_triangles(u, v, np.full(len(boundary), slot, dtype=np.intp))
-
-    def _plan_detach(
-        self, slot: int
-    ) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
-        """Plan the removal of vertex ``slot``: its star and the ear fill.
-
-        Pure computation — the mesh is not touched, so a
-        :class:`RuntimeError` here (non-manifold or unclosed link from
-        degenerate star triangles, no Delaunay ear) is safe to recover
-        from by full rebuild. Stored triangles are CCW (or flat), so the
-        edge opposite ``slot`` in stored cyclic order walks the link
-        counter-clockwise; chaining those edges yields the hole polygon.
-        """
-        n = self._nt
-        touch = self._tri_live[:n] & (self._tri_buf[:n] == slot).any(axis=1)
-        star = np.flatnonzero(touch)
-        succ: Dict[int, int] = {}
-        for a, b, c in self._tri_buf[star].tolist():
-            if a == slot:
-                u, v = b, c
-            elif b == slot:
-                u, v = c, a
-            else:
-                u, v = a, b
-            if u in succ:
-                raise RuntimeError(
-                    f"vertex slot {slot} has a non-manifold link"
-                )
-            succ[u] = v
-        if len(succ) < 3:
-            raise RuntimeError(f"vertex slot {slot} has a degenerate star")
-        start = next(iter(succ))
-        poly = [start]
-        cur = succ[start]
-        while cur != start:
-            poly.append(cur)
-            if len(poly) > len(succ):
-                raise RuntimeError(
-                    f"vertex slot {slot}'s link does not close"
-                )
-            nxt = succ.get(cur)
-            if nxt is None:
-                raise RuntimeError(
-                    f"vertex slot {slot}'s link does not close"
-                )
-            cur = nxt
-        if len(poly) != len(succ):
-            raise RuntimeError(f"vertex slot {slot}'s link is disconnected")
-        return star, self._delaunay_ears(poly)
-
-    def _delaunay_ears(self, poly: List[int]) -> List[Tuple[int, int, int]]:
-        """Delaunay triangulation of a CCW link polygon by ear clipping.
-
-        An ear ``(u, v, w)`` qualifies when it is strictly CCW and no
-        *other* polygon vertex lies strictly inside its circumcircle —
-        for the link of a removed Delaunay vertex this local test is
-        sufficient for global Delaunayhood (the hole is shielded from the
-        rest of the mesh by its boundary). Uses the scalar predicates, so
-        the result is exactly what the validation oracle expects.
-        """
-        verts = self._vert_list
-        work = list(poly)
-        ears: List[Tuple[int, int, int]] = []
-        while len(work) > 3:
-            found = False
-            for i in range(len(work)):
-                u = work[i - 1] if i else work[-1]
-                v = work[i]
-                w = work[(i + 1) % len(work)]
-                pu, pv, pw = verts[u], verts[v], verts[w]
-                if orientation(pu, pv, pw) <= 0:
-                    continue
-                ok = True
-                for q in work:
-                    if q in (u, v, w):
-                        continue
-                    if incircle(pu, pv, pw, verts[q]) > 0:
-                        ok = False
-                        break
-                if ok:
-                    ears.append((u, v, w))
-                    work.pop(i)
-                    found = True
-                    break
-            if not found:
-                raise RuntimeError("no Delaunay ear found in link polygon")
-        a, b, c = work
-        if orientation(verts[a], verts[b], verts[c]) <= 0:
-            raise RuntimeError("link polygon closes on a flat triangle")
-        ears.append((a, b, c))
-        return ears
+        return internal_index - _N_SUPER
 
     def _bad_triangle_slots(self, px: float, py: float) -> np.ndarray:
         """Slots whose circumcircle strictly contains ``(px, py)``.
@@ -838,7 +567,7 @@ class DelaunayTriangulation:
     def find_vertex(self, point: PointLike, tol: float = 1e-9) -> Optional[int]:
         """Public index of an existing vertex within ``tol``, else ``None``."""
         p = Point2.of(point)
-        real = self._points_view()
+        real = self._vert_buf[_N_SUPER : self._nv]
         if len(real) == 0:
             return None
         dx = np.abs(real[:, 0] - p.x)
@@ -863,7 +592,7 @@ class DelaunayTriangulation:
         simp = self.simplices
         if simp.size == 0:
             return None
-        pts = self._points_view()
+        pts = self._vert_buf[_N_SUPER : self._nv]
         a = pts[simp[:, 0]]
         b = pts[simp[:, 1]]
         c = pts[simp[:, 2]]

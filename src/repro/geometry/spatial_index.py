@@ -31,17 +31,11 @@ of magnitude while costing nothing measurable in occupancy.
 Below :data:`DENSE_CROSSOVER` points the dense matrix is faster than
 building the index; :func:`radius_adjacency` and the call sites in
 ``Radio``/``unit_disk_graph`` switch on that threshold. Either path gives
-bit-identical answers, so the crossover is purely a speed knob — which is
-why it is overridable: sharded tiles work on much smaller populations
-than the whole fleet and may want a different break-even point. Call
-sites resolve the effective threshold through :func:`dense_crossover`
-(explicit keyword > ``REPRO_DENSE_CROSSOVER`` env var > the module
-constant).
+bit-identical answers, so the crossover is purely a speed knob.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -52,7 +46,6 @@ __all__ = [
     "CELL_MARGIN",
     "DENSE_CROSSOVER",
     "SpatialHashGrid",
-    "dense_crossover",
     "radius_adjacency",
     "radius_neighbor_lists",
 ]
@@ -62,31 +55,6 @@ CELL_MARGIN = 1e-9
 
 #: Below this many points the dense distance matrix beats building a grid.
 DENSE_CROSSOVER = 64
-
-#: Environment variable overriding :data:`DENSE_CROSSOVER` process-wide.
-DENSE_CROSSOVER_ENV = "REPRO_DENSE_CROSSOVER"
-
-
-def dense_crossover(
-    override: Optional[int] = None, default: Optional[int] = None
-) -> int:
-    """Resolve the effective dense/cell-list crossover threshold.
-
-    Precedence: an explicit ``override`` keyword (a caller-level tuning
-    knob), then the ``REPRO_DENSE_CROSSOVER`` environment variable (a
-    process-wide one, read per call so tests and sharded workers can
-    flip it), then ``default`` — call sites pass their *own* module's
-    ``DENSE_CROSSOVER`` global here, preserving the long-standing
-    monkeypatch seam — then this module's constant.
-    """
-    if override is not None:
-        return int(override)
-    env = os.environ.get(DENSE_CROSSOVER_ENV)
-    if env is not None and env != "":
-        return int(env)
-    if default is not None:
-        return int(default)
-    return DENSE_CROSSOVER
 
 #: Half-plane of cell offsets covering each adjacent-cell pair exactly once.
 _HALF_OFFSETS = ((1, 0), (-1, 1), (0, 1), (1, 1))
@@ -350,12 +318,12 @@ def radius_adjacency(
     """Boolean within-``radius`` matrix with a ``False`` diagonal.
 
     Bit-identical to ``pairwise_distances(pts) <= radius`` with the
-    diagonal cleared; uses the dense matrix at or below the effective
-    crossover (``crossover`` keyword > ``REPRO_DENSE_CROSSOVER`` env var
-    > :data:`DENSE_CROSSOVER`) and the cell-list grid above it.
+    diagonal cleared; uses the dense matrix at or below ``crossover``
+    points (default :data:`DENSE_CROSSOVER`) and the cell-list grid above
+    it.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) <= dense_crossover(crossover, default=DENSE_CROSSOVER):
+    if len(pts) <= (DENSE_CROSSOVER if crossover is None else crossover):
         adj = pairwise_distances(pts) <= radius
         np.fill_diagonal(adj, False)
         return adj

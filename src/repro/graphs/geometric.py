@@ -13,11 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.primitives import pairwise_distances
-from repro.geometry.spatial_index import (
-    DENSE_CROSSOVER,
-    SpatialHashGrid,
-    dense_crossover,
-)
+from repro.geometry.spatial_index import DENSE_CROSSOVER, SpatialHashGrid
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import connected_components
 
@@ -30,8 +26,7 @@ def unit_disk_graph(
     """Build ``G(i, Rc)``: edge between nodes at distance <= ``radius``.
 
     ``positions`` is an ``(n, 2)`` array. Distances are edge weights.
-    Above the effective crossover (``crossover`` keyword >
-    ``REPRO_DENSE_CROSSOVER`` env var >
+    Above ``crossover`` points (default
     :data:`~repro.geometry.spatial_index.DENSE_CROSSOVER`) the edge set
     comes from the cell-list grid instead of the dense distance matrix —
     same edges, same weights, same insertion order, O(k) at fixed
@@ -43,7 +38,7 @@ def unit_disk_graph(
     graph = Graph(len(pts))
     if len(pts) < 2:
         return graph
-    if len(pts) <= dense_crossover(crossover, default=DENSE_CROSSOVER):
+    if len(pts) <= (DENSE_CROSSOVER if crossover is None else crossover):
         dists = pairwise_distances(pts)
         iu, ju = np.nonzero(np.triu(dists <= radius, k=1))
         for u, v in zip(iu.tolist(), ju.tolist()):

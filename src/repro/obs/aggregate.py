@@ -1,6 +1,6 @@
 """Cross-worker metric aggregation: N shard snapshots → one fleet view.
 
-``run_all --processes N`` (and the future sharded runtime) gives every
+``run_all --processes N`` gives every
 worker its own :class:`~repro.obs.metrics.MetricsRegistry`; each worker
 closes its instrumentation with its *own* final ``metrics`` event. The
 merged run log then carries N disjoint snapshots, and "how many beacons
@@ -17,8 +17,8 @@ those snapshots into one rollup with per-kind semantics:
 
 Counter totals merged this way are **bitwise-consistent** with the
 single-process run whenever increments are integral (they are: message
-counts, geometry rebuild counts, move counts) — the property the
-sharding roadmap item verifies partitioned runs against.
+counts, move counts) — so a multi-process run's totals can be checked
+against a single-process run of the same work.
 
 Kind information travels in the ``metrics`` event's ``kinds`` field
 (written by :meth:`Instrumentation.close` since this module landed).

@@ -1,9 +1,11 @@
 """Run diffing: align two run logs, find the first divergence.
 
-The sharding roadmap item needs to verify that a partitioned run is
-bit-identical to the single-process one — and when it is not, the
-useful answer is not "the final δ differs" but "**round 17** is the
-first divergent round, and the first divergent *event* is the
+Checking that two runs of one scenario (a resumed run against an
+uninterrupted one, a traced run against an untraced one, a refactor
+against its parent) are bit-identical needs more than a yes or no:
+when they differ, the useful answer is not "the final δ differs" but
+"**round 17** is the first divergent round, and the first divergent
+*event* is the
 ``msg_deliver`` at index 2041". That localisation is what
 ``repro-exp obs diff A B`` does, entirely from the two JSONL logs:
 
@@ -202,7 +204,7 @@ def diff_runs(
     """Diff two event-dict streams (see module docstring).
 
     The default tolerances demand *bit-identical* numeric fields — the
-    sharding verification contract. Pass ``rtol``/``atol`` to compare
+    contract of a same-behaviour refactor. Pass ``rtol``/``atol`` to compare
     runs across platforms or after numerically benign refactors.
     """
     a = list(events_a)

@@ -23,19 +23,13 @@ now run on:
   down to every engine;
 * :mod:`.cma_phases` / :mod:`.centralized_phases` — the concrete phase
   units the two engines compose (the six CMA phases of Table 2, and the
-  replan/move/measure cycle of the centralized baseline);
-* :mod:`.sharding` — spatial sharding: :class:`TilePartition` splits the
-  working area into tiles, :class:`ShardedWorldState` carries one tile's
-  owned nodes plus ghost halo, and :class:`ShardedScheduler` runs the
-  tile-safe phase prefix per tile with a ghost-zone exchange at every
-  round barrier — bit-identical to the single-process engine.
+  replan/move/measure cycle of the centralized baseline).
 
 The engines remain the public API; they are thin facades that assemble
 phases + middleware into a scheduler and expose ``step()``/``run()``
 exactly as before.
 """
 
-from repro.runtime.geometry import IncrementalGeometry
 from repro.runtime.checkpoint import (
     Checkpoint,
     CheckpointConfig,
@@ -61,15 +55,6 @@ from repro.runtime.records import (
     SimulationResult,
 )
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sharding import (
-    ShardedScheduler,
-    ShardedWorldState,
-    ShardingConfig,
-    TilePartition,
-    get_sharding_config,
-    halo_width,
-    use_sharding,
-)
 from repro.runtime.state import WorldState
 
 __all__ = [
@@ -79,7 +64,6 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointManager",
     "FailureInjectionMiddleware",
-    "IncrementalGeometry",
     "Middleware",
     "ObsMiddleware",
     "Phase",
@@ -88,16 +72,10 @@ __all__ = [
     "RoundRecord",
     "RunPreempted",
     "Scheduler",
-    "ShardedScheduler",
-    "ShardedWorldState",
-    "ShardingConfig",
     "SimulationResult",
-    "TilePartition",
     "WorldState",
     "drive_run",
     "get_checkpoint_config",
-    "get_sharding_config",
-    "halo_width",
     "load_checkpoint",
     "save_checkpoint",
     "use_checkpointing",

@@ -162,15 +162,7 @@ class CentralizedMeasurePhase:
             t=engine.t,
         )
         values = engine.problem.field.sample(engine.positions, engine.t)
-        geometry = getattr(engine, "geometry", None)
-        simp = (
-            geometry.simplices_for(engine.positions)
-            if geometry is not None
-            else None
-        )
-        recon = reconstruct_surface(
-            reference, engine.positions, values=values, triangulation=simp
-        )
+        recon = reconstruct_surface(reference, engine.positions, values=values)
         components = connected_components(
             unit_disk_graph(engine.positions, engine.problem.rc)
         )

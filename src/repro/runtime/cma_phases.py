@@ -114,13 +114,6 @@ class SensePhase:
 
     name = "sense"
     span_name = "sense"
-    #: Sensing reads the node's own Rs-disk of the (global, read-only)
-    #: field snapshot; noiseless reads draw no RNG, so a tile can sense
-    #: its owned+ghost nodes independently and bitwise-identically. The
-    #: sharded scheduler falls back to the barrier when noise is on (the
-    #: noise stream is drawn in fleet-wide node order) or while the
-    #: round-0 calibration below (a global mean) is still pending.
-    tile_safe = True
 
     def run(self, ctx: MobileRoundContext) -> None:
         # Imported here, not at module top: repro.sim's package init pulls
@@ -205,12 +198,6 @@ class ExchangePhase:
 
     name = "exchange"
     span_name = "exchange"
-    #: Beacons travel at most Rc, so a tile with an Rc-wide ghost halo
-    #: hears every beacon its owned nodes would hear fleet-wide. The
-    #: sharded scheduler falls back to the barrier when a loss model or
-    #: the netmodel pipeline is active — both consume RNG/state in
-    #: fleet-wide directed-pair order, which tiling would reorder.
-    tile_safe = True
 
     def __init__(self) -> None:
         # One tracer per (phase, instrumentation) pairing; rebuilt if the
@@ -248,9 +235,6 @@ class PlanPhase:
 
     name = "plan"
     span_name = "plan"
-    #: ``plan_move`` is a pure per-node function of the node's own
-    #: sensing and inbox — trivially decomposable over tiles.
-    tile_safe = True
 
     def run(self, ctx: MobileRoundContext) -> None:
         engine = ctx.engine
@@ -510,18 +494,7 @@ class MeasurePhase:
                 n_trace_samples=0,
             )
 
-        # The maintained triangulation covers the node samples only; trace
-        # samples change the point set every round, so routes with extras
-        # fall back to the from-scratch build.
-        geometry = getattr(engine, "geometry", None)
-        simp = (
-            geometry.simplices_for(pts)
-            if geometry is not None and not ctx.extra_positions
-            else None
-        )
-        reconstruction = reconstruct_surface(
-            ctx.snapshot, pts, values=values, triangulation=simp
-        )
+        reconstruction = reconstruct_surface(ctx.snapshot, pts, values=values)
         graph = unit_disk_graph(alive_positions, engine.problem.rc)
         components = connected_components(graph)
         return RoundRecord(

@@ -12,31 +12,13 @@ a ``span_name`` — the observability span to open around the phase, or
 ``None`` for phases that historically ran un-spanned (the trace-sampling
 step between LCM and measure). Keeping ``span_name`` separate preserves
 the exact event stream the pre-runtime engines emitted.
-
-Phases may additionally declare ``tile_safe = True`` (default ``False``,
-see :func:`tile_safe`): the phase's per-node work reads only state local
-within the interaction radius — its own node's sensing disk and the
-``Rc``-ball of beacon neighbours — and draws no shared RNG stream, so a
-spatial shard that carries a ghost halo at least that wide can run it
-tile-by-tile and produce bitwise the fleet-wide result. The sharded
-scheduler (:mod:`repro.runtime.sharding`) fuses the maximal contiguous
-run of tile-safe phases into one fan-out step; everything else runs at
-the round barrier. Order-dependent phases (constrained movement and LCM
-read *live*, possibly already-moved neighbour positions in global node
-order) and global reductions (measurement, calibration) must stay
-``tile_safe = False``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Protocol, runtime_checkable
 
-__all__ = ["Phase", "RoundContext", "tile_safe"]
-
-
-def tile_safe(phase: Any) -> bool:
-    """Whether ``phase`` declared itself safe to run per spatial tile."""
-    return bool(getattr(phase, "tile_safe", False))
+__all__ = ["Phase", "RoundContext"]
 
 
 class RoundContext:
@@ -65,10 +47,6 @@ class Phase(Protocol):
     name: str
     #: Observability span to open around :meth:`run` (None = no span).
     span_name: Optional[str]
-    #: Declared by phases whose work decomposes over spatial tiles with a
-    #: ghost halo (see module docstring); absent means ``False``. Read it
-    #: through :func:`tile_safe` — the attribute is optional on purpose
-    #: so pre-sharding phase classes need no change.
 
     def run(self, ctx: RoundContext) -> None:
         """Execute the phase against the shared round context."""

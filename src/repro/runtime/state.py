@@ -92,64 +92,6 @@ class WorldState:
             aux=copy.deepcopy(self.aux),
         )
 
-    # ------------------------------------------------------------------
-    # Partition/merge protocol (spatial sharding). ``take`` produces a
-    # per-node restriction of the state — the building block of a tile
-    # view — and ``scatter`` writes such a restriction's per-node rows
-    # back. ``scatter(ids, take(ids))`` is always the identity; the
-    # sharded scheduler's round barrier is take → per-tile compute →
-    # scatter of the owned rows.
-
-    #: Fields with one row per node, in canonical order. ``arrays``
-    #: entries whose leading dimension equals ``k`` are treated the same
-    #: way; other extras are engine-global and copied whole.
-    PER_NODE_FIELDS = (
-        "positions", "alive", "curvature", "distance_travelled", "died_at",
-    )
-
-    def take(self, ids) -> "WorldState":
-        """Per-node restriction to ``ids`` (rows keep the given order).
-
-        The result is independent of ``self`` (rows are fancy-indexed
-        copies); scalar fields (clock, calibration) ride along so a tile
-        view is a self-contained ``WorldState``. RNG states and ``aux``
-        are *not* carried: they are engine-global streams that cannot be
-        split per node — the sharded runtime keeps them at the barrier.
-        """
-        idx = np.asarray(ids, dtype=int).reshape(-1)
-        return WorldState(
-            round_index=self.round_index,
-            t=self.t,
-            positions=self.positions[idx],
-            alive=self.alive[idx],
-            curvature=self.curvature[idx],
-            distance_travelled=self.distance_travelled[idx],
-            died_at=self.died_at[idx],
-            curvature_scale=self.curvature_scale,
-            arrays={
-                name: arr[idx] if len(arr) == self.k else arr.copy()
-                for name, arr in self.arrays.items()
-            },
-        )
-
-    def scatter(self, ids, sub: "WorldState") -> None:
-        """Write ``sub``'s per-node rows back into this state at ``ids``.
-
-        The inverse of :meth:`take` for per-node fields; scalar fields
-        and RNG/aux state are left untouched (they are merged by the
-        engine at the round barrier, not per tile).
-        """
-        idx = np.asarray(ids, dtype=int).reshape(-1)
-        if len(idx) != sub.k:
-            raise ValueError(
-                f"scatter got {len(idx)} ids for a {sub.k}-node sub-state"
-            )
-        for name in self.PER_NODE_FIELDS:
-            getattr(self, name)[idx] = getattr(sub, name)
-        for name, arr in self.arrays.items():
-            if len(arr) == self.k and name in sub.arrays:
-                arr[idx] = sub.arrays[name]
-
     def allclose(self, other: "WorldState", atol: float = 0.0) -> bool:
         """Exact (default) or tolerant equality of two states."""
         if (

@@ -1,7 +1,7 @@
 """The serve worker side: job execution in a child process.
 
 Jobs do not run inside the server process. The instrumentation,
-checkpoint and sharding contexts are *ambient* (process-global stacks —
+checkpoint and profiling contexts are *ambient* (process-global stacks —
 see :func:`repro.obs.use_instrumentation`), so two jobs in one process
 would cross-contaminate each other's obs logs. Each job therefore runs
 through :func:`execute_job` inside a ``spawn``-context process pool: a
@@ -86,8 +86,8 @@ def make_interrupt(
 def reset_experiment_caches() -> None:
     """Drop memoized engine results so a re-submitted scenario re-runs.
 
-    ``fig8910_cma_run`` memoizes its engine sweep per (fast, sharding)
-    key — correct inside one CLI invocation, wrong in a long-lived pool
+    ``fig8910_cma_run`` memoizes its engine sweep per ``fast`` flag
+    — correct inside one CLI invocation, wrong in a long-lived pool
     worker where a second submission of the same scenario must actually
     execute (and emit round events) again.
     """

@@ -40,7 +40,6 @@ from repro.runtime.centralized_phases import (
     assign_targets,
 )
 from repro.runtime.checkpoint import CheckpointConfig, drive_run
-from repro.runtime.geometry import IncrementalGeometry
 from repro.runtime.middleware import ObsMiddleware
 from repro.runtime.records import CentralizedResult, CentralizedRound
 from repro.runtime.scheduler import Scheduler
@@ -87,13 +86,6 @@ class CentralizedSimulation:
     obs:
         Instrumentation for phase spans (``replan``/``move``/``measure``);
         defaults to the ambient instance.
-    incremental_geometry:
-        Maintain the measurement triangulation across rounds instead of
-        rebuilding it from scratch (see
-        :class:`repro.runtime.geometry.IncrementalGeometry`). Off by
-        default: cocircular layouts admit several valid triangulations,
-        so maintained and from-scratch meshes can legitimately differ
-        there.
     """
 
     _CHECKPOINT_PREFIX = "centralized"
@@ -108,7 +100,6 @@ class CentralizedSimulation:
         initial_positions: Optional[np.ndarray] = None,
         planner: str = "fra",
         obs: Optional[Instrumentation] = None,
-        incremental_geometry: bool = False,
     ) -> None:
         if delay_rounds < 0:
             raise ValueError(f"delay_rounds must be >= 0, got {delay_rounds}")
@@ -123,9 +114,6 @@ class CentralizedSimulation:
         self.solver_iterations = int(solver_iterations)
         self.resolution = int(resolution)
         self.obs = obs if obs is not None else get_instrumentation()
-        #: Opt-in cross-round maintenance of the measurement triangulation
-        #: (see :class:`repro.runtime.geometry.IncrementalGeometry`).
-        self.geometry = IncrementalGeometry() if incremental_geometry else None
 
         if initial_positions is not None:
             init = np.asarray(initial_positions, dtype=float).reshape(-1, 2)
@@ -188,8 +176,6 @@ class CentralizedSimulation:
         self.t = state.t
         self.round_index = state.round_index
         self._target_info_age = int(state.aux.get("target_info_age", 0))
-        if self.geometry is not None:
-            self.geometry.reset()
 
     # ------------------------------------------------------------------
     def run(

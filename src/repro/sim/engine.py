@@ -39,7 +39,6 @@ from repro.obs.instrument import Instrumentation, get_instrumentation
 from repro.obs.profile import PhaseProfiler, get_profile_config
 from repro.runtime.checkpoint import CheckpointConfig, drive_run
 from repro.runtime.cma_phases import CMA_PHASES, MobileRoundContext
-from repro.runtime.geometry import IncrementalGeometry
 from repro.runtime.middleware import (
     FailureInjectionMiddleware,
     ObsMiddleware,
@@ -47,7 +46,6 @@ from repro.runtime.middleware import (
 )
 from repro.runtime.records import RoundRecord, SimulationResult
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sharding import ShardedScheduler, resolve_tiles
 from repro.runtime.state import WorldState
 from repro.sim.netmodel.churn import EnergyDepletionModel
 from repro.sim.netmodel.failures import MessageLossModel, NodeFailureSchedule
@@ -117,8 +115,6 @@ class MobileSimulation:
         sensor_noise_std: float = 0.0,
         sensor_noise_seed: int = 0,
         obs: Optional[Instrumentation] = None,
-        incremental_geometry: bool = False,
-        tiles: Optional[int] = None,
     ) -> None:
         self.problem = problem
         self.params = params or CMAParams(
@@ -166,11 +162,6 @@ class MobileSimulation:
         #: Gaussian read noise on every sensed value (paper: noiseless).
         self.sensor_noise_std = float(sensor_noise_std)
         self._sensor_rng = np.random.default_rng(sensor_noise_seed)
-        #: Opt-in cross-round maintenance of the measurement triangulation
-        #: (see :class:`repro.runtime.geometry.IncrementalGeometry`). The
-        #: cache is derivable from positions, so checkpoints are unchanged;
-        #: it is reset on restore and rebuilt lazily.
-        self.geometry = IncrementalGeometry() if incremental_geometry else None
 
         if initial_positions is not None:
             init = np.asarray(initial_positions, dtype=float).reshape(-1, 2)
@@ -191,38 +182,15 @@ class MobileSimulation:
         #: The round pipeline: the six CMA phases plus bookkeeping units,
         #: with cross-cutting concerns as middleware (order matters — the
         #: per-round ``round`` event precedes recorder side effects).
-        #: With sharding on (explicit ``tiles=`` or the ambient
-        #: :func:`repro.runtime.sharding.use_sharding` policy) the same
-        #: pipeline runs under a :class:`ShardedScheduler`, which fuses
-        #: the tile-safe prefix into a per-tile fan-out — phase list and
-        #: middleware are otherwise identical, so obs streams, recorders
-        #: and checkpoints keep their formats.
-        phases = [phase() for phase in CMA_PHASES]
-        middleware = [
-            ObsMiddleware(self, record_event=record_round),
-            FailureInjectionMiddleware(self),
-            RecorderMiddleware(self),
-        ]
-        #: Effective sharding policy (``None`` = single-process).
-        self.sharding = resolve_tiles(tiles)
-        if self.sharding is not None:
-            self.scheduler = ShardedScheduler(
-                self,
-                phases=phases,
-                middleware=middleware,
-                advance=self._advance,
-                config=self.sharding,
-            )
-            if self.geometry is not None:
-                self.geometry.set_partition(
-                    self.scheduler.partition, self.scheduler.halo
-                )
-        else:
-            self.scheduler = Scheduler(
-                phases=phases,
-                middleware=middleware,
-                advance=self._advance,
-            )
+        self.scheduler = Scheduler(
+            phases=[phase() for phase in CMA_PHASES],
+            middleware=[
+                ObsMiddleware(self, record_event=record_round),
+                FailureInjectionMiddleware(self),
+                RecorderMiddleware(self),
+            ],
+            advance=self._advance,
+        )
         # Opt-in per-phase CPU/allocation profiling (--profile / ambient
         # use_profiling). Checked once at construction: when off, no
         # middleware exists and a step pays nothing.
@@ -320,22 +288,6 @@ class MobileSimulation:
             self.crash_model.load_state_dict(state.aux["crash"])
         if self.energy_model is not None and "energy" in state.aux:
             self.energy_model.load_state_dict(state.aux["energy"])
-        if self.geometry is not None:
-            self.geometry.reset()
-        # Cross-round scheduler accounting (e.g. the sharded scheduler's
-        # previous-round tile assignment) is transient and restarts clean.
-        reset = getattr(self.scheduler, "reset_transients", None)
-        if reset is not None:
-            reset()
-
-    def close(self) -> None:
-        """Release scheduler-owned resources (worker pool, shard logs).
-
-        A no-op for the single-process scheduler; safe to call twice.
-        """
-        closer = getattr(self.scheduler, "close", None)
-        if closer is not None:
-            closer()
 
     # ------------------------------------------------------------------
     def run(

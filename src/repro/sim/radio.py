@@ -20,36 +20,19 @@ import numpy as np
 
 from repro.core.cma import NeighborObservation
 from repro.geometry.primitives import pairwise_distances
-from repro.geometry.spatial_index import (
-    DENSE_CROSSOVER,
-    SpatialHashGrid,
-    dense_crossover,
-)
+from repro.geometry.spatial_index import DENSE_CROSSOVER, SpatialHashGrid
 from repro.obs.instrument import get_instrumentation
 from repro.sim.netmodel.failures import MessageLossModel
 
 
 class Radio:
-    """The shared medium connecting all nodes.
+    """The shared medium connecting all nodes."""
 
-    ``crossover`` overrides the dense/cell-list neighbour-discovery
-    threshold for this radio (see
-    :func:`repro.geometry.spatial_index.dense_crossover`); sharded tiles
-    hand their radios smaller populations than the whole fleet and may
-    tune the break-even point independently.
-    """
-
-    def __init__(
-        self,
-        rc: float,
-        loss: Optional[MessageLossModel] = None,
-        crossover: Optional[int] = None,
-    ) -> None:
+    def __init__(self, rc: float, loss: Optional[MessageLossModel] = None) -> None:
         if rc <= 0:
             raise ValueError(f"Rc must be positive, got {rc}")
         self.rc = float(rc)
         self.loss = loss
-        self.crossover = crossover
         # One-entry neighbour-table cache keyed on the *content* of the
         # positions/alive arrays (the engine rebuilds those arrays every
         # access, so identity would never hit). Within a round both the
@@ -78,7 +61,7 @@ class Radio:
         cached = self._nbr_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        if n <= dense_crossover(self.crossover, default=DENSE_CROSSOVER):
+        if n <= DENSE_CROSSOVER:
             # Whole-matrix adjacency in one shot: dead rows/columns masked,
             # self-links cleared, then a single row-major nonzero split into
             # per-node lists (column indices are sorted within each row, the
@@ -108,7 +91,6 @@ class Radio:
         positions: np.ndarray,
         curvatures: Sequence[float],
         alive: Optional[np.ndarray] = None,
-        ids: Optional[Sequence[int]] = None,
     ) -> List[List[NeighborObservation]]:
         """One beacon round: what each node hears from its neighbours.
 
@@ -116,15 +98,6 @@ class Radio:
         delivery, so a beacon may reach some neighbours and not others —
         the two directions of a link can disagree, exactly the asymmetry
         real lossy radios produce.
-
-        ``ids`` maps row indices to global node ids for subset exchanges:
-        a sharded tile resolves neighbours against its owned+ghost point
-        set but must report each beacon under the sender's fleet-wide id,
-        so the plans it produces splice back into the global pipeline.
-        Position/curvature payloads and per-pair distance decisions are
-        unaffected — a subset exchange is bitwise what the same nodes
-        would have heard in the fleet-wide one (given the subset contains
-        every in-range alive neighbour).
         """
         pts = np.asarray(positions, dtype=float).reshape(-1, 2)
         nbr_lists = self.neighbor_ids(pts, alive=alive)
@@ -136,7 +109,7 @@ class Radio:
                     continue
                 inbox.append(
                     NeighborObservation(
-                        node_id=j if ids is None else int(ids[j]),
+                        node_id=j,
                         position=pts[j].copy(),
                         curvature=float(curvatures[j]),
                     )

@@ -51,11 +51,11 @@ def reconstruct_surface(
     report), or a ``field`` to sample — exactly one of the two.
 
     ``triangulation`` optionally supplies a precomputed ``(m, 3)`` simplex
-    array over exactly these positions (e.g. from an incrementally
-    maintained :class:`~repro.geometry.delaunay.DelaunayTriangulation`),
-    skipping the from-scratch Delaunay build. The simplices are
-    canonicalised either way, so a maintained mesh and a fresh build with
-    the same triangle set score bit-identically.
+    array over exactly these positions (e.g. the ``simplices`` of a
+    :class:`~repro.geometry.delaunay.DelaunayTriangulation` grown point by
+    point with ``insert``), skipping the from-scratch Delaunay build. The
+    simplices are canonicalised either way, so two meshes with the same
+    triangle set score bit-identically.
     """
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if (values is None) == (field is None):

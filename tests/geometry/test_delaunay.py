@@ -10,7 +10,11 @@ from repro.geometry.delaunay import (
     DuplicatePointError,
     Triangle,
 )
+from repro.fields.grid import GridField
 from repro.geometry.predicates import orientation
+from repro.geometry.primitives import BoundingBox
+from repro.sim.engine import default_grid_layout
+from repro.surfaces.reconstruction import reconstruct_surface
 
 
 class TestTriangle:
@@ -153,6 +157,34 @@ class TestDelaunayProperty:
         for p in pts:
             incremental.insert(p)
         assert set(batch.edges()) == set(incremental.edges())
+
+
+class TestCocircularGridStart:
+    """The default grid start: every lattice cell is a cocircular quad.
+
+    Its Delaunay triangulation is not unique, so the build's tie rule
+    decides which diagonal each cell gets — and δ depends on that choice.
+    """
+
+    @pytest.fixture
+    def grid(self):
+        region = BoundingBox.square(100.0)
+        return default_grid_layout(region, 100, 10.0)
+
+    def test_mesh_is_delaunay(self, grid):
+        dt = DelaunayTriangulation(grid)
+        assert dt.n_points == 100
+        assert dt.is_delaunay()
+        # A 10x10 lattice: 2 triangles per cell, 81 cells.
+        assert len(dt.simplices) == 162
+
+    def test_same_delta_on_two_builds(self, grid, greenorbs_reference):
+        values = GridField(greenorbs_reference).sample(grid)
+        a = reconstruct_surface(greenorbs_reference, grid, values=values)
+        b = reconstruct_surface(greenorbs_reference, grid, values=values)
+        assert np.isfinite(a.delta)
+        assert a.delta == b.delta
+        assert np.array_equal(a.surface.values, b.surface.values)
 
 
 class TestLocate:

@@ -1,42 +1,13 @@
-"""Incremental retriangulation: ``remove`` and ``update_positions``.
+"""Canonical simplex order: the triangle-set form every consumer sees.
 
-The incremental paths must produce *the same triangle set* as a
-from-scratch build over the final point set — compared bitwise through
-:func:`canonical_simplices` — with the scalar-predicate
-``is_delaunay`` oracle as the independent correctness net. Cocircular
-inputs (integer grids) legitimately admit several Delaunay
-triangulations; for those the tests fall back to asserting Delaunayhood
-when the canonical forms differ, but the random-cloud cases must match
-exactly.
+:func:`canonical_simplices` makes the rasteriser's shared-edge tie-break
+and extrapolation's first-improvement winner functions of the triangle
+*set* alone, independent of the order a mesh was built in.
 """
 
 import numpy as np
-import pytest
 
-from repro.geometry.delaunay import (
-    DelaunayTriangulation,
-    DuplicatePointError,
-    canonical_simplices,
-)
-
-
-def fresh(points):
-    return DelaunayTriangulation(points=points)
-
-
-def canon(tri):
-    return canonical_simplices(tri.simplices)
-
-
-def assert_same_mesh(tri, points, ctx=""):
-    """tri must triangulate `points` exactly as a from-scratch build does."""
-    assert np.array_equal(tri.points, points), f"points drifted {ctx}"
-    ref = fresh(points)
-    if not np.array_equal(canon(tri), canon(ref)):
-        # Non-unique DT (cocircular input): both must still be Delaunay.
-        assert tri.is_delaunay(), f"incremental mesh not Delaunay {ctx}"
-        assert ref.is_delaunay()
-    assert tri.is_delaunay(), f"not Delaunay {ctx}"
+from repro.geometry.delaunay import canonical_simplices
 
 
 class TestCanonicalSimplices:
@@ -55,163 +26,3 @@ class TestCanonicalSimplices:
     def test_empty(self):
         out = canonical_simplices(np.empty((0, 3), dtype=int))
         assert out.shape == (0, 3)
-
-
-class TestRemove:
-    def test_interior_vertex(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(0, 100, size=(40, 2))
-        tri = fresh(pts)
-        # a vertex well inside the cloud
-        centre = pts.mean(axis=0)
-        victim = int(np.argmin(((pts - centre) ** 2).sum(axis=1)))
-        tri.remove(victim)
-        assert_same_mesh(tri, np.delete(pts, victim, axis=0), "after remove")
-
-    def test_hull_vertex(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(0, 100, size=(30, 2))
-        tri = fresh(pts)
-        victim = int(np.argmin(pts[:, 0]))  # leftmost: on the hull
-        tri.remove(victim)
-        assert_same_mesh(tri, np.delete(pts, victim, axis=0), "hull remove")
-
-    def test_indices_shift_down(self):
-        pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
-        tri = fresh(pts)
-        tri.remove(1)
-        assert tri.n_points == 3
-        assert np.array_equal(tri.points, pts[[0, 2, 3]])
-        assert (tri.point(1).x, tri.point(1).y) == (0.0, 10.0)
-        assert tri.find_vertex((10.0, 10.0)) == 2
-
-    def test_insert_after_remove(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 50, size=(20, 2))
-        tri = fresh(pts)
-        tri.remove(7)
-        new = np.array([25.0, 25.0])
-        idx = tri.insert(new)
-        assert idx == tri.n_points - 1
-        want = np.vstack([np.delete(pts, 7, axis=0), new])
-        assert_same_mesh(tri, want, "insert after remove")
-
-    def test_sequential_removals(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(0, 100, size=(25, 2))
-        tri = fresh(pts)
-        work = pts.copy()
-        for victim in (20, 0, 11, 5):
-            tri.remove(victim)
-            work = np.delete(work, victim, axis=0)
-            assert_same_mesh(tri, work, f"after removing {victim}")
-
-    def test_out_of_range(self):
-        tri = fresh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(IndexError):
-            tri.remove(3)
-        with pytest.raises(IndexError):
-            tri.remove(-1)
-
-    def test_cocircular_grid(self):
-        """Integer grid: many cocircular quadruples; mesh stays Delaunay."""
-        xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
-        pts = np.column_stack([xs.ravel(), ys.ravel()])
-        tri = fresh(pts)
-        tri.remove(12)  # the centre point
-        kept = np.delete(pts, 12, axis=0)
-        assert np.array_equal(tri.points, kept)
-        assert tri.is_delaunay()
-
-
-class TestUpdatePositions:
-    def test_matches_from_scratch(self):
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(0, 100, size=(50, 2))
-        tri = fresh(pts)
-        ids = np.array([3, 17, 31, 44])
-        new = pts[ids] + rng.uniform(-2, 2, size=(4, 2))
-        moved = tri.update_positions(ids, new)
-        assert moved == 4
-        pts[ids] = new
-        assert_same_mesh(tri, pts, "after update")
-
-    def test_unmoved_points_skipped(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 100, size=(20, 2))
-        tri = fresh(pts)
-        ids = np.arange(6)
-        new = pts[ids].copy()
-        new[2] += 0.5  # only one actually moves
-        assert tri.update_positions(ids, new) == 1
-        pts[ids] = new
-        assert_same_mesh(tri, pts, "partial move")
-
-    def test_tolerance_suppresses_small_moves(self):
-        rng = np.random.default_rng(6)
-        pts = rng.uniform(0, 100, size=(15, 2))
-        tri = fresh(pts)
-        ids = np.array([0, 1])
-        new = pts[ids] + 1e-6
-        assert tri.update_positions(ids, new, tol=1e-3) == 0
-        assert np.array_equal(tri.points, pts)  # coordinates unchanged
-
-    def test_full_rebuild_escape_hatch(self):
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(0, 100, size=(30, 2))
-        incremental = fresh(pts)
-        rebuilt = fresh(pts)
-        ids = np.array([2, 9, 25])
-        new = pts[ids] + rng.uniform(-5, 5, size=(3, 2))
-        incremental.update_positions(ids, new)
-        rebuilt.update_positions(ids, new, full_rebuild=True)
-        pts[ids] = new
-        assert np.array_equal(rebuilt.points, pts)
-        assert np.array_equal(canon(incremental), canon(rebuilt))
-
-    def test_move_onto_existing_vertex_raises(self):
-        pts = np.array(
-            [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0], [5.0, 5.0]]
-        )
-        tri = fresh(pts)
-        with pytest.raises(DuplicatePointError):
-            tri.update_positions([4], np.array([[0.0, 0.0]]))
-
-    def test_malformed_input(self):
-        tri = fresh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            tri.update_positions([0], np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            tri.update_positions([0, 0], np.zeros((2, 2)))
-        with pytest.raises(IndexError):
-            tri.update_positions([5], np.zeros((1, 2)))
-
-    def test_random_walk_stays_identical(self):
-        """Many rounds of small moves: canonical equality every round."""
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(0, 100, size=(35, 2))
-        tri = fresh(pts)
-        for step in range(10):
-            m = int(rng.integers(1, 10))
-            ids = rng.choice(35, size=m, replace=False)
-            new = np.clip(
-                pts[ids] + rng.uniform(-1, 1, size=(m, 2)), 0.0, 100.0
-            )
-            tri.update_positions(ids, new)
-            pts[ids] = new
-            assert np.array_equal(tri.points, pts)
-            assert np.array_equal(canon(tri), canon(fresh(pts))), (
-                f"diverged at step {step}"
-            )
-
-    def test_update_after_remove(self):
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(0, 100, size=(20, 2))
-        tri = fresh(pts)
-        tri.remove(4)
-        work = np.delete(pts, 4, axis=0)
-        ids = np.array([0, 10, 18])
-        new = work[ids] + rng.uniform(-3, 3, size=(3, 2))
-        tri.update_positions(ids, new)
-        work[ids] = new
-        assert_same_mesh(tri, work, "update after remove")

@@ -189,41 +189,12 @@ class TestValidation:
 
 
 class TestDenseCrossoverOverride:
-    """The dense/cell-list switch point is an overridable parameter."""
-
-    def _counts(self):
-        # Count grid builds via the geom.grid_cells counter side effect:
-        # the dense path never constructs a SpatialHashGrid.
-        from repro.obs import Instrumentation, use_instrumentation
-
-        return Instrumentation.in_memory(), use_instrumentation
-
-    def test_keyword_beats_everything(self, monkeypatch):
-        from repro.geometry import spatial_index
-
-        monkeypatch.setenv(spatial_index.DENSE_CROSSOVER_ENV, "1")
-        assert spatial_index.dense_crossover(override=500) == 500
-
-    def test_env_var_beats_default(self, monkeypatch):
-        from repro.geometry import spatial_index
-
-        monkeypatch.setenv(spatial_index.DENSE_CROSSOVER_ENV, "7")
-        assert spatial_index.dense_crossover() == 7
-        assert spatial_index.dense_crossover(default=123) == 7
-
-    def test_default_falls_through_to_module_constant(self, monkeypatch):
-        from repro.geometry import spatial_index
-
-        monkeypatch.delenv(spatial_index.DENSE_CROSSOVER_ENV, raising=False)
-        assert spatial_index.dense_crossover() == spatial_index.DENSE_CROSSOVER
-        assert spatial_index.dense_crossover(default=42) == 42
+    """The dense/cell-list switch point: a keyword on the functions and
+    a module global at every call site (the monkeypatch seam)."""
 
     def test_module_global_monkeypatch_still_works(self, monkeypatch):
-        """The pre-existing tuning seam — patching a caller's module
-        global — keeps working because callers pass it as ``default``."""
         from repro.geometry import spatial_index
 
-        monkeypatch.delenv(spatial_index.DENSE_CROSSOVER_ENV, raising=False)
         monkeypatch.setattr(spatial_index, "DENSE_CROSSOVER", 3)
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 30, size=(20, 2))
@@ -239,29 +210,20 @@ class TestDenseCrossoverOverride:
         forced_grid = radius_adjacency(pts, RADIUS, crossover=0)
         np.testing.assert_array_equal(forced_dense, forced_grid)
 
-    def test_env_var_selects_cell_list_path(self, monkeypatch):
-        """REPRO_DENSE_CROSSOVER=0 forces the cell-list radio path even
-        for a cloud far below the built-in crossover (observable via the
-        grid-build counters only that path emits)."""
-        from repro.geometry import spatial_index
+    def test_radio_crossover_parameter(self, monkeypatch):
+        """Patching the radio module's crossover to 0 forces the
+        cell-list path for a cloud far below the built-in threshold
+        (observable via the grid-build counter only that path emits);
+        the neighbour lists are the same either way."""
         from repro.obs import Instrumentation, use_instrumentation
-        from repro.sim.radio import Radio
-
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 30, size=(30, 2))
-        monkeypatch.setenv(spatial_index.DENSE_CROSSOVER_ENV, "0")
-        obs = Instrumentation.in_memory()
-        with use_instrumentation(obs):
-            forced = Radio(RADIUS).neighbor_ids(pts)
-        assert obs.counter("geom.grid_cells").value > 0
-        monkeypatch.delenv(spatial_index.DENSE_CROSSOVER_ENV)
-        assert Radio(RADIUS).neighbor_ids(pts) == forced
-
-    def test_radio_crossover_parameter(self):
-        from repro.sim.radio import Radio
+        from repro.sim import radio
 
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 30, size=(40, 2))
-        default = Radio(RADIUS).neighbor_ids(pts)
-        forced = Radio(RADIUS, crossover=0).neighbor_ids(pts)
+        default = radio.Radio(RADIUS).neighbor_ids(pts)
+        monkeypatch.setattr(radio, "DENSE_CROSSOVER", 0)
+        obs = Instrumentation.in_memory()
+        with use_instrumentation(obs):
+            forced = radio.Radio(RADIUS).neighbor_ids(pts)
+        assert obs.counter("geom.grid_cells").value > 0
         assert default == forced

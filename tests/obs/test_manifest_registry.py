@@ -179,6 +179,42 @@ class TestRegistryVerify:
         assert report.checks[0].status == "size_mismatch"
 
 
+class TestRunsWithTileShardLogs:
+    """Runs recorded by earlier versions could carry per-tile obs shard
+    logs under ``obs.jsonl.tiles/``; the registry must still read them."""
+
+    def make_tiled_run(self, root):
+        manifest = make_run(root, "fig10-tiled-000001")
+        run_dir = root / manifest.run_id
+        shard_dir = run_dir / "obs.jsonl.tiles"
+        shard_dir.mkdir()
+        for tile in range(2):
+            shard = shard_dir / f"tile-{tile}.jsonl"
+            shard.write_bytes(b'{"event": "run_meta"}\n')
+            manifest.artifacts.append(artifact_ref(
+                shard, str(shard.relative_to(run_dir)), "obs_shard",
+                base=run_dir,
+            ))
+        manifest.save(run_dir / MANIFEST_NAME)
+        return manifest
+
+    def test_list_show_verify_gc(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        manifest = self.make_tiled_run(tmp_path)
+        registry = RunRegistry(tmp_path)
+        report = registry.verify(manifest.run_id)
+        assert report.ok and len(report.checks) == 3
+        assert registry.gc().n_orphans == 0
+        root = ["runs", "--runs-dir", str(tmp_path)]
+        assert main(root + ["list"]) == 0
+        assert main(root + ["show", manifest.run_id]) == 0
+        out = capsys.readouterr().out
+        assert manifest.run_id in out
+        assert "obs.jsonl.tiles/tile-1.jsonl" in out
+        assert "verified ok" in out
+
+
 class TestRegistryGc:
     def test_dry_run_reports_without_deleting(self, tmp_path):
         make_run(tmp_path, "r-1")

@@ -7,6 +7,12 @@ from repro.core.cma import CMAParams
 from repro.core.problem import OSTDProblem
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.obs import Instrumentation, use_instrumentation
+from repro.runtime.cma_phases import (
+    CapturePhase,
+    MeasurePhase,
+    MobileRoundContext,
+    SensePhase,
+)
 from repro.sim.engine import MobileSimulation, SimulationResult
 from repro.sim.failures import MessageLossModel, NodeFailureSchedule
 from repro.sim.recorders import (
@@ -15,6 +21,7 @@ from repro.sim.recorders import (
     TrajectoryRecorder,
 )
 from repro.sim.sensing import TraceSampler
+from repro.surfaces.reconstruction import reconstruct_surface
 
 
 def make_problem(k=25, duration=4.0, side=50.0, seed=7):
@@ -190,6 +197,64 @@ class TestDeadFleet:
         sim = make_sim(failure_schedule=schedule, recorders=[conn_rec])
         sim.step()
         assert conn_rec.always_connected is False
+
+
+def measure_now(sim):
+    """Run the measure phase on the engine's current, unmoved positions."""
+    ctx = MobileRoundContext(sim)
+    for phase in (CapturePhase(), SensePhase(), MeasurePhase()):
+        phase.run(ctx)
+    return ctx
+
+
+def expected_delta(sim, ctx, keep):
+    pts = sim.positions[keep]
+    values = sim.problem.field.sample(sim.positions, sim.t)[keep]
+    return reconstruct_surface(ctx.snapshot, pts, values=values).delta
+
+
+class TestMeasureDegenerateInputs:
+    """The measurement mesh is rebuilt from scratch every round; these
+    pin what that build does with positions LCM and clamping produce."""
+
+    def test_bitwise_duplicate_positions(self):
+        # Two nodes clamped onto the same region corner.
+        sim = make_sim()
+        region = sim.problem.region
+        sim.nodes[0].position = np.array([region.xmin, region.ymin])
+        sim.nodes[1].position = np.array([region.xmin, region.ymin])
+        ctx = measure_now(sim)
+        assert np.isfinite(ctx.record.delta)
+        keep = np.ones(25, dtype=bool)
+        keep[1] = False  # node 0's sample stands for the corner
+        assert ctx.record.delta == expected_delta(sim, ctx, keep)
+
+    def test_near_duplicate_within_dedup_tol(self):
+        sim = make_sim()
+        sim.nodes[1].position = sim.nodes[0].position + np.array([1e-10, 0.0])
+        ctx = measure_now(sim)
+        assert np.isfinite(ctx.record.delta)
+        keep = np.ones(25, dtype=bool)
+        keep[1] = False  # the later sample collapses onto the first
+        assert ctx.record.delta == expected_delta(sim, ctx, keep)
+
+    def test_nodes_on_region_edge(self):
+        sim = make_sim()
+        r = sim.problem.region
+        edge = [(r.xmin, r.ymin), (r.xmax, r.ymin), (r.xmax, r.ymax),
+                (r.xmin, r.ymax), (r.xmin, 25.0), (r.xmax, 25.0),
+                (25.0, r.ymin), (25.0, r.ymax)]
+        for node, pos in zip(sim.nodes, edge):
+            node.position = np.array(pos, dtype=float)
+        ctx = measure_now(sim)
+        assert np.isfinite(ctx.record.delta)
+        assert ctx.record.delta == expected_delta(
+            sim, ctx, np.ones(25, dtype=bool)
+        )
+        record = sim.step()
+        assert np.isfinite(record.delta)
+        for x, y in record.positions:
+            assert r.xmin <= x <= r.xmax and r.ymin <= y <= r.ymax
 
 
 class TestInstrumentation:
