@@ -111,9 +111,8 @@ class LinearSurfaceInterpolator:
         canonical form of :func:`repro.geometry.delaunay.canonical_simplices`
         before use. The surface is the same; the rasteriser's shared-edge
         tie-break and the extrapolation winner become functions of the
-        triangle *set* alone, so interpolators built from an incrementally
-        maintained triangulation and a from-scratch one evaluate
-        bit-identically.
+        triangle *set* alone, so interpolators built from two meshes with
+        the same triangles in different orders evaluate bit-identically.
     """
 
     def __init__(
