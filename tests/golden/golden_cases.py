@@ -28,12 +28,17 @@ from repro.sim.centralized import CentralizedSimulation
 from repro.sim.engine import MobileSimulation
 from repro.sim.netmodel import (
     BernoulliLink,
+    CrashSchedule,
+    EnergyDepletionModel,
+    MessageLossModel,
     NetworkModel,
+    NodeFailureSchedule,
     RandomChurn,
     RetryPolicy,
     UniformDelayModel,
 )
 from repro.sim.recorders import Recorder
+from repro.sim.sensing import TraceSampler
 
 #: Relative tolerance of the summary comparison used when the digests
 #: were made under other python or numpy versions.
@@ -116,6 +121,37 @@ def sensor_noise() -> Trajectory:
     )
 
 
+def faults_energy() -> Trajectory:
+    """fig10 ``--fast`` under every node-level fault and the legacy loss.
+
+    Scheduled deaths (node 5 while crashed), scripted crashes, a battery
+    model and a movement budget: the budget and battery kills read
+    ``distance_travelled``, so this pins it through the deaths it causes.
+    """
+    sc = config.scale(True)
+    t0 = config.T_REFERENCE
+    problem = _ostd_problem(config.ostd_field(), 100, sc.n_rounds)
+    return _mobile(
+        problem, sc.resolution,
+        message_loss=MessageLossModel(0.1, seed=5),
+        failure_schedule=NodeFailureSchedule({t0 + 2: [3, 42], t0 + 4: [5]}),
+        crash_model=CrashSchedule(
+            {t0 + 1: {5: 4, 60: 2}, t0 + 3: {42: 2, 77: 1}}
+        ),
+        energy_model=EnergyDepletionModel(5.0, move_cost=1.0, idle_cost=0.1),
+        energy_budget=4.0,
+    )
+
+
+def trace_sampler() -> Trajectory:
+    """fig10 ``--fast`` with two field samples along every move."""
+    sc = config.scale(True)
+    problem = _ostd_problem(config.ostd_field(), 100, sc.n_rounds)
+    return _mobile(
+        problem, sc.resolution, trace_sampler=TraceSampler(samples_per_move=2)
+    )
+
+
 def cma_large() -> Trajectory:
     """k=2500 on a 500 m square (the paper's density), 3 rounds, seed 31.
 
@@ -162,6 +198,8 @@ CASES: Dict[str, Callable[[], Trajectory]] = {
     "fig10_fast": fig10_fast,
     "faults_slice": faults_slice,
     "sensor_noise": sensor_noise,
+    "faults_energy": faults_energy,
+    "trace_sampler": trace_sampler,
     "centralized": centralized,
     "fra_k30": lambda: _fra(30),
     "fra_k100": lambda: _fra(100),
