@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.problem import OSTDProblem
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.sim.engine import MobileSimulation
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.netmodel import MessageLossModel, NodeFailureSchedule
 
 K = 100
 DURATION = 30.0

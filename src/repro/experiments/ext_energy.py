@@ -44,7 +44,7 @@ def run(fast: bool = False) -> ExperimentResult:
         )
         result = sim.run()
         deltas = result.deltas
-        spent = [n.distance_travelled for n in sim.nodes]
+        spent = sim.state.distance_travelled
         rows.append(
             {
                 "budget_m": "unlimited" if budget is None else budget,

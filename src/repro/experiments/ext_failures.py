@@ -20,10 +20,11 @@ from repro.core.problem import OSTDProblem
 from repro.experiments import config
 from repro.experiments.registry import ExperimentResult, experiment
 from repro.sim.engine import MobileSimulation
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
 from repro.sim.netmodel import (
     GilbertElliottLink,
+    MessageLossModel,
     NetworkModel,
+    NodeFailureSchedule,
     PerfectLink,
     RandomChurn,
     RetryPolicy,

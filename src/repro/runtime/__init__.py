@@ -7,8 +7,10 @@ injection and recorders inline. This package is the shared runtime they
 now run on:
 
 * :mod:`.state` — :class:`WorldState`, the *only* mutable state of a run:
-  positions, alive mask, per-node curvature/energy caches, RNG states and
-  the round clock, as plain NumPy arrays plus JSON-able scalars;
+  positions, alive mask, per-node curvature, travel and death times and
+  the round clock as plain NumPy arrays, plus (in the copy
+  ``capture_state()`` returns) RNG and fault-model states as JSON-able
+  data. Each engine holds exactly one;
 * :mod:`.phase` — the :class:`Phase` protocol and the per-round
   :class:`RoundContext` scratch space phases communicate through;
 * :mod:`.scheduler` — :class:`Scheduler`, which drives a phase sequence

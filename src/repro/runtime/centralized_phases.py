@@ -79,9 +79,10 @@ class ReplanPhase:
 
     def run(self, ctx: CentralizedRoundContext) -> None:
         engine = ctx.engine
+        state = engine.state
         ctx.n_messages = 0
         if engine.round_index % engine.replan_every != 0:
-            engine._target_info_age += 1
+            state.aux["target_info_age"] += 1
             return
         info_t = engine.t - engine.delay_rounds * engine.problem.dt
         snapshot = sample_grid(
@@ -92,25 +93,25 @@ class ReplanPhase:
             layout = foresighted_refinement(
                 snapshot, engine.problem.k, engine.problem.rc
             ).positions
-            engine.targets = assign_targets(engine.positions, layout)
+            targets = assign_targets(state.positions, layout)
         else:
-            plan = solve_cwd(
+            targets = solve_cwd(
                 snapshot,
                 engine.problem.k,
                 rc=engine.problem.rc,
                 rs=engine.problem.rs,
-                initial=engine.positions,
+                initial=state.positions,
                 max_iterations=engine.solver_iterations,
-            )
-            engine.targets = plan.positions
-        engine._target_info_age = engine.delay_rounds
+            ).positions
+        state.arrays["targets"] = targets
+        state.aux["target_info_age"] = engine.delay_rounds
         ctx.n_messages += self._collection_messages(engine)
 
     @staticmethod
     def _sink_index(engine) -> int:
         centre = engine.problem.region.center.as_array()
         return int(
-            np.argmin(np.linalg.norm(engine.positions - centre, axis=1))
+            np.argmin(np.linalg.norm(engine.state.positions - centre, axis=1))
         )
 
     def _collection_messages(self, engine) -> int:
@@ -123,7 +124,7 @@ class ReplanPhase:
         and unique), replacing the former per-node path searches — same
         integer totals at O(V + E) instead of O(V·E).
         """
-        graph = unit_disk_graph(engine.positions, engine.problem.rc)
+        graph = unit_disk_graph(engine.state.positions, engine.problem.rc)
         sink = self._sink_index(engine)
         dist = hop_counts(graph, sink)
         hops = sum(d for i, d in enumerate(dist) if i != sink and d > 0)
@@ -138,15 +139,16 @@ class CentralizedMovePhase:
 
     def run(self, ctx: CentralizedRoundContext) -> None:
         engine = ctx.engine
+        state = engine.state
         step_cap = engine.problem.speed * engine.problem.dt
-        vec = engine.targets - engine.positions
+        vec = state.arrays["targets"] - state.positions
         dist = np.linalg.norm(vec, axis=1)
         move = np.where(
             dist > 0,
             np.minimum(dist, step_cap) / np.maximum(dist, 1e-12),
             0.0,
         )
-        engine.positions = engine.positions + vec * move[:, None]
+        state.positions += vec * move[:, None]
 
 
 class CentralizedMeasurePhase:
@@ -157,24 +159,26 @@ class CentralizedMeasurePhase:
 
     def run(self, ctx: CentralizedRoundContext) -> None:
         engine = ctx.engine
+        state = engine.state
+        positions = state.positions.copy()
         reference = sample_grid(
             engine.problem.field, engine.problem.region, engine.resolution,
             t=engine.t,
         )
-        values = engine.problem.field.sample(engine.positions, engine.t)
-        recon = reconstruct_surface(reference, engine.positions, values=values)
+        values = engine.problem.field.sample(positions, engine.t)
+        recon = reconstruct_surface(reference, positions, values=values)
         components = connected_components(
-            unit_disk_graph(engine.positions, engine.problem.rc)
+            unit_disk_graph(positions, engine.problem.rc)
         )
         ctx.record = CentralizedRound(
             round_index=engine.round_index,
             t=engine.t,
-            positions=engine.positions.copy(),
+            positions=positions,
             delta=recon.delta,
             connected=len(components) <= 1,
             n_components=len(components),
             n_messages=ctx.n_messages,
-            information_age=engine._target_info_age,
+            information_age=state.aux["target_info_age"],
         )
 
 

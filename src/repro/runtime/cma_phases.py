@@ -14,10 +14,13 @@ of every phase is transplanted verbatim — a full run through the
 scheduler reproduces the pre-refactor per-round positions and δ series
 bit for bit (pinned by ``tests/runtime/`` and the regression bands).
 
-Phases are stateless: durable run state lives on the engine
-(``ctx.engine``) and per-round scratch on the
+Phases are stateless: the fleet lives in the engine's
+:class:`~repro.runtime.state.WorldState` (``ctx.engine.state``), whose
+arrays they index and write in place, and per-round scratch on the
 :class:`MobileRoundContext`, so one phase instance can serve any number
-of engines or rounds.
+of engines or rounds. Moves write rows of ``state.positions``, so no
+phase keeps a row view across a move: plans are made from the round's
+pre-move copy (``ctx.positions``), which nothing writes.
 """
 
 from __future__ import annotations
@@ -84,11 +87,12 @@ class MobileRoundContext(RoundContext):
 
 
 class CapturePhase:
-    """Build the round's pre-move position matrix and alive mask once.
+    """Copy the round's pre-move positions and alive mask once.
 
-    The list-comprehension properties cost O(k) each; phases before the
-    move step all see the same pre-move state. Runs un-spanned — it is
-    bookkeeping, not one of the paper's phases.
+    Phases before the move step all read this copy; it also keeps each
+    plan's ``origin`` fixed while constrain-move and LCM write the live
+    rows. Runs un-spanned — it is bookkeeping, not one of the paper's
+    phases.
     """
 
     name = "capture"
@@ -123,6 +127,7 @@ class SensePhase:
         from repro.sim.sensing import DiskSensor
 
         engine = ctx.engine
+        state = engine.state
         params = engine.params
         ctx.snapshot = sample_grid(
             engine.problem.field, engine.problem.region, engine.resolution,
@@ -135,25 +140,24 @@ class SensePhase:
             noise_rng=engine._sensor_rng,
         )
 
-        sensed = ctx.sensor.read_many(
-            [engine.nodes[node_id].position for node_id in ctx.alive_ids]
-        )
+        alive_positions = state.positions[ctx.alive_ids]
+        sensed = ctx.sensor.read_many(alive_positions)
         raw_sensings = dict(zip(ctx.alive_ids, sensed))
-        if engine._curvature_scale is None:
+        if state.curvature_scale is None:
             all_curv = np.concatenate(
                 [s.curvatures for s in raw_sensings.values() if s.m]
             ) if raw_sensings else np.empty(0)
             mean_curv = (
                 float(np.mean(np.abs(all_curv))) if all_curv.size else 0.0
             )
-            engine._curvature_scale = mean_curv if mean_curv > 0.0 else 1.0
+            state.curvature_scale = mean_curv if mean_curv > 0.0 else 1.0
+        scale = state.curvature_scale
 
         ctx.sensings = {}
         ctx.raw_own_curvature = {}
-        for node_id in ctx.alive_ids:
-            node = engine.nodes[node_id]
+        for node_id, position in zip(ctx.alive_ids, alive_positions):
             sensing = raw_sensings[node_id]
-            curvature = estimate_own_curvature(sensing, node.position, params)
+            curvature = estimate_own_curvature(sensing, position, params)
             # The raw fit result is what plan_move would recompute (the
             # quadric only reads positions/values, which normalisation
             # leaves untouched) — hand it through so the solve runs once
@@ -163,22 +167,17 @@ class SensePhase:
                 cap = params.curvature_weight_cap
                 thr = params.curvature_threshold
                 curvature = float(
-                    np.clip(
-                        curvature / engine._curvature_scale - thr, 0.0, cap
-                    )
+                    np.clip(curvature / scale - thr, 0.0, cap)
                 )
                 if sensing.m:
                     sensing = LocalSensing(
                         positions=sensing.positions,
                         values=sensing.values,
                         curvatures=np.clip(
-                            sensing.curvatures / engine._curvature_scale
-                            - thr,
-                            0.0,
-                            cap,
+                            sensing.curvatures / scale - thr, 0.0, cap
                         ),
                     )
-            node.curvature = curvature
+            state.curvature[node_id] = curvature
             ctx.sensings[node_id] = sensing
 
 
@@ -216,7 +215,7 @@ class ExchangePhase:
 
     def run(self, ctx: MobileRoundContext) -> None:
         engine = ctx.engine
-        curvatures = [n.curvature for n in engine.nodes]
+        curvatures = engine.state.curvature
         network = getattr(engine, "network", None)
         if network is not None:
             ctx.inboxes = network.exchange(
@@ -240,11 +239,10 @@ class PlanPhase:
         engine = ctx.engine
         ctx.plans = []
         for node_id in ctx.alive_ids:
-            node = engine.nodes[node_id]
             ctx.plans.append(
                 plan_move(
                     node_id,
-                    node.position,
+                    ctx.positions[node_id],
                     ctx.sensings[node_id],
                     ctx.inboxes[node_id],
                     engine.params,
@@ -270,19 +268,21 @@ class ConstrainMovePhase:
 
     def run(self, ctx: MobileRoundContext) -> None:
         engine = ctx.engine
+        state = engine.state
         ctx.n_moved = 0
         ctx.force_norms = []
         for plan in ctx.plans:
-            node = engine.nodes[plan.node_id]
             if plan.breakdown is not None:
                 ctx.force_norms.append(plan.breakdown.magnitude)
             if plan.moved:
-                destination = self._constrain_move(engine, node, plan)
-                if float(np.linalg.norm(destination - node.position)) > 0.0:
-                    node.move_to(destination)
+                i = plan.node_id
+                destination = self._constrain_move(engine, plan)
+                step = destination - state.positions[i]
+                if float(np.linalg.norm(step)) > 0.0:
+                    state.move(i, destination)
                     ctx.n_moved += 1
 
-    def _constrain_move(self, engine, node, plan: CMAPlan) -> np.ndarray:
+    def _constrain_move(self, engine, plan: CMAPlan) -> np.ndarray:
         """Largest fraction of the planned step that breaks no unbridged link.
 
         A link to neighbour ``j`` may stretch beyond ``Rc`` only if some
@@ -290,21 +290,21 @@ class ConstrainMovePhase:
         ``j`` and the new position. Uses only the node's own neighbour
         table — the information CMA already has.
         """
+        state = engine.state
+        alive = state.alive
         nbr_ids = [
-            o.node_id for o in plan.neighbor_table
-            if engine.nodes[o.node_id].alive
+            o.node_id for o in plan.neighbor_table if alive[o.node_id]
         ]
         if not nbr_ids:
             return plan.destination
-        origin = node.position
+        origin = state.positions[plan.node_id].copy()
         step_vec = plan.destination - origin
         rc = engine.problem.rc
-        # Neighbour positions as one (n, 2) matrix; the neighbour-pair
-        # link matrix is candidate-independent, so it is computed once
-        # per plan, not once per ladder step.
-        nbr_pos = np.asarray(
-            [engine.nodes[j].position for j in nbr_ids], dtype=float
-        ).reshape(-1, 2)
+        # Neighbour positions as one (n, 2) matrix (a gathered copy of
+        # the live rows); the neighbour-pair link matrix is
+        # candidate-independent, so it is computed once per plan, not
+        # once per ladder step.
+        nbr_pos = state.positions[nbr_ids]
         pair_linked = None
 
         # Ladder rungs are tried lazily — the full planned step succeeds
@@ -346,15 +346,18 @@ class LcmPhase:
         engine = ctx.engine
         obs = engine.obs
         rc = engine.problem.rc
+        state = engine.state
+        positions, alive = state.positions, state.alive
         n_moves = 0
         n_passes = 0
         for _ in range(self.MAX_PASSES):
             moves_this_pass = 0
             for plan in ctx.plans:
-                mover = engine.nodes[plan.node_id]
-                if not mover.alive:
+                m = plan.node_id
+                if not alive[m]:
                     continue
-                if plan.neighbor_table:
+                table = [o.node_id for o in plan.neighbor_table]
+                if table:
                     # Direct-link prescreen: almost every follower is
                     # still within Rc of the mover, and lcm_adjustment
                     # returns "stay" immediately for those. One batched
@@ -362,39 +365,28 @@ class LcmPhase:
                     # sequential pass, so earlier moves are reflected)
                     # skips them; the conservative (1 - 1e-12) margin
                     # leaves exact-tie cases to the scalar decision.
-                    fpos = np.asarray(
-                        [
-                            engine.nodes[o.node_id].position
-                            for o in plan.neighbor_table
-                        ],
-                        dtype=float,
-                    )
-                    fdiff = fpos - mover.position
+                    fdiff = positions[table] - positions[m]
                     d2 = fdiff[:, 0] ** 2 + fdiff[:, 1] ** 2
                     rc2 = rc * rc
                     surely_linked = d2 <= rc2 * (1.0 - 1e-12)
                 else:
                     surely_linked = np.empty(0, dtype=bool)
-                for f_idx, nbr in enumerate(plan.neighbor_table):
-                    follower = engine.nodes[nbr.node_id]
-                    if not follower.alive:
+                for f_idx, f in enumerate(table):
+                    if not alive[f] or surely_linked[f_idx]:
                         continue
-                    if surely_linked[f_idx]:
-                        continue
-                    bridges = [
-                        engine.nodes[o.node_id].position
-                        for o in plan.neighbor_table
-                        if o.node_id != nbr.node_id
-                        and engine.nodes[o.node_id].alive
+                    # Bridges are gathered (copied) here, after any
+                    # earlier follower of this mover moved.
+                    bridges = positions[
+                        [j for j in table if j != f and alive[j]]
                     ]
                     decision = lcm_adjustment(
-                        follower.position, mover.position, bridges, rc
+                        positions[f], positions[m], bridges, rc
                     )
                     if decision.must_move and decision.target is not None:
                         target = engine.problem.region.clamp(
                             decision.target
                         ).as_array()
-                        follower.move_to(target)
+                        state.move(f, target)
                         moves_this_pass += 1
             n_moves += moves_this_pass
             n_passes += 1
@@ -430,12 +422,13 @@ class TraceSamplePhase:
         ctx.extra_values = []
         if engine.trace_sampler is None:
             return
+        state = engine.state
         for plan in ctx.plans:
-            node = engine.nodes[plan.node_id]
-            if not node.alive:
+            if not state.alive[plan.node_id]:
                 continue
             pts, vals = engine.trace_sampler.sample_path(
-                engine.problem.field, plan.origin, node.position, engine.t
+                engine.problem.field, plan.origin,
+                state.positions[plan.node_id], engine.t,
             )
             if len(pts):
                 ctx.extra_positions.append(pts)

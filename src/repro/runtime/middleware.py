@@ -24,6 +24,8 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from typing import Any, ContextManager, Optional
 
+import numpy as np
+
 from repro.runtime.phase import Phase, RoundContext
 
 __all__ = [
@@ -126,22 +128,22 @@ class FailureInjectionMiddleware(Middleware):
 
     def on_round_start(self, ctx: RoundContext) -> None:
         engine = self._engine
+        state = engine.state
         schedule = getattr(engine, "failure_schedule", None)
         if schedule is not None:
             for node_id in schedule.failures_due(engine.t):
-                if 0 <= node_id < len(engine.nodes):
-                    engine.nodes[node_id].kill(engine.t)
+                if 0 <= node_id < state.k:
+                    state.kill(node_id, engine.t)
         crash_model = getattr(engine, "crash_model", None)
         if crash_model is not None:
-            crash_model.step(engine.t, engine.round_index, engine.nodes)
+            crash_model.step(engine.t, engine.round_index, state)
         energy_model = getattr(engine, "energy_model", None)
         if energy_model is not None:
-            energy_model.step(engine.t, engine.round_index, engine.nodes)
+            energy_model.step(engine.t, engine.round_index, state)
         budget = getattr(engine, "energy_budget", None)
         if budget is not None:
-            for node in engine.nodes:
-                if node.alive and node.distance_travelled >= budget:
-                    node.kill(engine.t)
+            spent = state.alive & (state.distance_travelled >= budget)
+            state.kill(np.flatnonzero(spent), engine.t)
 
 
 class RecorderMiddleware(Middleware):

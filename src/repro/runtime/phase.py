@@ -16,7 +16,7 @@ the exact event stream the pre-runtime engines emitted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Optional, Protocol, runtime_checkable
 
 __all__ = ["Phase", "RoundContext"]
 
@@ -27,16 +27,14 @@ class RoundContext:
     ``engine`` is the owning facade (phases reach durable state through
     it); ``record`` is set by the measuring phase and is what the
     scheduler returns; everything else phases need to hand each other
-    lives in the open ``scratch`` mapping (engine-specific context
-    subclasses add typed attributes instead).
+    lives in typed attributes of an engine-specific slotted subclass.
     """
 
-    __slots__ = ("engine", "record", "scratch")
+    __slots__ = ("engine", "record")
 
     def __init__(self, engine: Any) -> None:
         self.engine = engine
         self.record: Any = None
-        self.scratch: Dict[str, Any] = {}
 
 
 @runtime_checkable

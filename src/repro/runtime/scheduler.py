@@ -46,13 +46,6 @@ class Scheduler:
         self.middleware = list(middleware)
         self.advance = advance
 
-    def phase_named(self, name: str) -> Phase:
-        """Look a phase up by its stable name (raises ``KeyError``)."""
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise KeyError(f"no phase named {name!r}")
-
     def run_round(self, ctx: RoundContext) -> Any:
         """Execute one full round; returns the round's record."""
         with ExitStack() as round_stack:

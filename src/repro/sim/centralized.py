@@ -37,7 +37,6 @@ from repro.obs.profile import PhaseProfiler, get_profile_config
 from repro.runtime.centralized_phases import (
     CENTRALIZED_PHASES,
     CentralizedRoundContext,
-    assign_targets,
 )
 from repro.runtime.checkpoint import CheckpointConfig, drive_run
 from repro.runtime.middleware import ObsMiddleware
@@ -52,9 +51,6 @@ __all__ = [
     "CentralizedSimulation",
     "cma_message_count",
 ]
-
-# Re-exported for callers that imported the matcher from here.
-_assign_targets = assign_targets
 
 
 class CentralizedSimulation:
@@ -115,19 +111,23 @@ class CentralizedSimulation:
         self.resolution = int(resolution)
         self.obs = obs if obs is not None else get_instrumentation()
 
-        if initial_positions is not None:
-            init = np.asarray(initial_positions, dtype=float).reshape(-1, 2)
-        else:
-            init = default_grid_layout(problem.region, problem.k, problem.rc)
-        if len(init) != problem.k:
-            raise ValueError(
-                f"initial layout has {len(init)} nodes, expected k={problem.k}"
+        if initial_positions is None:
+            initial_positions = default_grid_layout(
+                problem.region, problem.k, problem.rc
             )
-        self.positions = init.copy()
-        self.targets = init.copy()
-        self.t = float(problem.t0)
-        self.round_index = 0
-        self._target_info_age = 0
+        #: Positions and the round clock, plus the planner's current
+        #: ``targets`` (in ``arrays``) and the age of the information
+        #: they were planned from (``aux["target_info_age"]``). Nodes
+        #: never die here, so liveness, curvature and travel stay at
+        #: their round-0 values.
+        self.state = WorldState.initial(initial_positions, problem.t0)
+        if self.state.k != problem.k:
+            raise ValueError(
+                f"initial layout has {self.state.k} nodes, "
+                f"expected k={problem.k}"
+            )
+        self.state.arrays["targets"] = self.state.positions.copy()
+        self.state.aux["target_info_age"] = 0
 
         self.scheduler = Scheduler(
             phases=[phase() for phase in CENTRALIZED_PHASES],
@@ -142,9 +142,22 @@ class CentralizedSimulation:
             self.scheduler.middleware.append(PhaseProfiler(self, profile_cfg))
 
     # ------------------------------------------------------------------
+    @property
+    def t(self) -> float:
+        return self.state.t
+
+    @property
+    def round_index(self) -> int:
+        return self.state.round_index
+
+    @property
+    def positions(self) -> np.ndarray:
+        """A copy of the ``(k, 2)`` positions."""
+        return self.state.positions.copy()
+
     def _advance(self, ctx: CentralizedRoundContext) -> None:
-        self.t += self.problem.dt
-        self.round_index += 1
+        self.state.t += self.problem.dt
+        self.state.round_index += 1
 
     def step(self) -> CentralizedRound:
         return self.scheduler.run_round(CentralizedRoundContext(self))
@@ -152,30 +165,16 @@ class CentralizedSimulation:
     # ------------------------------------------------------------------
     def capture_state(self) -> WorldState:
         """Snapshot the run: positions, targets, clock, planner staleness."""
-        k = len(self.positions)
-        return WorldState(
-            round_index=self.round_index,
-            t=self.t,
-            positions=self.positions.copy(),
-            alive=np.ones(k, dtype=bool),
-            curvature=np.zeros(k),
-            distance_travelled=np.zeros(k),
-            died_at=np.full(k, np.nan),
-            arrays={"targets": self.targets.copy()},
-            aux={"target_info_age": int(self._target_info_age)},
-        )
+        return self.state.copy()
 
     def restore_state(self, state: WorldState) -> None:
         """Load a captured state into this engine (same configuration)."""
-        if state.k != len(self.positions):
+        if state.k != self.state.k:
             raise ValueError(
-                f"state has {state.k} nodes, engine has {len(self.positions)}"
+                f"state has {state.k} nodes, engine has {self.state.k}"
             )
-        self.positions = state.positions.copy()
-        self.targets = state.arrays["targets"].astype(float).copy()
-        self.t = state.t
-        self.round_index = state.round_index
-        self._target_info_age = int(state.aux.get("target_info_age", 0))
+        self.state = state.copy()
+        self.state.aux.setdefault("target_info_age", 0)
 
     # ------------------------------------------------------------------
     def run(

@@ -20,15 +20,16 @@ the six phases above live as composable units in
 :mod:`repro.runtime.cma_phases`, driven by a
 :class:`~repro.runtime.scheduler.Scheduler` that threads observability
 spans, failure injection and recorder dispatch through as middleware.
-The facade assembles the pipeline, owns the durable run state, and
-exposes the same public API as before (``step``/``run``/``positions``/
-``alive_mask``), plus ``capture_state``/``restore_state`` for
-checkpoint/resume (see :mod:`repro.runtime.checkpoint`).
+The facade assembles the pipeline, owns the run's one
+:class:`~repro.runtime.state.WorldState` (``self.state``), and exposes
+``step``/``run``/``positions``/``alive_mask``, plus
+``capture_state``/``restore_state`` for checkpoint/resume (see
+:mod:`repro.runtime.checkpoint`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from repro.runtime.state import WorldState
 from repro.sim.netmodel.churn import EnergyDepletionModel
 from repro.sim.netmodel.failures import MessageLossModel, NodeFailureSchedule
 from repro.sim.netmodel.network import NetworkModel
-from repro.sim.node import NodeState
 from repro.sim.radio import Radio
 from repro.sim.recorders import Recorder, record_round
 from repro.sim.sensing import TraceSampler
@@ -163,21 +163,18 @@ class MobileSimulation:
         self.sensor_noise_std = float(sensor_noise_std)
         self._sensor_rng = np.random.default_rng(sensor_noise_seed)
 
-        if initial_positions is not None:
-            init = np.asarray(initial_positions, dtype=float).reshape(-1, 2)
-        else:
-            init = default_grid_layout(problem.region, problem.k, problem.rc)
-        if len(init) != problem.k:
-            raise ValueError(
-                f"initial layout has {len(init)} nodes, expected k={problem.k}"
+        if initial_positions is None:
+            initial_positions = default_grid_layout(
+                problem.region, problem.k, problem.rc
             )
-        self.nodes = [NodeState(node_id=i, position=p) for i, p in enumerate(init)]
-        self.t = float(problem.t0)
-        self.round_index = 0
-        #: Deployment-time curvature calibration (mean sensed |G| across the
-        #: fleet at t0). Fixed after the first round so weights keep their
-        #: spatial contrast — re-normalising per node would flatten it.
-        self._curvature_scale: Optional[float] = None
+        #: The fleet: positions, liveness, curvature, travel, death times
+        #: and the round clock, written in place by the phases.
+        self.state = WorldState.initial(initial_positions, problem.t0)
+        if self.state.k != problem.k:
+            raise ValueError(
+                f"initial layout has {self.state.k} nodes, "
+                f"expected k={problem.k}"
+            )
 
         #: The round pipeline: the six CMA phases plus bookkeeping units,
         #: with cross-cutting concerns as middleware (order matters — the
@@ -200,16 +197,26 @@ class MobileSimulation:
 
     # ------------------------------------------------------------------
     @property
+    def t(self) -> float:
+        return self.state.t
+
+    @property
+    def round_index(self) -> int:
+        return self.state.round_index
+
+    @property
     def positions(self) -> np.ndarray:
-        return np.asarray([n.position for n in self.nodes], dtype=float)
+        """A copy of the ``(k, 2)`` positions."""
+        return self.state.positions.copy()
 
     @property
     def alive_mask(self) -> np.ndarray:
-        return np.asarray([n.alive for n in self.nodes], dtype=bool)
+        """A copy of the ``(k,)`` liveness mask."""
+        return self.state.alive.copy()
 
     def _advance(self, ctx: MobileRoundContext) -> None:
-        self.t += self.problem.dt
-        self.round_index += 1
+        self.state.t += self.problem.dt
+        self.state.round_index += 1
 
     # ------------------------------------------------------------------
     def step(self) -> RoundRecord:
@@ -220,40 +227,23 @@ class MobileSimulation:
     def capture_state(self) -> WorldState:
         """Snapshot the complete mutable state of the run.
 
-        Includes every RNG stream's exact position (sensor noise, message
-        loss) and the failure schedule's fired set, so a restored run
-        continues bit-identically.
+        A copy of :attr:`state` plus every RNG stream's exact position
+        (sensor noise, message loss) and the fault models' state, so a
+        restored run continues bit-identically.
         """
-        nodes = self.nodes
-        rng_states = {"sensor": self._sensor_rng.bit_generator.state}
+        state = self.state.copy()
+        state.rng_states["sensor"] = self._sensor_rng.bit_generator.state
         if self.radio.loss is not None:
-            rng_states["message_loss"] = self.radio.loss.rng_state
-        aux = {}
+            state.rng_states["message_loss"] = self.radio.loss.rng_state
         if self.failure_schedule is not None:
-            aux["failure_fired"] = self.failure_schedule.fired_times()
+            state.aux["failure_fired"] = self.failure_schedule.fired_times()
         if self.network is not None:
-            aux["network"] = self.network.state_dict()
+            state.aux["network"] = self.network.state_dict()
         if self.crash_model is not None:
-            aux["crash"] = self.crash_model.state_dict()
+            state.aux["crash"] = self.crash_model.state_dict()
         if self.energy_model is not None:
-            aux["energy"] = self.energy_model.state_dict()
-        return WorldState(
-            round_index=self.round_index,
-            t=self.t,
-            positions=self.positions,
-            alive=self.alive_mask,
-            curvature=np.asarray([n.curvature for n in nodes], dtype=float),
-            distance_travelled=np.asarray(
-                [n.distance_travelled for n in nodes], dtype=float
-            ),
-            died_at=np.asarray(
-                [np.nan if n.died_at is None else n.died_at for n in nodes],
-                dtype=float,
-            ),
-            curvature_scale=self._curvature_scale,
-            rng_states=rng_states,
-            aux=aux,
-        )
+            state.aux["energy"] = self.energy_model.state_dict()
+        return state
 
     def restore_state(self, state: WorldState) -> None:
         """Load a :class:`WorldState` into this engine (same configuration).
@@ -262,20 +252,13 @@ class MobileSimulation:
         the same optional models (loss, schedule, sampler) as the run the
         state was captured from; only the mutable state is restored.
         """
-        if state.k != len(self.nodes):
+        if state.k != self.state.k:
             raise ValueError(
-                f"state has {state.k} nodes, engine has {len(self.nodes)}"
+                f"state has {state.k} nodes, engine has {self.state.k}"
             )
-        for i, node in enumerate(self.nodes):
-            node.position = state.positions[i].copy()
-            node.alive = bool(state.alive[i])
-            node.curvature = float(state.curvature[i])
-            node.distance_travelled = float(state.distance_travelled[i])
-            died = state.died_at[i]
-            node.died_at = None if np.isnan(died) else float(died)
-        self.t = state.t
-        self.round_index = state.round_index
-        self._curvature_scale = state.curvature_scale
+        self.state = state.copy()
+        # RNG and model states live in their owners, loaded below.
+        self.state.rng_states, self.state.aux = {}, {}
         if "sensor" in state.rng_states:
             self._sensor_rng.bit_generator.state = state.rng_states["sensor"]
         if self.radio.loss is not None and "message_loss" in state.rng_states:

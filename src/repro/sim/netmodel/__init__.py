@@ -14,7 +14,7 @@ determinism or bit-identical checkpoint/resume:
 * :mod:`.churn` — transient crash/recovery (scripted and stochastic)
   and energy-depletion death;
 * :mod:`.failures` — the seed models (i.i.d. message loss, permanent
-  death schedules), kept importable from ``repro.sim.failures`` too.
+  death schedules).
 
 Every model is deterministic given its seed and exposes
 ``state_dict()`` / ``load_state_dict()`` with JSON-able payloads, which

@@ -18,19 +18,22 @@ by idle draw plus movement cost, killing the node permanently at
 exhaustion. It generalises the engine's ``energy_budget`` (pure
 movement distance) by charging time as well as motion.
 
-All three mutate :class:`~repro.sim.node.NodeState` liveness through
-the ``crash()`` / ``recover()`` / ``kill()`` helpers, which keep the
-crash/death distinction straight: ``alive=False, died_at=None`` is a
-crash (recoverable), ``died_at`` set is death (final). Their complete
-mutable state round-trips through ``state_dict()`` /
-``load_state_dict()`` as JSON-able data for bit-identical resume.
+All three take the engine's :class:`~repro.runtime.state.WorldState`
+and change liveness only through its ``crash()`` / ``recover()`` /
+``kill()`` methods, which keep the crash/death distinction straight:
+``alive`` false with ``died_at`` NaN is a crash (recoverable),
+``died_at`` set is death (final). Their complete mutable state
+round-trips through ``state_dict()`` / ``load_state_dict()`` as
+JSON-able data for bit-identical resume.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
+
+from repro.runtime.state import WorldState
 
 __all__ = ["CrashSchedule", "RandomChurn", "EnergyDepletionModel"]
 
@@ -58,22 +61,18 @@ class CrashSchedule:
         #: node_id (str, JSON-canonical) → absolute round of recovery.
         self._down: Dict[str, int] = {}
 
-    def step(self, t: float, round_index: int, nodes: Sequence[Any]) -> None:
+    def step(self, t: float, round_index: int, state: WorldState) -> None:
         """Apply recoveries then newly due crashes for this round."""
         for key in [k for k, r in self._down.items() if r <= round_index]:
-            node = nodes[int(key)]
             del self._down[key]
-            if node.died_at is None:
-                node.recover()
+            state.recover(int(key))
+        dead = state.dead
         for when, windows in self.at.items():
             if when <= t and when not in self._fired:
                 self._fired.append(when)
                 for node_id, down in windows.items():
-                    if not 0 <= node_id < len(nodes):
-                        continue
-                    node = nodes[node_id]
-                    if node.died_at is None:
-                        node.crash()
+                    if 0 <= node_id < state.k and not dead[node_id]:
+                        state.crash(node_id)
                         self._down[str(node_id)] = round_index + down
 
     def reset(self) -> None:
@@ -123,21 +122,20 @@ class RandomChurn:
         #: Crashed-by-us node ids (str, JSON-canonical) → crash round.
         self._down: Dict[str, int] = {}
 
-    def step(self, t: float, round_index: int, nodes: Sequence[Any]) -> None:
-        for node in nodes:
-            if node.died_at is not None:
-                continue
-            key = str(node.node_id)
+    def step(self, t: float, round_index: int, state: WorldState) -> None:
+        alive = state.alive
+        for node_id in np.flatnonzero(~state.dead).tolist():
+            key = str(node_id)
             if key in self._down:
                 if self._rng.random() < self.recover_prob:
                     del self._down[key]
-                    node.recover()
-            elif node.alive:
+                    state.recover(node_id)
+            elif alive[node_id]:
                 if (
                     self.crash_prob > 0.0
                     and self._rng.random() < self.crash_prob
                 ):
-                    node.crash()
+                    state.crash(node_id)
                     self._down[key] = round_index
 
     def reset(self) -> None:
@@ -187,22 +185,20 @@ class EnergyDepletionModel:
         """Battery left for one node (full capacity before its first tick)."""
         return self.capacity - self._spent.get(str(node_id), 0.0)
 
-    def step(self, t: float, round_index: int, nodes: Sequence[Any]) -> None:
-        for node in nodes:
-            if node.died_at is not None or not node.alive:
-                continue
-            key = str(node.node_id)
-            moved = node.distance_travelled - self._charged_distance.get(
-                key, 0.0
-            )
+    def step(self, t: float, round_index: int, state: WorldState) -> None:
+        # Running nodes only: a crashed node is off, a dead one is gone.
+        for node_id in np.flatnonzero(state.alive).tolist():
+            key = str(node_id)
+            travelled = float(state.distance_travelled[node_id])
+            moved = travelled - self._charged_distance.get(key, 0.0)
             self._spent[key] = (
                 self._spent.get(key, 0.0)
                 + self.idle_cost
                 + self.move_cost * moved
             )
-            self._charged_distance[key] = node.distance_travelled
+            self._charged_distance[key] = travelled
             if self._spent[key] >= self.capacity:
-                node.kill(t)
+                state.kill(node_id, t)
 
     def reset(self) -> None:
         self._spent.clear()

@@ -1,7 +1,6 @@
 """The seed fault models: i.i.d. message loss and permanent death schedules.
 
-These two predate the :mod:`repro.sim.netmodel` subsystem (they lived in
-``repro.sim.failures``, which now re-exports them from here):
+These two predate the rest of the :mod:`repro.sim.netmodel` subsystem:
 
 * :class:`MessageLossModel` — i.i.d. Bernoulli loss on each directed
   beacon delivery, the legacy ``Radio(loss=...)`` hook. It *is* a

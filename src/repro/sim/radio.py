@@ -34,10 +34,11 @@ class Radio:
         self.rc = float(rc)
         self.loss = loss
         # One-entry neighbour-table cache keyed on the *content* of the
-        # positions/alive arrays (the engine rebuilds those arrays every
-        # access, so identity would never hit). Within a round both the
-        # netmodel pipeline and the plain exchange ask for the same table;
-        # any position change invalidates the key.
+        # positions/alive arrays, not their identity: the engine writes
+        # its fleet arrays in place, so one array object can hold
+        # different positions from call to call. Within a round both the
+        # netmodel pipeline and the plain exchange ask for the same
+        # table; any position change invalidates the key.
         self._nbr_cache: Optional[Tuple[Tuple[bytes, bytes], List[List[int]]]] = None
 
     def neighbor_ids(

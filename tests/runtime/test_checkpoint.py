@@ -26,12 +26,13 @@ from repro.runtime.checkpoint import CHECKPOINT_VERSION, RunPreempted
 from repro.runtime.records import RoundRecord
 from repro.sim.centralized import CentralizedSimulation
 from repro.sim.engine import MobileSimulation
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
 from repro.sim.netmodel import (
     CrashSchedule,
     EnergyDepletionModel,
     GilbertElliottLink,
+    MessageLossModel,
     NetworkModel,
+    NodeFailureSchedule,
     PerfectLink,
     RandomChurn,
     RetryPolicy,

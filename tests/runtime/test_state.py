@@ -47,6 +47,54 @@ class TestCoercion:
             make_state(alive=[True] * 3)
 
 
+class TestFleetLiveness:
+    """Moves and the crash/death rule, kept by WorldState alone."""
+
+    def test_move_accumulates_distance(self):
+        fleet = WorldState.initial([[0.0, 0.0]], t=600.0)
+        assert fleet.move(0, np.array([3.0, 4.0])) == 5.0
+        fleet.move(0, np.array([3.0, 10.0]))
+        assert fleet.distance_travelled[0] == 11.0
+        assert np.array_equal(fleet.positions[0], [3.0, 10.0])
+
+    def test_kill_idempotent(self):
+        fleet = WorldState.initial(np.zeros((2, 2)), t=600.0)
+        fleet.kill(1, 5.0)
+        fleet.kill(1, 9.0)
+        assert not fleet.alive[1]
+        assert fleet.died_at[1] == 5.0
+        assert fleet.alive[0] and np.isnan(fleet.died_at[0])
+
+    def test_crash_is_recoverable(self):
+        fleet = WorldState.initial(np.zeros((2, 2)), t=600.0)
+        fleet.crash(0)
+        assert not fleet.alive[0]
+        assert np.isnan(fleet.died_at[0])
+        fleet.recover(0)
+        assert fleet.alive[0]
+
+    def test_recover_never_revives_the_dead(self):
+        fleet = WorldState.initial(np.zeros((3, 2)), t=600.0)
+        fleet.crash([0, 1])
+        fleet.kill(0, 601.0)  # a crashed node can still die for good
+        fleet.kill(2, 602.0)
+        fleet.recover([0, 1, 2])
+        assert fleet.alive.tolist() == [False, True, False]
+        assert fleet.died_at[0] == 601.0
+        assert fleet.dead.tolist() == [True, False, True]
+
+    def test_position_coerced(self):
+        fleet = WorldState.initial([[1, 2]], t=600)
+        assert fleet.positions.dtype == float
+        assert fleet.positions.shape == (1, 2)
+
+    def test_initial_copies_positions(self):
+        init = np.array([[1.0, 2.0]])
+        fleet = WorldState.initial(init, t=600.0)
+        fleet.move(0, [5.0, 5.0])
+        assert np.array_equal(init, [[1.0, 2.0]])
+
+
 class TestCopy:
     def test_copy_is_independent(self):
         state = make_state()

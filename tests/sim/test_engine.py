@@ -1,5 +1,7 @@
 """Tests for the mobile-simulation round loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from repro.runtime.cma_phases import (
     MobileRoundContext,
     SensePhase,
 )
+from repro.sim.centralized import CentralizedSimulation
 from repro.sim.engine import MobileSimulation, SimulationResult
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.netmodel import MessageLossModel, NodeFailureSchedule
 from repro.sim.recorders import (
     ConnectivityRecorder,
     DeltaRecorder,
@@ -144,14 +147,12 @@ class TestTraceSampling:
 class TestEnergyBudget:
     def test_nodes_die_when_budget_spent(self):
         sim = make_sim(make_problem(duration=6.0), energy_budget=1.5)
-        result = sim.run()
-        spent = [n.distance_travelled for n in sim.nodes]
-        dead = [n for n in sim.nodes if not n.alive]
+        sim.run()
+        spent = sim.state.distance_travelled
         # Whoever died must have spent at least the budget.
-        for node in dead:
-            assert node.distance_travelled >= 1.5
+        assert (spent[~sim.state.alive] >= 1.5).all()
         # A tight budget kills at least the most active nodes in 6 rounds.
-        assert max(spent) >= 1.5
+        assert spent.max() >= 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,7 +161,7 @@ class TestEnergyBudget:
     def test_no_budget_no_deaths(self):
         sim = make_sim(make_problem(duration=4.0))
         sim.run()
-        assert all(n.alive for n in sim.nodes)
+        assert sim.state.alive.all()
 
 
 class TestRecorders:
@@ -221,8 +222,7 @@ class TestMeasureDegenerateInputs:
         # Two nodes clamped onto the same region corner.
         sim = make_sim()
         region = sim.problem.region
-        sim.nodes[0].position = np.array([region.xmin, region.ymin])
-        sim.nodes[1].position = np.array([region.xmin, region.ymin])
+        sim.state.positions[:2] = [region.xmin, region.ymin]
         ctx = measure_now(sim)
         assert np.isfinite(ctx.record.delta)
         keep = np.ones(25, dtype=bool)
@@ -231,7 +231,7 @@ class TestMeasureDegenerateInputs:
 
     def test_near_duplicate_within_dedup_tol(self):
         sim = make_sim()
-        sim.nodes[1].position = sim.nodes[0].position + np.array([1e-10, 0.0])
+        sim.state.positions[1] = sim.state.positions[0] + [1e-10, 0.0]
         ctx = measure_now(sim)
         assert np.isfinite(ctx.record.delta)
         keep = np.ones(25, dtype=bool)
@@ -244,8 +244,7 @@ class TestMeasureDegenerateInputs:
         edge = [(r.xmin, r.ymin), (r.xmax, r.ymin), (r.xmax, r.ymax),
                 (r.xmin, r.ymax), (r.xmin, 25.0), (r.xmax, 25.0),
                 (25.0, r.ymin), (25.0, r.ymax)]
-        for node, pos in zip(sim.nodes, edge):
-            node.position = np.array(pos, dtype=float)
+        sim.state.positions[:len(edge)] = edge
         ctx = measure_now(sim)
         assert np.isfinite(ctx.record.delta)
         assert ctx.record.delta == expected_delta(
@@ -255,6 +254,71 @@ class TestMeasureDegenerateInputs:
         assert np.isfinite(record.delta)
         for x, y in record.positions:
             assert r.xmin <= x <= r.xmax and r.ymin <= y <= r.ymax
+
+
+class TestFleetStateAliasing:
+    """Moves write rows of ``sim.state`` in place, so nothing the engine
+    takes in or hands out may share memory with it."""
+
+    def test_caller_initial_positions_untouched(self):
+        init = make_sim().positions
+        before = init.copy()
+        sim = make_sim(initial_positions=init)
+        sim.run()
+        assert not np.array_equal(sim.state.positions, before)  # it moved
+        assert np.array_equal(init, before)
+        assert not np.shares_memory(sim.positions, sim.state.positions)
+        assert not np.shares_memory(sim.alive_mask, sim.state.alive)
+
+    def test_round_records_own_their_positions(self):
+        sim = make_sim()
+        records = sim.run().rounds
+        for a, b in itertools.combinations(records, 2):
+            assert not np.shares_memory(a.positions, b.positions)
+        last = sim.step()
+        kept = last.positions.copy()
+        sim.state.positions += 1.0
+        assert np.array_equal(last.positions, kept)
+
+    def test_restored_engines_share_nothing(self):
+        source = make_sim()
+        source.step()
+        captured = source.capture_state()
+        assert not np.shares_memory(captured.positions, source.state.positions)
+        pristine = captured.copy()
+        stepped, idle = make_sim(), make_sim()
+        stepped.restore_state(captured)
+        idle.restore_state(captured)
+        idle_before = idle.capture_state()
+        stepped.step()
+        stepped.step()
+        assert not stepped.capture_state().allclose(idle_before)
+        assert idle.capture_state().allclose(idle_before)
+        assert captured.allclose(pristine)
+
+
+class TestSmallFleets:
+    """k=1 has no neighbours and no mesh beyond one sample; both engines
+    still score every round."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mobile(self, k):
+        sim = make_sim(make_problem(k=k, duration=3.0))
+        rounds = sim.run().rounds
+        assert len(rounds) == 3
+        assert all(np.isfinite(r.delta) for r in rounds)
+        if k == 1:
+            assert all(r.connected is True for r in rounds)
+            assert all(r.n_components == 1 for r in rounds)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_centralized(self, k):
+        sim = CentralizedSimulation(
+            make_problem(k=k, duration=3.0), resolution=51
+        )
+        rounds = sim.run().rounds
+        assert len(rounds) == 3
+        assert all(np.isfinite(r.delta) for r in rounds)
 
 
 class TestInstrumentation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.netmodel import MessageLossModel, NodeFailureSchedule
 
 
 class TestMessageLoss:

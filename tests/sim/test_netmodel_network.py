@@ -16,8 +16,8 @@ from repro.sim.netmodel import (
     RetryPolicy,
     UniformDelayModel,
 )
+from repro.runtime.state import WorldState
 from repro.sim.netmodel.delay import BeaconDelayQueue, PendingBeacon
-from repro.sim.node import NodeState
 from repro.sim.radio import Radio
 
 RC = 10.0
@@ -254,7 +254,7 @@ class TestEngineBitIdentity:
 
     def test_network_plus_message_loss_rejected(self):
         with pytest.raises(ValueError, match="not both"):
-            from repro.sim.failures import MessageLossModel
+            from repro.sim.netmodel import MessageLossModel
 
             self.run_engine(
                 network=NetworkModel(PerfectLink()),
@@ -262,46 +262,43 @@ class TestEngineBitIdentity:
             )
 
 
-def make_nodes(n):
-    return [
-        NodeState(node_id=i, position=np.array([float(i), 0.0]))
-        for i in range(n)
-    ]
+def make_fleet(n):
+    return WorldState.initial([[float(i), 0.0] for i in range(n)], t=600.0)
 
 
 class TestCrashSchedule:
     def test_crash_then_recover(self):
-        nodes = make_nodes(3)
+        fleet = make_fleet(3)
         sched = CrashSchedule(at={602.0: {1: 2}})
-        sched.step(601.0, 0, nodes)
-        assert nodes[1].alive
-        sched.step(602.0, 1, nodes)
-        assert not nodes[1].alive and nodes[1].died_at is None
-        sched.step(603.0, 2, nodes)
-        assert not nodes[1].alive
-        sched.step(604.0, 3, nodes)
-        assert nodes[1].alive
+        sched.step(601.0, 0, fleet)
+        assert fleet.alive[1]
+        sched.step(602.0, 1, fleet)
+        assert not fleet.alive[1] and np.isnan(fleet.died_at[1])
+        sched.step(603.0, 2, fleet)
+        assert not fleet.alive[1]
+        sched.step(604.0, 3, fleet)
+        assert fleet.alive[1]
 
     def test_dead_nodes_never_revived(self):
-        nodes = make_nodes(2)
+        fleet = make_fleet(2)
         sched = CrashSchedule(at={602.0: {1: 1}})
-        sched.step(602.0, 0, nodes)
-        nodes[1].died_at = 602.5  # dies for good while crashed
-        sched.step(603.0, 1, nodes)
-        assert not nodes[1].alive
+        sched.step(602.0, 0, fleet)
+        fleet.kill(1, 602.5)  # dies for good while crashed
+        sched.step(603.0, 1, fleet)
+        assert not fleet.alive[1]
 
     def test_state_round_trip_keeps_pending_recovery(self):
-        nodes = make_nodes(2)
+        fleet = make_fleet(2)
         sched = CrashSchedule(at={602.0: {1: 2}})
-        sched.step(602.0, 0, nodes)
+        sched.step(602.0, 0, fleet)
         state = json.loads(json.dumps(sched.state_dict()))
 
         restored = CrashSchedule(at={602.0: {1: 2}})
         restored.load_state_dict(state)
-        restored.step(603.0, 1, nodes)   # not due yet
-        assert not nodes[1].alive
-        restored.step(604.0, 2, nodes)   # recovery round reached
-        assert nodes[1].alive
+        restored.step(603.0, 1, fleet)   # not due yet
+        assert not fleet.alive[1]
+        restored.step(604.0, 2, fleet)   # recovery round reached
+        assert fleet.alive[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -311,35 +308,35 @@ class TestCrashSchedule:
 class TestRandomChurn:
     def test_deterministic_given_seed(self):
         def liveness(seed):
-            nodes = make_nodes(6)
+            fleet = make_fleet(6)
             churn = RandomChurn(0.4, recover_prob=0.5, seed=seed)
             series = []
             for r in range(12):
-                churn.step(600.0 + r, r, nodes)
-                series.append(tuple(n.alive for n in nodes))
+                churn.step(600.0 + r, r, fleet)
+                series.append(tuple(fleet.alive.tolist()))
             return series
 
         assert liveness(3) == liveness(3)
         assert liveness(3) != liveness(4)
 
     def test_crashes_are_transient(self):
-        nodes = make_nodes(4)
+        fleet = make_fleet(4)
         churn = RandomChurn(0.5, recover_prob=1.0, seed=0)
         crashed_at_some_point = False
         for r in range(20):
-            churn.step(600.0 + r, r, nodes)
-            crashed_at_some_point |= not all(n.alive for n in nodes)
+            churn.step(600.0 + r, r, fleet)
+            crashed_at_some_point |= not fleet.alive.all()
             # recover_prob=1: a node down entering this round comes back
             # before the next one, and nobody ever dies permanently.
-            assert all(n.died_at is None for n in nodes)
+            assert not fleet.dead.any()
         assert crashed_at_some_point
 
     def test_zero_probability_consumes_no_rng(self):
-        nodes = make_nodes(3)
+        fleet = make_fleet(3)
         churn = RandomChurn(0.0, seed=7)
         before = json.dumps(churn.state_dict(), default=str)
         for r in range(10):
-            churn.step(600.0 + r, r, nodes)
+            churn.step(600.0 + r, r, fleet)
         assert json.dumps(churn.state_dict(), default=str) == before
 
     def test_validation(self):
@@ -351,37 +348,37 @@ class TestRandomChurn:
 
 class TestEnergyDepletion:
     def test_movement_and_idle_drain(self):
-        nodes = make_nodes(1)
+        fleet = make_fleet(1)
         model = EnergyDepletionModel(capacity=10.0, move_cost=2.0, idle_cost=1.0)
-        model.step(600.0, 0, nodes)
+        model.step(600.0, 0, fleet)
         assert model.remaining(0) == pytest.approx(9.0)
-        nodes[0].distance_travelled = 3.0
-        model.step(601.0, 1, nodes)
+        fleet.distance_travelled[0] = 3.0
+        model.step(601.0, 1, fleet)
         assert model.remaining(0) == pytest.approx(9.0 - 1.0 - 6.0)
 
     def test_kills_at_capacity(self):
-        nodes = make_nodes(1)
+        fleet = make_fleet(1)
         model = EnergyDepletionModel(capacity=2.5, idle_cost=1.0, move_cost=0.0)
         for r in range(3):
-            model.step(600.0 + r, r, nodes)
-        assert not nodes[0].alive
-        assert nodes[0].died_at == 602.0
+            model.step(600.0 + r, r, fleet)
+        assert not fleet.alive[0]
+        assert fleet.died_at[0] == 602.0
 
     def test_crashed_nodes_consume_nothing(self):
-        nodes = make_nodes(1)
-        nodes[0].crash()
+        fleet = make_fleet(1)
+        fleet.crash(0)
         model = EnergyDepletionModel(capacity=5.0, idle_cost=1.0)
         for r in range(10):
-            model.step(600.0 + r, r, nodes)
-        nodes[0].recover()
-        model.step(610.0, 10, nodes)
+            model.step(600.0 + r, r, fleet)
+        fleet.recover(0)
+        model.step(610.0, 10, fleet)
         assert model.remaining(0) == pytest.approx(4.0)
 
     def test_state_round_trip(self):
-        nodes = make_nodes(2)
+        fleet = make_fleet(2)
         model = EnergyDepletionModel(capacity=10.0, idle_cost=1.0)
-        nodes[0].distance_travelled = 2.0
-        model.step(600.0, 0, nodes)
+        fleet.distance_travelled[0] = 2.0
+        model.step(600.0, 0, fleet)
         restored = EnergyDepletionModel(capacity=10.0, idle_cost=1.0)
         restored.load_state_dict(json.loads(json.dumps(model.state_dict())))
         assert restored.remaining(0) == model.remaining(0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.failures import MessageLossModel
+from repro.sim.netmodel import MessageLossModel
 from repro.sim.radio import Radio
 
 

@@ -232,7 +232,7 @@ class TestEngineEdgeCases:
         from repro.core.problem import OSTDProblem
         from repro.fields.greenorbs import GreenOrbsLightField
         from repro.sim.engine import MobileSimulation
-        from repro.sim.failures import NodeFailureSchedule
+        from repro.sim.netmodel import NodeFailureSchedule
 
         field = GreenOrbsLightField(side=30.0, seed=5, freeze_sun_at=600.0)
         problem = OSTDProblem(
