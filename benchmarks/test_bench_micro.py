@@ -22,8 +22,9 @@ from repro.fields.base import sample_grid
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.interpolation import LinearSurfaceInterpolator
+from repro.geometry.primitives import BoundingBox
 from repro.graphs.relay import plan_relays
-from repro.sim.engine import MobileSimulation
+from repro.sim.engine import MobileSimulation, default_grid_layout
 from repro.surfaces.metrics import volume_difference
 from repro.surfaces.quadric import fit_quadric
 from repro.surfaces.reconstruction import reconstruct_surface
@@ -43,6 +44,19 @@ def points():
 def test_bench_delaunay_100_points(benchmark, points):
     result = benchmark(lambda: DelaunayTriangulation(points))
     assert result.n_points == 100
+
+
+def test_bench_delaunay_grid_2500(benchmark):
+    """The cma_large start: the row-major grid layout of 2500 nodes.
+
+    Every lattice cell is cocircular, and each insert of a new row
+    replaces the fan of super-triangle triangles the row before left, so
+    this tracks that churn rather than the walk.
+    """
+    grid = default_grid_layout(BoundingBox.square(500.0), 2500, 10.0)
+    result = benchmark.pedantic(DelaunayTriangulation, args=(grid,),
+                                rounds=3, iterations=1, warmup_rounds=0)
+    assert result.n_points == 2500
 
 
 def test_bench_interpolator_grid_eval(benchmark, points, reference):

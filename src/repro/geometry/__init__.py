@@ -5,8 +5,8 @@ substrate that the paper's algorithms rest on:
 
 * robust-enough orientation and in-circle predicates (:mod:`.predicates`),
 * Andrew monotone-chain convex hull (:mod:`.hull`),
-* incremental Bowyer--Watson Delaunay triangulation with walk-based point
-  location, vertex removal and localized position updates
+* incremental Bowyer--Watson Delaunay triangulation: each insert walks to
+  the point and grows its cavity through neighbouring triangles
   (:mod:`.delaunay`),
 * vectorised piecewise-linear evaluation of the triangulated surface
   ``z* = DT(x, y)`` used by the paper's reconstruction metric

@@ -11,25 +11,29 @@ Implementation notes
 --------------------
 * A large super-triangle encloses all real points; triangles incident to its
   three synthetic vertices are hidden from the public API.
-* Storage is struct-of-arrays: vertices and triangle vertex-index rows live
-  in growable numpy buffers (amortised doubling), with a per-slot liveness
-  mask instead of a Python dict. Dead slots are compacted away once they
-  outnumber the live ones, so scans stay O(live triangles).
-* The hot predicates — ``insert``'s bad-triangle scan, ``find_vertex`` and
-  ``locate`` — are evaluated as whole-array numpy expressions using *the
-  same floating-point formulas and epsilons* as the scalar predicates in
-  :mod:`repro.geometry.predicates`. IEEE-754 elementwise evaluation makes
-  the vectorised scan bit-compatible with a per-triangle scalar loop; the
-  scalar predicates remain the validation oracle (``is_delaunay`` still
-  calls them one triangle at a time) and the test-suite cross-validates
-  both against :mod:`scipy.spatial.Delaunay`.
-* Each live triangle caches its circumcircle ``(centre, r^2)`` plus the
-  threshold ``EPSILON / |2A|``; the bad-triangle scan then tests
-  ``r^2 - d^2 > threshold`` (five array passes) instead of the 18-pass
-  in-circle determinant. Queries inside a conservative rounding band
-  around the threshold re-run the exact determinant, so the decision is
-  always the scalar predicate's (see ``_bad_triangle_slots``); the
-  determinant-form scan is kept as ``_bad_triangle_slots_reference``.
+* Triangles live in a dict keyed by a creation id. Dicts iterate in
+  insertion order, so ``simplices`` lists the live triangles in creation
+  order. A directed-edge map gives each triangle's neighbours.
+* An insert is local. It walks from the last-created triangle to the one
+  containing the point, then grows the cavity through edge neighbours
+  whose circumcircle strictly contains the point (a neighbour whose test
+  is a tie is passed through without joining). The cavity triangles are
+  taken in creation order and the new fan follows the first-occurrence
+  order of their ``(a,b) (b,c) (c,a)`` edge scan, so the rows and their
+  order are what a scan over every triangle gives.
+* The in-circle test reads each triangle's cached circumcircle
+  ``(centre, r^2)`` and the threshold ``EPSILON / |2A|``, and tests
+  ``r^2 - d^2 > threshold``. Queries inside a conservative rounding band
+  around the threshold re-run the exact determinant of the scalar
+  :func:`repro.geometry.predicates.incircle`, so the decision is always the
+  scalar predicate's (see ``_incircle``).
+* When the walk fails, or the triangle it reaches is not strictly bad, the
+  insert falls back to a scan over every triangle (see ``_scan``). That
+  scan also supplies the closed-circumdisk cavity for points that lie
+  exactly on circumcircles. After a degenerate step (see ``_local``) the
+  bad triangles need not be connected, so every later insert scans.
+* Duplicate detection (``find_vertex``) looks up a hash grid of cell side
+  ``dedup_tol`` instead of scanning every vertex.
 * Cocircular points (common on integer grids) make the Delaunay
   triangulation non-unique; ties in the in-circle predicate are resolved as
   "outside", which always yields *a* valid Delaunay triangulation.
@@ -37,6 +41,9 @@ Implementation notes
 
 from __future__ import annotations
 
+import math
+import sys
+from itertools import chain, islice
 from typing import (
     Dict,
     FrozenSet,
@@ -102,15 +109,30 @@ def canonical_simplices(simplices: np.ndarray) -> np.ndarray:
 #: Number of synthetic super-triangle vertices kept at internal indices 0..2.
 _N_SUPER = 3
 
-#: Initial capacity of the growable vertex / triangle buffers.
-_INITIAL_CAPACITY = 32
-
 #: Relative half-width of the uncertainty band of the cached in-circle
-#: test (see _bad_triangle_slots): ~1024 ulp, generous against the worst
-#: cancellation either the r^2-form or the determinant-form accumulates,
-#: yet narrow enough that real workloads essentially never hit the exact
-#: determinant fallback.
-_CC_BAND = 1024 * np.finfo(float).eps
+#: test (see _incircle): ~1024 ulp, generous against the worst cancellation
+#: either the r^2-form or the determinant-form accumulates, yet narrow
+#: enough that real workloads essentially never hit the exact determinant.
+_CC_BAND = 1024 * sys.float_info.epsilon
+
+#: A find_vertex query spanning more hash-grid cells than this scans every
+#: vertex instead (only a tol much larger than dedup_tol gets there).
+_MAX_QUERY_CELLS = 64
+
+#: Limits past which a new triangle ends the local search (see _local).
+#: A sliver has a threshold EPSILON / |2A| above _SLIVER * r^2: its tie
+#: window is so wide that the mesh around it can be far from Delaunay.
+#: A cached circle that misses the triangle's own vertices by more than
+#: _MISS * r * (shortest edge), in r^2 - d^2 units, can contradict the
+#: determinant well outside the retest band. Vertices 1e-8 apart make the
+#: first and a cluster 1e-4 across under the 1e6 super-triangle the
+#: second; on the benchmark workloads both ratios stay below 1e-8.
+_SLIVER = 1e-6
+_MISS = 1e-3
+
+#: One stored triangle: vertices a, b, c (counter-clockwise unless flat),
+#: orientation sign, circumcentre x/y, r^2 and the threshold EPSILON / |2A|.
+_Tri = Tuple[int, int, int, int, float, float, float, float]
 
 
 class DelaunayTriangulation:
@@ -143,99 +165,39 @@ class DelaunayTriangulation:
         self._dedup_tol = float(dedup_tol)
         self._skip_duplicates = bool(skip_duplicates)
 
-        # Vertex store: (capacity, 2) float buffer, first _nv rows valid,
-        # mirrored by a plain list of (x, y) tuples for the scalar paths
-        # (tuple unpacking is ~10x cheaper than numpy scalar indexing).
-        self._vert_buf = np.empty((_INITIAL_CAPACITY, 2), dtype=float)
-        self._vert_list: List[Tuple[float, float]] = []
-        self._nv = 0
         # Deliberately asymmetric super-triangle to dodge degeneracies with
         # axis-aligned / diagonal input.
-        for x, y in (
+        self._verts: List[Tuple[float, float]] = [
             (-3.17 * span, -2.89 * span),
             (3.61 * span, -3.07 * span),
             (0.13 * span, 3.79 * span),
-        ):
-            self._append_vertex(x, y)
+        ]
+        # Hash grid over the real vertices for find_vertex: cell -> public
+        # indices in insertion order.
+        self._cell = self._dedup_tol if self._dedup_tol > 0 else 1.0
+        self._grid: Dict[Tuple[int, int], List[int]] = {}
 
-        # Triangle store: slot-indexed parallel arrays, first _nt slots
-        # allocated, live ones flagged in _tri_live. _tri_orient caches the
-        # orientation sign of the *stored* vertex triple (+1 CCW, 0
-        # numerically flat) so the vectorised in-circle scan can reproduce
-        # the scalar predicate's degenerate-triangle handling exactly, and
-        # _tri_xy caches the six vertex coordinates per slot (one
-        # contiguous row per coordinate) so the scan needs no per-insert
-        # index gather.
-        self._tri_buf = np.zeros((_INITIAL_CAPACITY, 3), dtype=np.int64)
-        self._tri_live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
-        self._tri_orient = np.zeros(_INITIAL_CAPACITY, dtype=np.int8)
-        self._tri_xy = np.zeros((6, _INITIAL_CAPACITY), dtype=float)
-        # Cached circumcircle parameters per slot: centre x/y, radius^2, and
-        # the insideness threshold in (r^2 - d^2) units (see
-        # _bad_triangle_slots).
-        self._tri_cc = np.zeros((4, _INITIAL_CAPACITY), dtype=float)
-        self._nt = 0
-        self._n_live = 0
+        # Live triangles by creation id (dict order is creation order),
+        # the ones without a super vertex again for ``simplices``, and the
+        # directed edge (u, v) -> id of the triangle holding it.
+        self._tris: Dict[int, _Tri] = {}
+        self._real: Dict[int, Tuple[int, int, int]] = {}
+        self._edge: Dict[Tuple[int, int], int] = {}
+        self._next_id = 0
+        # The walk and the grown cavity are trusted while every step so far
+        # was a clean Bowyer-Watson step. False for good once a step made
+        # a flat or clockwise triangle, a sliver or a triangle whose cached
+        # circle misses its vertices (see _SLIVER), gave two triangles one
+        # directed edge, or had a cavity that is not a disk; from then on
+        # every insert scans all triangles (see _scan).
+        self._local = True
         self._simplices_cache: Optional[np.ndarray] = None
+        self._points_cache: Optional[np.ndarray] = None
 
-        self._add_triangle(0, 1, 2)
+        self._add_fan([(0, 1)], 2)
         if points is not None:
             for p in points:
                 self.insert(p)
-
-    # ------------------------------------------------------------------
-    # Growable storage
-    # ------------------------------------------------------------------
-    def _append_vertex(self, x: float, y: float) -> int:
-        x, y = float(x), float(y)
-        if self._nv == len(self._vert_buf):
-            grown = np.empty((2 * len(self._vert_buf), 2), dtype=float)
-            grown[: self._nv] = self._vert_buf[: self._nv]
-            self._vert_buf = grown
-        self._vert_buf[self._nv] = (x, y)
-        self._vert_list.append((x, y))
-        self._nv += 1
-        return self._nv - 1
-
-    def _pop_vertex(self) -> None:
-        self._nv -= 1
-        self._vert_list.pop()
-
-    def _grow_triangle_buffers(self, needed: int) -> None:
-        cap = len(self._tri_buf)
-        while cap < needed:
-            cap *= 2
-        if cap == len(self._tri_buf):
-            return
-        for name in ("_tri_buf", "_tri_live", "_tri_orient"):
-            old = getattr(self, name)
-            grown = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
-            grown[: self._nt] = old[: self._nt]
-            setattr(self, name, grown)
-        grown_xy = np.zeros((6, cap), dtype=float)
-        grown_xy[:, : self._nt] = self._tri_xy[:, : self._nt]
-        self._tri_xy = grown_xy
-        grown_cc = np.zeros((4, cap), dtype=float)
-        grown_cc[:, : self._nt] = self._tri_cc[:, : self._nt]
-        self._tri_cc = grown_cc
-
-    def _new_slot(self) -> int:
-        if self._nt == len(self._tri_buf):
-            self._grow_triangle_buffers(self._nt + 1)
-        self._nt += 1
-        return self._nt - 1
-
-    def _compact(self) -> None:
-        """Drop dead triangle slots, preserving creation order of the rest."""
-        live = self._tri_live[: self._nt]
-        keep = np.flatnonzero(live)
-        self._tri_buf[: len(keep)] = self._tri_buf[keep]
-        self._tri_orient[: len(keep)] = self._tri_orient[keep]
-        self._tri_xy[:, : len(keep)] = self._tri_xy[:, keep]
-        self._tri_cc[:, : len(keep)] = self._tri_cc[:, keep]
-        self._tri_live[: len(keep)] = True
-        self._tri_live[len(keep) : self._nt] = False
-        self._nt = len(keep)
 
     # ------------------------------------------------------------------
     # Public views
@@ -243,12 +205,20 @@ class DelaunayTriangulation:
     @property
     def n_points(self) -> int:
         """Number of real (non-synthetic) vertices."""
-        return self._nv - _N_SUPER
+        return len(self._verts) - _N_SUPER
 
     @property
     def points(self) -> np.ndarray:
         """Real vertices as an ``(n, 2)`` float array (insertion order)."""
-        return self._vert_buf[_N_SUPER : self._nv].copy()
+        return self._real_points().copy()
+
+    def _real_points(self) -> np.ndarray:
+        if self._points_cache is None:
+            real = islice(self._verts, _N_SUPER, None)
+            self._points_cache = np.fromiter(
+                chain.from_iterable(real), dtype=float, count=2 * self.n_points
+            ).reshape(-1, 2)
+        return self._points_cache
 
     @property
     def triangles(self) -> List[Triangle]:
@@ -259,17 +229,18 @@ class DelaunayTriangulation:
     def simplices(self) -> np.ndarray:
         """Triangles as an ``(m, 3)`` int array (scipy-compatible view)."""
         if self._simplices_cache is None:
-            tris = self._tri_buf[: self._nt][self._tri_live[: self._nt]]
-            real = (tris >= _N_SUPER).all(axis=1)
-            self._simplices_cache = (tris[real] - _N_SUPER).astype(int)
-            self._simplices_cache.setflags(write=False)
+            rows = chain.from_iterable(self._real.values())
+            simp = np.fromiter(rows, dtype=int, count=3 * len(self._real))
+            simp = simp.reshape(-1, 3) - _N_SUPER
+            simp.setflags(write=False)
+            self._simplices_cache = simp
         return self._simplices_cache
 
     def point(self, index: int) -> Point2:
         """The coordinates of public vertex ``index``."""
         if not 0 <= index < self.n_points:
             raise IndexError(f"vertex index {index} out of range")
-        x, y = self._vert_list[index + _N_SUPER]
+        x, y = self._verts[index + _N_SUPER]
         return Point2(x, y)
 
     # ------------------------------------------------------------------
@@ -282,52 +253,105 @@ class DelaunayTriangulation:
         the triangulation was built with ``skip_duplicates=True``.
         """
         p = Point2.of(point)
-        dup = self.find_vertex(p, tol=self._dedup_tol)
+        px, py = p.x, p.y
+        dup = self._find(px, py, self._dedup_tol)
         if dup is not None:
             if self._skip_duplicates:
                 return dup
             raise DuplicatePointError(f"point {p} duplicates vertex {dup}")
 
-        if self._nt > 2 * _INITIAL_CAPACITY and 2 * self._n_live < self._nt:
-            self._compact()
-
-        internal_index = self._append_vertex(p.x, p.y)
-        bad_slots = self._bad_triangle_slots(p.x, p.y)
-        if bad_slots.size == 0:
-            # Strictly inside no circumcircle. For a point inside the
-            # super-triangle this means it sits exactly *on* circumcircle
-            # boundaries (degenerate input — e.g. a non-duplicate point on
-            # an existing edge). The closed-circumdisk cavity is still a
-            # valid Bowyer–Watson step, so retry non-strictly; this path
-            # cannot fire for any input the strict scan already handled.
-            bad_slots = self._bad_triangle_slots_nonstrict(p.x, p.y)
-        if bad_slots.size == 0:
+        start = self._walk(px, py) if self._local else None
+        if start is not None and self._incircle(self._tris[start], px, py) > 0:
+            cavity = self._grow_cavity(start, px, py)
+        else:
+            cavity = self._scan(px, py)
+        if not cavity:
             # Outside every closed circumdisk: only possible when the
             # point is outside the super-triangle.
-            self._pop_vertex()
             raise ValueError(
                 f"point {p} is outside the triangulation's working area; "
                 "construct DelaunayTriangulation with a larger span"
             )
 
-        boundary = self._cavity_boundary(bad_slots)
-        self._tri_live[bad_slots] = False
-        self._n_live -= len(bad_slots)
-        u = np.fromiter((e[0] for e in boundary), dtype=np.intp, count=len(boundary))
-        v = np.fromiter((e[1] for e in boundary), dtype=np.intp, count=len(boundary))
-        self._add_triangles(u, v, np.full(len(boundary), internal_index, dtype=np.intp))
-        self._simplices_cache = None
-        return internal_index - _N_SUPER
+        # Cavity border, interior on the left: the edges that occur once in
+        # the (a,b) (b,c) (c,a) scan of the cavity, in first-occurrence order
+        # (None marks an edge seen twice).
+        tris = self._tris
+        edge = self._edge
+        border: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+        for t in cavity:
+            a, b, c = tris[t][:3]
+            for u, v in ((a, b), (b, c), (c, a)):
+                key = (u, v) if u < v else (v, u)
+                border[key] = None if key in border else (u, v)
+        boundary = [e for e in border.values() if e is not None]
+        if len(boundary) != len(cavity) + 2:
+            # Not a disk triangulated without inner vertices: the cavity
+            # has a hole, is split, or swallows a vertex.
+            self._local = False
+        for t in cavity:
+            a, b, c = tris.pop(t)[:3]
+            self._real.pop(t, None)
+            for key in ((a, b), (b, c), (c, a)):
+                if edge.get(key) == t:
+                    del edge[key]
 
-    def _bad_triangle_slots(self, px: float, py: float) -> np.ndarray:
-        """Slots whose circumcircle strictly contains ``(px, py)``.
+        index = len(self._verts)
+        self._verts.append((px, py))
+        self._add_fan(boundary, index)
+        if math.isfinite(px) and math.isfinite(py):
+            # (_find scans every vertex for a non-finite query.)
+            h = self._cell
+            self._grid.setdefault(
+                (math.floor(px / h), math.floor(py / h)), []
+            ).append(index - _N_SUPER)
+        self._simplices_cache = None
+        self._points_cache = None
+        return index - _N_SUPER
+
+    def _walk(self, px: float, py: float) -> Optional[int]:
+        """The triangle containing ``(px, py)``, found by a visibility walk.
+
+        Starts at the last-created triangle and crosses any edge the point
+        lies strictly to the right of. Returns ``None`` when the walk
+        leaves the super-triangle or does not settle within one step per
+        triangle.
+        """
+        tris = self._tris
+        edge = self._edge
+        verts = self._verts
+        t = self._next_id - 1
+        for _ in range(len(tris) + 1):
+            a, b, c = tris[t][:3]
+            ax, ay = verts[a]
+            bx, by = verts[b]
+            cx, cy = verts[c]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0.0:
+                nxt = edge.get((b, a))
+            elif (cx - bx) * (py - by) - (cy - by) * (px - bx) < 0.0:
+                nxt = edge.get((c, b))
+            elif (ax - cx) * (py - cy) - (ay - cy) * (px - cx) < 0.0:
+                nxt = edge.get((a, c))
+            else:
+                return t
+            if nxt is None:
+                return None
+            t = nxt
+        return None
+
+    def _incircle(self, tri: _Tri, px: float, py: float) -> int:
+        """In-circle test of ``(px, py)`` against ``tri``'s circumcircle.
+
+        ``1`` when the circumcircle strictly contains the point (the
+        triangle is bad), ``0`` when it does not but ``r^2 - d^2`` is
+        within the tie window ``threshold + band`` of zero (or the
+        triangle is flat), and ``-1`` when the point is clearly outside.
 
         Tests cached circumcircle parameters: the scalar in-circle
         determinant satisfies ``orient_det * incircle_det = |2A| *
         (r^2 - d^2)`` in exact arithmetic, so the predicate's
         ``incircle_det > EPSILON`` rule (with its orientation adjustment)
-        becomes ``r^2 - d^2 > EPSILON / |2A|`` — five array passes instead
-        of the determinant's eighteen. The two formulations round
+        becomes ``r^2 - d^2 > EPSILON / |2A|``. The two formulations round
         differently, so queries landing inside a conservative relative
         error band around the threshold (``_CC_BAND`` scales with
         ``r^2 + d^2``, the magnitudes the cached subtraction cancels
@@ -336,250 +360,212 @@ class DelaunayTriangulation:
         cache only filters the clear cases. The band matters: a query on
         a chord of a super-triangle-sized circumcircle is inside by a
         margin of ~1 against r^2 ~ 1e13, far below any fixed relative
-        fudge. Degenerate (orient == 0) slots store ``r^2 = -inf`` and so
-        never test bad — the cavity never grows through flat triangles.
+        fudge. Flat (orient == 0) triangles are never bad.
         """
-        n = self._nt
-        cc = self._tri_cc
-        dx = cc[0, :n] - px
-        dy = cc[1, :n] - py
+        a, b, c, orient, ux, uy, r2, thr = tri
+        if orient == 0:
+            return 0
+        dx = ux - px
+        dy = uy - py
         d2 = dx * dx + dy * dy
-        lhs = cc[2, :n] - d2
-        thr = cc[3, :n]
-        band = _CC_BAND * (cc[2, :n] + d2)
-        live = self._tri_live[:n]
-        bad = live & (lhs > thr + band)
-        uncertain = live & ~bad & (lhs > thr - band)
-        if uncertain.any():
-            idx = np.flatnonzero(uncertain)
-            xy = self._tri_xy[:, idx]
-            adx, ady = xy[0] - px, xy[1] - py
-            bdx, bdy = xy[2] - px, xy[3] - py
-            cdx, cdy = xy[4] - px, xy[5] - py
-            det = (
-                (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-                - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-                + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-            )
-            orient = self._tri_orient[idx]
-            bad[idx] = ((orient > 0) & (det > EPSILON)) | (
-                (orient < 0) & (-det > EPSILON)
-            )
-        return np.flatnonzero(bad)
+        lhs = r2 - d2
+        band = _CC_BAND * (r2 + d2)
+        if lhs > thr + band:
+            return 1
+        if not lhs > -thr - band:
+            return -1
+        if lhs > thr - band:
+            det = self._incircle_det(a, b, c, px, py)
+            if (det > EPSILON) if orient > 0 else (-det > EPSILON):
+                return 1
+        return 0
 
-    def _bad_triangle_slots_nonstrict(self, px: float, py: float) -> np.ndarray:
-        """Slots whose *closed* circumdisk contains ``(px, py)``.
-
-        The fallback cavity for degenerate inserts (a point lying exactly
-        on circumcircle boundaries, which the strict scan rejects). Same
-        exact determinant as the reference scan with the strictness
-        inequality flipped to include the boundary; flat (orient == 0)
-        slots stay excluded, as everywhere else.
-        """
-        n = self._nt
-        xy = self._tri_xy
-        adx, ady = xy[0, :n] - px, xy[1, :n] - py
-        bdx, bdy = xy[2, :n] - px, xy[3, :n] - py
-        cdx, cdy = xy[4, :n] - px, xy[5, :n] - py
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
-        orient = self._tri_orient[:n]
-        bad = self._tri_live[:n] & (
-            ((orient > 0) & (det >= -EPSILON))
-            | ((orient < 0) & (-det >= -EPSILON))
-        )
-        return np.flatnonzero(bad)
-
-    def _bad_triangle_slots_reference(self, px: float, py: float) -> np.ndarray:
-        """Determinant-form bad-triangle scan (validation oracle).
-
-        Whole-array evaluation of the same determinant the scalar
-        :func:`repro.geometry.predicates.incircle` computes, term order
-        preserved so the two agree bitwise.
-        """
-        n = self._nt
-        xy = self._tri_xy
-        adx, ady = xy[0, :n] - px, xy[1, :n] - py
-        bdx, bdy = xy[2, :n] - px, xy[3, :n] - py
-        cdx, cdy = xy[4, :n] - px, xy[5, :n] - py
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
-        orient = self._tri_orient[:n]
-        bad = self._tri_live[:n] & (
-            ((orient > 0) & (det > EPSILON)) | ((orient < 0) & (-det > EPSILON))
-        )
-        return np.flatnonzero(bad)
-
-    def _add_triangle(self, a: int, b: int, c: int) -> None:
-        # Inlined scalar orientation predicate (identical formula and
-        # EPSILON to predicates.orientation, minus the Point2 boxing —
-        # this runs ~6x per insert).
-        verts = self._vert_list
+    def _incircle_det(self, a: int, b: int, c: int, px: float, py: float) -> float:
+        """The in-circle determinant of the scalar predicate, same term order."""
+        verts = self._verts
         ax, ay = verts[a]
         bx, by = verts[b]
         cx, cy = verts[c]
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if det < -EPSILON:
-            a, b = b, a
-            ax, ay, bx, by = bx, by, ax, ay
-            # Orientation of the *stored* (swapped) triple, recomputed:
-            # this is exactly what the scalar in-circle predicate would see.
-            det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        slot = self._new_slot()
-        self._tri_buf[slot] = (a, b, c)
-        self._tri_live[slot] = True
-        self._tri_orient[slot] = (
-            1 if det > EPSILON else (-1 if det < -EPSILON else 0)
+        adx, ady = ax - px, ay - py
+        bdx, bdy = bx - px, by - py
+        cdx, cdy = cx - px, cy - py
+        return (
+            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
         )
-        self._tri_xy[:, slot] = (ax, ay, bx, by, cx, cy)
-        if det > EPSILON or det < -EPSILON:
-            # Circumcircle parameters for the cached bad-triangle test:
-            # centre, radius^2, and the per-slot strictness threshold
-            # EPSILON / |2A| (the in-circle determinant divided by the
-            # doubled signed area equals r^2 - d^2 in exact arithmetic).
-            # Queries within the rounding band around the threshold fall
-            # back to the exact determinant — see _bad_triangle_slots.
-            asq = ax * ax + ay * ay
-            bsq = bx * bx + by * by
-            csq = cx * cx + cy * cy
-            d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-            ux = (asq * (by - cy) + bsq * (cy - ay) + csq * (ay - by)) / d
-            uy = (asq * (cx - bx) + bsq * (ax - cx) + csq * (bx - ax)) / d
-            # Plain multiplication, not ** 2: libm pow and numpy's square
-            # can differ in the last ulp, and the batched adder must store
-            # bitwise-identical parameters. (A 1-ulp r^2 shift only moves
-            # queries in or out of the exact-retest band — never changes a
-            # cavity decision.)
-            rx, ry = ax - ux, ay - uy
-            r2 = rx * rx + ry * ry
-            self._tri_cc[:, slot] = (ux, uy, r2, EPSILON / abs(det))
-        else:
-            # Degenerate triangle: no finite circumcircle; r^2 = -inf
-            # guarantees the cached test never reports it bad.
-            self._tri_cc[:, slot] = (0.0, 0.0, -np.inf, 0.0)
-        self._n_live += 1
-        self._simplices_cache = None
 
-    def _add_triangles(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        """Batched :meth:`_add_triangle` over parallel vertex-slot arrays.
+    def _grow_cavity(self, start: int, px: float, py: float) -> List[int]:
+        """Bad triangles reachable from ``start``, sorted by creation id.
 
-        Same scalar formulas evaluated elementwise and the same sequential
-        slot order, so the stored buffers are bitwise what the one-at-a-time
-        loop would produce — this only strips the per-triangle Python
-        overhead (~6 calls per insert).
+        Grows through edge neighbours. A bad neighbour joins the cavity; a
+        flat one, or one within the tie window of :meth:`_incircle`, is
+        passed through without joining: an earlier tie resolved as
+        "outside" leaves the mesh a little off Delaunay, and a scan over
+        every triangle also finds bad triangles behind such a neighbour.
         """
-        e = len(a)
-        if e == 0:
-            return
-        self._grow_triangle_buffers(self._nt + e)
-        tri = np.empty((e, 3), dtype=self._tri_buf.dtype)
-        tri[:, 0] = a
-        tri[:, 1] = b
-        tri[:, 2] = c
-        xy = self._vert_buf[tri.ravel()].reshape(e, 3, 2)
-        ax, ay = xy[:, 0, 0], xy[:, 0, 1]
-        bx, by = xy[:, 1, 0], xy[:, 1, 1]
-        cx, cy = xy[:, 2, 0], xy[:, 2, 1]
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        swap = np.flatnonzero(det < -EPSILON)
-        if swap.size:
-            tri[swap, 0], tri[swap, 1] = tri[swap, 1], tri[swap, 0]
-            xy[swap, 0], xy[swap, 1] = xy[swap, 1], xy[swap, 0]
-            sa, sb, sc = xy[swap, 0], xy[swap, 1], xy[swap, 2]
-            det[swap] = (sb[:, 0] - sa[:, 0]) * (sc[:, 1] - sa[:, 1]) - (
-                sb[:, 1] - sa[:, 1]
-            ) * (sc[:, 0] - sa[:, 0])
-        s0 = self._nt
-        s1 = s0 + e
-        self._nt = s1
-        self._tri_buf[s0:s1] = tri
-        self._tri_live[s0:s1] = True
-        orient = np.zeros(e, dtype=self._tri_orient.dtype)
-        orient[det > EPSILON] = 1
-        orient[det < -EPSILON] = -1
-        self._tri_orient[s0:s1] = orient
-        self._tri_xy[:, s0:s1] = xy.reshape(e, 6).T
-        sq = xy[:, :, 0] * xy[:, :, 0] + xy[:, :, 1] * xy[:, :, 1]
-        asq, bsq, csq = sq[:, 0], sq[:, 1], sq[:, 2]
-        t1, t2, t3 = by - cy, cy - ay, ay - by
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = 2.0 * (ax * t1 + bx * t2 + cx * t3)
-            ux = (asq * t1 + bsq * t2 + csq * t3) / d
-            uy = (asq * (cx - bx) + bsq * (ax - cx) + csq * (bx - ax)) / d
-            rx, ry = ax - ux, ay - uy
-            r2 = rx * rx + ry * ry
-            thr = EPSILON / np.abs(det)
-        cc = self._tri_cc
-        cc[0, s0:s1] = ux
-        cc[1, s0:s1] = uy
-        cc[2, s0:s1] = r2
-        cc[3, s0:s1] = thr
-        degenerate = np.flatnonzero(orient == 0)
-        if degenerate.size:
-            cols = s0 + degenerate
-            cc[0, cols] = 0.0
-            cc[1, cols] = 0.0
-            cc[2, cols] = -np.inf
-            cc[3, cols] = 0.0
-        self._n_live += e
-        self._simplices_cache = None
+        tris = self._tris
+        edge = self._edge
+        incircle = self._incircle
+        cavity = [start]
+        seen = {start}
+        todo = [start]
+        while todo:
+            a, b, c = tris[todo.pop()][:3]
+            for key in ((b, a), (c, b), (a, c)):
+                n = edge.get(key)
+                if n is None or n in seen:
+                    continue
+                seen.add(n)
+                test = incircle(tris[n], px, py)
+                if test >= 0:
+                    todo.append(n)
+                    if test:
+                        cavity.append(n)
+        cavity.sort()
+        return cavity
 
-    def _cavity_boundary(self, bad_slots: np.ndarray) -> List[Tuple[int, int]]:
-        """Directed edges of the cavity border, interior on the left.
+    def _scan(self, px: float, py: float) -> List[int]:
+        """Every bad triangle, in creation order: the fallback cavity.
 
-        Edges appearing in exactly one cavity triangle, in first-occurrence
-        order of the triangles' ``(a,b) (b,c) (c,a)`` edge scan — the same
-        sequence the original dict accumulation produced, so downstream
-        triangle slots are assigned identically.
+        When no circumcircle strictly contains the point it sits exactly
+        *on* circumcircle boundaries (degenerate input — e.g. a
+        non-duplicate point on an existing edge). The closed-circumdisk
+        cavity is still a valid Bowyer–Watson step, so the scan retries
+        non-strictly with the exact determinant; flat triangles stay out.
+        An empty result means the point is outside the super-triangle.
         """
-        rows = self._tri_buf[bad_slots]
-        if len(rows) > 4:
-            u = rows[:, (0, 1, 2)].ravel()
-            v = rows[:, (1, 2, 0)].ravel()
-            lo = np.minimum(u, v).astype(np.int64)
-            hi = np.maximum(u, v).astype(np.int64)
-            _, first, counts = np.unique(
-                lo * np.int64(self._nv + 1) + hi,
-                return_index=True,
-                return_counts=True,
-            )
-            pos = np.sort(first[counts == 1])
-            return list(zip(u[pos].tolist(), v[pos].tolist()))
-        count: Dict[Tuple[int, int], int] = {}
-        directed: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for row in rows.tolist():
-            a, b, c = row
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                count[key] = count.get(key, 0) + 1
-                directed[key] = (u, v)
-        return [directed[k] for k, n in count.items() if n == 1]
+        tris = self._tris
+        incircle = self._incircle
+        bad = [t for t, tri in tris.items() if incircle(tri, px, py) > 0]
+        if bad:
+            return bad
+        closed = []
+        for t, (a, b, c, orient, *_) in tris.items():
+            if orient == 0:
+                continue
+            det = self._incircle_det(a, b, c, px, py)
+            if (det >= -EPSILON) if orient > 0 else (-det >= -EPSILON):
+                closed.append(t)
+        return closed
+
+    def _add_fan(self, boundary: List[Tuple[int, int]], c: int) -> None:
+        """Create triangle ``(u, v, c)`` for each edge of ``boundary``, in order.
+
+        Each new triangle gets the next creation id and caches its
+        orientation sign and circumcircle for :meth:`_incircle`. The
+        orientation is the scalar predicate's formula and EPSILON, inlined.
+        """
+        verts = self._verts
+        tris = self._tris
+        real = self._real
+        edge = self._edge
+        local = self._local
+        limit = _MISS * _MISS
+        cx, cy = verts[c]
+        csq = cx * cx + cy * cy
+        t = self._next_id
+        for a, b in boundary:
+            ax, ay = verts[a]
+            bx, by = verts[b]
+            det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            if det < -EPSILON:
+                # Only a cavity that is not star-shaped around c makes a
+                # clockwise triangle.
+                local = False
+                a, b = b, a
+                ax, ay, bx, by = bx, by, ax, ay
+                # Orientation of the *stored* (swapped) triple, recomputed:
+                # this is exactly what the scalar in-circle predicate sees.
+                det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            if det > EPSILON or det < -EPSILON:
+                # Circumcircle: centre, radius^2, and the strictness
+                # threshold EPSILON / |2A| (the in-circle determinant
+                # divided by the doubled signed area equals r^2 - d^2 in
+                # exact arithmetic).
+                asq = ax * ax + ay * ay
+                bsq = bx * bx + by * by
+                d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+                ux = (asq * (by - cy) + bsq * (cy - ay) + csq * (ay - by)) / d
+                uy = (asq * (cx - bx) + bsq * (ax - cx) + csq * (bx - ax)) / d
+                rx, ry = ax - ux, ay - uy
+                r2 = rx * rx + ry * ry
+                thr = EPSILON / abs(det)
+                tri = (a, b, c, 1 if det > 0 else -1, ux, uy, r2, thr)
+                # How far the cached circle misses b and c, against
+                # _MISS * r * (each edge length).
+                sx, sy = bx - ux, by - uy
+                tx, ty = cx - ux, cy - uy
+                m1 = sx * sx + sy * sy - r2
+                m2 = tx * tx + ty * ty - r2
+                miss2 = max(m1 * m1, m2 * m2)
+                k = limit * r2
+                ex, ey = bx - ax, by - ay
+                fx, fy = cx - bx, cy - by
+                gx, gy = ax - cx, ay - cy
+                if (
+                    thr > _SLIVER * r2
+                    or miss2 > k * (ex * ex + ey * ey)
+                    or miss2 > k * (fx * fx + fy * fy)
+                    or miss2 > k * (gx * gx + gy * gy)
+                ):
+                    local = False
+            else:
+                # Degenerate triangle: no finite circumcircle, never bad.
+                tri = (a, b, c, 0, 0.0, 0.0, -math.inf, 0.0)
+                local = False
+            tris[t] = tri
+            if a >= _N_SUPER and b >= _N_SUPER and c >= _N_SUPER:
+                real[t] = (a, b, c)
+            for key in ((a, b), (b, c), (c, a)):
+                if key in edge:
+                    local = False
+                edge[key] = t
+            t += 1
+        self._next_id = t
+        self._local = local
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def find_vertex(self, point: PointLike, tol: float = 1e-9) -> Optional[int]:
-        """Public index of an existing vertex within ``tol``, else ``None``."""
+        """Public index of an existing vertex within ``tol``, else ``None``.
+
+        The lowest such index: a vertex matches when both coordinate
+        differences are within ``tol`` and its squared distance is within
+        ``tol * tol``.
+        """
         p = Point2.of(point)
-        real = self._vert_buf[_N_SUPER : self._nv]
-        if len(real) == 0:
-            return None
-        dx = np.abs(real[:, 0] - p.x)
-        dy = np.abs(real[:, 1] - p.y)
-        box = (dx <= tol) & (dy <= tol)
-        if not box.any():
-            return None
-        cand = np.flatnonzero(box)
-        hit = cand[dx[cand] ** 2 + dy[cand] ** 2 <= tol * tol]
-        if hit.size == 0:
-            return None
-        return int(hit[0])
+        return self._find(p.x, p.y, float(tol))
+
+    def _find(self, x: float, y: float, tol: float) -> Optional[int]:
+        verts = self._verts
+        candidates: Iterable[int] = range(len(verts) - _N_SUPER)
+        if math.isfinite(tol) and math.isfinite(x) and math.isfinite(y):
+            # Cells of every point the box test can pass: a coordinate
+            # difference that rounds to <= tol is at most tol * (1 + 2^-52)
+            # exactly, and the 4-ulp pad covers that and the rounding of
+            # the bounds themselves.
+            h = self._cell
+            mx = tol + 4.0 * math.ulp(abs(x) + tol)
+            my = tol + 4.0 * math.ulp(abs(y) + tol)
+            i0, i1 = math.floor((x - mx) / h), math.floor((x + mx) / h)
+            j0, j1 = math.floor((y - my) / h), math.floor((y + my) / h)
+            if (i1 - i0 + 1) * (j1 - j0 + 1) <= _MAX_QUERY_CELLS:
+                grid = self._grid
+                found: List[int] = []
+                for i in range(i0, i1 + 1):
+                    for j in range(j0, j1 + 1):
+                        found.extend(grid.get((i, j), ()))
+                candidates = sorted(found)
+        tol2 = tol * tol
+        for v in candidates:
+            vx, vy = verts[v + _N_SUPER]
+            dx = abs(vx - x)
+            dy = abs(vy - y)
+            if dx <= tol and dy <= tol and dx * dx + dy * dy <= tol2:
+                return v
+        return None
 
     def locate(self, point: PointLike) -> Optional[Triangle]:
         """The real triangle containing ``point`` (boundary inclusive).
@@ -592,7 +578,7 @@ class DelaunayTriangulation:
         simp = self.simplices
         if simp.size == 0:
             return None
-        pts = self._vert_buf[_N_SUPER : self._nv]
+        pts = self._real_points()
         a = pts[simp[:, 0]]
         b = pts[simp[:, 1]]
         c = pts[simp[:, 2]]
@@ -628,11 +614,11 @@ class DelaunayTriangulation:
     def is_delaunay(self, eps: float = 1e-7) -> bool:
         """Verify the empty-circumcircle property over real triangles.
 
-        O(m·n) and deliberately evaluated with the *scalar* predicates one
-        triangle at a time — this is the validation oracle for the
-        vectorised insertion scan, so it must not share its code path.
-        Intended for tests and assertions, not hot paths. Cocircular
-        configurations count as valid.
+        O(m·n) and deliberately evaluated with the *scalar*
+        :func:`~repro.geometry.predicates.incircle` one triangle at a time,
+        so it shares no code with the cached insertion test. Intended for
+        tests and assertions, not hot paths. Cocircular configurations
+        count as valid.
         """
         pts = self.points
         for tri in self.triangles:

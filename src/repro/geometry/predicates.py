@@ -81,7 +81,7 @@ def incircle(
         det = -det
     elif orient == 0:
         # Degenerate triangle has no circumcircle; treat as "outside" so the
-        # Bowyer-Watson cavity never grows through flat triangles.
+        # Bowyer-Watson cavity never takes in a flat triangle.
         return -1
     if det > eps:
         return 1

@@ -203,31 +203,11 @@ class TestLocate:
 
 
 class TestCircumcircleCache:
-    """PR-2: the cached r²-based bad-triangle test vs the determinant oracle."""
+    """Meshes built with the cached circumcircle test stay Delaunay.
 
-    def _assert_cache_matches(self, pts, queries):
-        dt = DelaunayTriangulation(pts)
-        for q in queries:
-            fast = dt._bad_triangle_slots(q[0], q[1])
-            ref = dt._bad_triangle_slots_reference(q[0], q[1])
-            assert np.array_equal(fast, ref)
-
-    def test_uniform_points(self, rng):
-        pts = rng.uniform(0, 100, size=(60, 2))
-        self._assert_cache_matches(pts, rng.uniform(0, 100, size=(200, 2)))
-
-    def test_clustered_points(self, rng):
-        # Late-round CMA layouts cluster nodes tightly; near-cocircular
-        # and sliver configurations stress the cached threshold most.
-        centres = rng.uniform(20, 80, size=(6, 2))
-        pts = np.vstack([
-            c + rng.normal(0, 0.4, size=(12, 2)) for c in centres
-        ])
-        queries = np.vstack([
-            rng.uniform(0, 100, size=(100, 2)),
-            pts + rng.normal(0, 0.05, size=pts.shape),  # near-vertex probes
-        ])
-        self._assert_cache_matches(pts, queries)
+    The cached test against the whole-scan oracle, insert by insert, is
+    in test_delaunay_equivalence.py.
+    """
 
     def test_incremental_build_stays_delaunay(self, rng):
         dt = DelaunayTriangulation()
