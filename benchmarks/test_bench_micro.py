@@ -3,7 +3,7 @@
 These are the inner loops every experiment stands on: Delaunay insertion,
 vectorised surface evaluation, full-surface reconstruction at several
 node counts, the δ metric, relay planning, on-node curvature estimation,
-and one full CMA simulation round.
+the fleet planner of one CMA round, and one full CMA simulation round.
 
 ``tools/bench_compare.py`` diffs ``--benchmark-json`` dumps of this
 suite; CI runs ``bench_compare --trajectory`` to show every committed
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.cma import CMAParams
+from repro.core.cma import CMAParams, estimate_own_curvature
 from repro.core.fra import foresighted_refinement
 from repro.core.problem import OSTDProblem
 from repro.fields.base import sample_grid
@@ -24,6 +24,14 @@ from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.interpolation import LinearSurfaceInterpolator
 from repro.geometry.primitives import BoundingBox
 from repro.graphs.relay import plan_relays
+from repro.runtime.cma_phases import (
+    CapturePhase,
+    ConstrainMovePhase,
+    ExchangePhase,
+    MobileRoundContext,
+    PlanPhase,
+    SensePhase,
+)
 from repro.sim.engine import MobileSimulation, default_grid_layout
 from repro.surfaces.metrics import volume_difference
 from repro.surfaces.quadric import fit_quadric
@@ -123,6 +131,42 @@ def test_bench_cma_round(benchmark):
     record = benchmark.pedantic(sim.step, rounds=3, iterations=1,
                                 warmup_rounds=0)
     assert record.n_alive == 100
+
+
+def test_bench_plan_round_100(benchmark):
+    """Own-curvature fit + plan + constrain-move of one captured round.
+
+    The fig10 set-up (k=100) after 5 rounds, its sense and exchange
+    phases run once; each timed call refits every node, plans the fleet
+    and applies the clipped moves, from the same pre-move state.
+    """
+    field = GreenOrbsLightField(seed=7, freeze_sun_at=600.0)
+    problem = OSTDProblem(
+        k=100, rc=10.0, rs=5.0, region=field.region, field=field,
+        speed=1.0, t0=600.0, duration=45.0,
+    )
+    sim = MobileSimulation(problem)
+    for _ in range(5):
+        sim.step()
+    ctx = MobileRoundContext(sim)
+    for phase in (CapturePhase(), SensePhase(), ExchangePhase()):
+        phase.run(ctx)
+    pre_move = sim.state.copy()
+    plan, constrain = PlanPhase(), ConstrainMovePhase()
+    alive_positions = ctx.positions[ctx.alive_ids]
+
+    def restore():
+        sim.state.positions[:] = pre_move.positions
+        sim.state.distance_travelled[:] = pre_move.distance_travelled
+
+    def round_plan():
+        estimate_own_curvature(ctx.sensing, alive_positions, sim.params)
+        plan.run(ctx)
+        constrain.run(ctx)
+
+    benchmark.pedantic(round_plan, setup=restore, rounds=20, iterations=1,
+                       warmup_rounds=1)
+    assert ctx.n_moved > 0
 
 
 def _step_simulation(k: int) -> MobileSimulation:

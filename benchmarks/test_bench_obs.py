@@ -2,7 +2,7 @@
 
 The contract (ISSUE 1): instrumentation is off by default and a disabled
 ``Instrumentation`` must add ≤ 2% to ``MobileSimulation.step``. A step
-makes a bounded number of instrumentation touches — 7 no-op spans, a few
+makes a bounded number of instrumentation touches — 10 no-op spans, a few
 ``enabled`` checks — so the proof is direct: measure the per-step cost of
 exactly those touches, measure a real step, and bound the ratio. The
 margin is orders of magnitude (microseconds vs tens of milliseconds),
@@ -36,12 +36,16 @@ def make_sim(obs=None, k=100, resolution=101, **kwargs):
 def noop_step_touches(obs):
     """The exact instrumentation sequence one disabled step executes:
 
-    an outer ``step`` span, six phase spans, the ``enabled`` guards in
-    ``step``/``_lcm_pass``, and one ambient lookup in reconstruction.
+    an outer ``step`` span, six phase spans, the ``read``/``fit`` spans
+    inside ``sense``, the ``enabled`` guards in ``step``/``_lcm_pass``,
+    and one ambient lookup in reconstruction.
     """
     with obs.span("step"):
         with obs.span("sense"):
-            pass
+            with obs.span("read"):
+                pass
+            with obs.span("fit"):
+                pass
         with obs.span("exchange"):
             pass
         with obs.span("plan"):

@@ -8,7 +8,8 @@
   comparison points) plus ablation variants.
 * :mod:`.forces` — the virtual-force model of Eqns. 14–18.
 * :mod:`.lcm` — the Local Connectivity Mechanism (Fig. 4).
-* :mod:`.cma` — the per-node Coordinated Movement Algorithm (Table 2).
+* :mod:`.cma` — the Coordinated Movement Algorithm's planner (Table 2),
+  evaluated for the whole fleet of a round at once.
 * :mod:`.cwd` — the curvature-weighted distribution pattern (Eqns. 9–10):
   global solver, residual diagnostics.
 """
@@ -34,7 +35,13 @@ from repro.core.baselines import (
     uniform_grid_placement,
 )
 from repro.core.lcm import LCMDecision, lcm_adjustment
-from repro.core.cma import CMAParams, CMAPlan, plan_move
+from repro.core.cma import (
+    CMAParams,
+    CMAPlan,
+    FleetSensing,
+    NeighborTable,
+    plan_move,
+)
 from repro.core.cwd import CWDResult, balance_residuals, solve_cwd, total_curvature
 from repro.core.coverage import coverage_radius_for_full_coverage, sensing_coverage
 from repro.core.exact import ExactOSDResult, exhaustive_osd
@@ -47,9 +54,11 @@ __all__ = [
     "ExactOSDResult",
     "FRAConfig",
     "FRAResult",
+    "FleetSensing",
     "ForceBreakdown",
     "LCMDecision",
     "LocalSearchResult",
+    "NeighborTable",
     "OSDProblem",
     "OSTDProblem",
     "PlacementResult",

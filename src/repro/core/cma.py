@@ -1,4 +1,4 @@
-"""The Coordinated Movement Algorithm — per-node planning (paper Table 2).
+"""The Coordinated Movement Algorithm — the planner of paper Table 2.
 
 CMA is fully distributed: each round a node (lines 2–12 of the pseudocode)
 
@@ -13,20 +13,40 @@ CMA is fully distributed: each round a node (lines 2–12 of the pseudocode)
 This module implements the *decision* logic as pure functions over local
 observations — no global state, no field access — so the same code runs
 under the simulation engine (:mod:`repro.sim.engine`) and in unit tests
-with hand-built observations. Time complexity per node is O(m + q) as in
+with hand-built observations. A node's decision reads only its own
+sensing and its one-hop beacons, all from the round's pre-move snapshot,
+so the decisions of a whole round are evaluated together:
+:func:`estimate_own_curvature` fits every node's quadric and
+:func:`plan_move` computes every node's forces, balance test and
+destination, each in one call over packed arrays (:class:`FleetSensing`,
+:class:`NeighborTable`). Row ``i`` of every result depends on node ``i``'s
+inputs alone and is bit-identical to evaluating that node by itself
+(DESIGN.md §6.16). Time complexity per node is O(m + q) as in
 Theorem 5.1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.forces import ForceBreakdown, VirtualForceParams, resultant_force
+from repro.core.forces import (
+    ForceBreakdown,
+    VirtualForceParams,
+    fleet_resultant_force,
+)
 from repro.geometry.primitives import BoundingBox
-from repro.surfaces.quadric import QuadricFitMode, fit_quadric
+from repro.surfaces.quadric import (
+    QuadricFitMode,
+    principal_curvatures,
+    quadric_design,
+)
+
+#: Nodes per stacked design matrix in :func:`estimate_own_curvature`;
+#: bounds the stack to about 64 · 81 · 6 doubles (250 kB) at ``Rs = 5``.
+FIT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -134,12 +154,73 @@ class LocalSensing:
     def m(self) -> int:
         return len(self.positions)
 
-    def peak(self) -> tuple:
-        """``pc``: the sensed position of maximum curvature weight."""
-        if self.m == 0:
-            return None, 0.0
-        idx = int(np.argmax(self.curvatures))
-        return self.positions[idx], float(self.curvatures[idx])
+
+@dataclass(frozen=True)
+class FleetSensing:
+    """A round's :class:`LocalSensing` of ``n`` nodes, packed end to end.
+
+    Node ``i``'s samples are rows ``offsets[i]:offsets[i + 1]`` of
+    ``positions`` (``(M, 2)``), ``values`` and ``curvatures`` (``(M,)``).
+    """
+
+    positions: np.ndarray
+    values: np.ndarray
+    curvatures: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def pack(cls, sensings: Sequence[LocalSensing]) -> "FleetSensing":
+        offsets = np.zeros(len(sensings) + 1, dtype=np.intp)
+        np.cumsum([s.m for s in sensings], out=offsets[1:])
+
+        def joined(arrays, tail=()):
+            # The leading empty float block fixes the dtype and makes an
+            # empty fleet well-shaped.
+            return np.concatenate(
+                [np.empty((0, *tail))]
+                + [np.reshape(a, (-1, *tail)) for a in arrays]
+            )
+
+        return cls(
+            positions=joined([s.positions for s in sensings], (2,)),
+            values=joined([s.values for s in sensings]),
+            curvatures=joined([s.curvatures for s in sensings]),
+            offsets=offsets,
+        )
+
+    @property
+    def counts(self) -> np.ndarray:
+        """``m`` of every node."""
+        return np.diff(self.offsets)
+
+    def peaks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``pc`` of every node: sensed position and weight of its maximum.
+
+        Returns ``(positions (n, 2), weights (n,), found (n,))``. The first
+        maximum wins, as ``np.argmax`` picks it; a node that sensed
+        nothing has ``found`` false and a zero row.
+        """
+        counts = self.counts
+        filled = _filled_slots(counts, minimum_width=1)
+        padded = np.full(filled.shape, -np.inf)
+        padded[filled] = self.curvatures
+        found = counts > 0
+        flat = self.offsets[:-1][found] + padded[found].argmax(axis=1)
+        peak_positions = np.zeros((len(counts), 2))
+        peak_weights = np.zeros(len(counts))
+        peak_positions[found] = self.positions[flat]
+        peak_weights[found] = self.curvatures[flat]
+        return peak_positions, peak_weights, found
+
+
+def _filled_slots(counts: np.ndarray, minimum_width: int = 0) -> np.ndarray:
+    """``(n, d)`` mask of the first ``counts[i]`` slots of each row.
+
+    ``d`` is the largest count (at least ``minimum_width``). Assigning a
+    flat array through the mask fills the rows in order, slot by slot.
+    """
+    width = max(int(counts.max()) if len(counts) else 0, minimum_width)
+    return np.arange(width) < counts[:, None]
 
 
 @dataclass(frozen=True)
@@ -159,110 +240,190 @@ class NeighborObservation:
     staleness: int = 0
 
 
-@dataclass
-class CMAPlan:
-    """One node's decision for the round (its ``tell`` content + bookkeeping)."""
+@dataclass(frozen=True)
+class NeighborTable:
+    """The usable ``Rx`` records of ``n`` nodes as padded arrays.
 
-    node_id: int
-    origin: np.ndarray
-    destination: np.ndarray
-    breakdown: Optional[ForceBreakdown]
-    own_curvature: float
-    #: Neighbour table the node announces with its tell() (positions).
-    neighbor_table: List[NeighborObservation] = field(default_factory=list)
+    Row ``i`` holds node ``i``'s records in inbox order: ``ids``
+    (``(n, d)``, ``-1`` padding), ``positions`` (``(n, d, 2)``) and the
+    age-decayed ``curvatures`` (``(n, d)``); ``counts[i]`` of its slots
+    are filled. Records older than ``max_beacon_age`` are left out.
+    """
+
+    ids: np.ndarray
+    positions: np.ndarray
+    curvatures: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def pack(
+        cls,
+        inboxes: Sequence[Sequence[NeighborObservation]],
+        params: CMAParams,
+    ) -> "NeighborTable":
+        # Graceful degradation under an unreliable network: last-known
+        # neighbour state stays usable, but its curvature pull fades with
+        # age and a record past the bound is dropped outright. Age-0
+        # records (every record, on a perfect network) pass untouched.
+        max_age = params.max_beacon_age
+        decay = params.stale_weight_decay
+        ids: List[int] = []
+        positions: list = []
+        curvatures: List[float] = []
+        counts: List[int] = []
+        for inbox in inboxes:
+            kept = 0
+            for obs in inbox:
+                if max_age is not None and obs.staleness > max_age:
+                    continue
+                ids.append(obs.node_id)
+                positions.append(obs.position)
+                curvatures.append(
+                    obs.curvature if obs.staleness == 0
+                    else obs.curvature * decay**obs.staleness
+                )
+                kept += 1
+            counts.append(kept)
+        count_arr = np.asarray(counts, dtype=np.intp)
+        filled = _filled_slots(count_arr)
+        table = cls(
+            ids=np.full(filled.shape, -1, dtype=np.intp),
+            positions=np.zeros(filled.shape + (2,)),
+            curvatures=np.zeros(filled.shape),
+            counts=count_arr,
+        )
+        table.ids[filled] = ids
+        table.positions[filled] = np.asarray(positions, dtype=float).reshape(
+            -1, 2
+        )
+        table.curvatures[filled] = curvatures
+        return table
 
     @property
-    def moved(self) -> bool:
-        return bool(np.linalg.norm(self.destination - self.origin) > 0.0)
+    def mask(self) -> np.ndarray:
+        """``(n, d)``: which slots hold a record."""
+        return _filled_slots(self.counts, self.ids.shape[1])
+
+    def id_lists(self) -> List[List[int]]:
+        """Each node's neighbour ids, in inbox order."""
+        return [
+            row[:count] for row, count in
+            zip(self.ids.tolist(), self.counts.tolist())
+        ]
+
+
+@dataclass(frozen=True)
+class CMAPlan:
+    """The fleet's decisions for one round (each node's ``tell`` content).
+
+    Row ``r`` of every array is node ``node_ids[r]``: its pre-move
+    ``origins`` row, its ``destinations`` row, its stacked force
+    ``breakdown`` and ``|Fs|`` in ``magnitudes``. ``neighbors`` is the
+    table each node announces with its ``tell()``.
+    """
+
+    node_ids: np.ndarray
+    origins: np.ndarray
+    destinations: np.ndarray
+    breakdown: ForceBreakdown
+    magnitudes: np.ndarray
+    neighbors: NeighborTable
+
+    @property
+    def moved(self) -> np.ndarray:
+        """``(n,)``: which nodes plan a non-zero step."""
+        step = self.destinations - self.origins
+        return np.vecdot(step, step) > 0.0
 
 
 def estimate_own_curvature(
-    sensing: LocalSensing,
-    position: np.ndarray,
+    sensing: FleetSensing,
+    positions: np.ndarray,
     params: CMAParams,
-) -> float:
-    """``G(n'_i)`` via the least-squares quadric of Eqns. 11–13.
+) -> np.ndarray:
+    """``G(n'_i)`` of every node via the least-squares quadric of Eqns. 11–13.
 
-    Falls back to zero curvature when too few samples were sensed to fit
-    (a node pressed into a region corner can see < 6 grid cells).
+    ``positions`` is ``(n, 2)``, row ``i`` the centre of node ``i``'s fit.
+    A node with too few samples to fit (one pressed into a region corner
+    can see < 6 grid cells) gets zero curvature.
+
+    Nodes with equal ``m`` share one stacked design matrix, built
+    :data:`FIT_CHUNK` nodes at a time; each node's solve is still its
+    own ``np.linalg.lstsq`` on its slice, so the coefficients are the
+    ones :func:`~repro.surfaces.quadric.fit_quadric` finds, and Eqns.
+    12–13 run on them as Python floats, as the single fit does.
     """
+    counts = sensing.counts
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    curvature = np.zeros(len(counts))
     needed = 3 if params.quadric_mode is QuadricFitMode.PAPER else 6
-    if sensing.m < needed:
-        return 0.0
-    fit = fit_quadric(
-        sensing.positions,
-        sensing.values,
-        center=(float(position[0]), float(position[1])),
-        mode=params.quadric_mode,
-    )
-    g = fit.gaussian_curvature()
-    return g if params.signed_curvature else abs(g)
+    for m in np.unique(counts[counts >= needed]).tolist():
+        members = np.flatnonzero(counts == m)
+        for start in range(0, len(members), FIT_CHUNK):
+            chunk = members[start:start + FIT_CHUNK]
+            rows = sensing.offsets[chunk, None] + np.arange(m)
+            design = quadric_design(
+                sensing.positions[rows], pos[chunk], params.quadric_mode
+            )
+            values = sensing.values[rows]
+            for slot, i in enumerate(chunk.tolist()):
+                coeffs = np.linalg.lstsq(
+                    design[slot], values[slot], rcond=None
+                )[0]
+                g1, g2 = principal_curvatures(
+                    float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
+                )
+                g = g1 * g2
+                curvature[i] = g if params.signed_curvature else abs(g)
+    return curvature
 
 
 def plan_move(
-    node_id: int,
-    position: np.ndarray,
-    sensing: LocalSensing,
-    neighbors: Sequence[NeighborObservation],
+    node_ids: np.ndarray,
+    positions: np.ndarray,
+    sensing: FleetSensing,
+    neighbors: NeighborTable,
     params: CMAParams,
     region: BoundingBox,
-    own_curvature: Optional[float] = None,
 ) -> CMAPlan:
-    """Lines 6–18 of Table 2: forces, balance test, destination choice.
+    """Lines 6–18 of Table 2 for every node: forces, balance, destination.
 
-    The destination is along ``Fs``, at most ``min(v·dt, Rs)`` away
-    (DESIGN.md §6.7), clamped into the region.
-
-    ``own_curvature`` lets a caller that already ran the quadric fit this
-    round (the engine's sense phase does, on the same samples) pass the
-    result in instead of re-fitting — the least-squares solve is the
-    single most expensive per-node operation in a round. When omitted it
-    is computed here, as before.
+    Row ``r`` of ``positions``, ``sensing`` and ``neighbors`` belongs to
+    node ``node_ids[r]``. A destination is along ``Fs``, at most
+    ``min(v·dt, Rs)`` away (DESIGN.md §6.7), clamped into the region.
+    The planner needs no own curvature: that goes out in the beacons.
     """
-    pos = np.asarray(position, dtype=float).reshape(2)
-    if own_curvature is None:
-        own_curvature = estimate_own_curvature(sensing, pos, params)
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
 
-    peak_pos, peak_curv = sensing.peak()
-    # Graceful degradation under an unreliable network: last-known
-    # neighbour state stays usable, but its curvature pull fades with
-    # age and a record past the bound is dropped outright. Age-0 records
-    # (every record, on a perfect network) pass through untouched.
-    usable: List[NeighborObservation] = [
-        n for n in neighbors
-        if params.max_beacon_age is None or n.staleness <= params.max_beacon_age
-    ]
-    nbr_pos = (
-        np.asarray([n.position for n in usable], dtype=float).reshape(-1, 2)
-        if usable
-        else np.empty((0, 2))
+    peak_positions, peak_weights, found = sensing.peaks()
+    breakdown = fleet_resultant_force(
+        pos, peak_positions, peak_weights, found,
+        neighbors.positions, neighbors.curvatures, neighbors.mask,
+        params.force_params(), region,
     )
-    nbr_curv = np.asarray(
-        [
-            n.curvature if n.staleness == 0
-            else n.curvature * params.stale_weight_decay**n.staleness
-            for n in usable
-        ],
-        dtype=float,
-    )
-
-    breakdown = resultant_force(
-        pos, peak_pos, peak_curv, nbr_pos, nbr_curv, params.force_params(),
-        region=region,
-    )
-    magnitude = breakdown.magnitude
-    if magnitude <= params.stop_threshold:
-        destination = pos.copy()
-    else:
-        direction = breakdown.fs / magnitude
-        step = min(params.max_step, params.step_gain * magnitude)
-        destination = region.clamp(pos + direction * step).as_array()
+    fs = breakdown.fs
+    # |Fs| as np.linalg.norm takes it for one vector: sqrt of a BLAS
+    # dot. norm(axis=1) and einsum round differently (DESIGN.md §6.16).
+    magnitudes = np.sqrt(np.vecdot(fs, fs))
+    moving = ~(magnitudes <= params.stop_threshold)
+    step = np.minimum(params.max_step, params.step_gain * magnitudes)
+    # Balanced rows divide by a zero |Fs|; they keep their position below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = pos + fs / magnitudes[:, None] * step[:, None]
+    # BoundingBox.clamp's min(max(v, lo), hi), tie for tie.
+    for axis, lo, hi in (
+        (0, region.xmin, region.xmax), (1, region.ymin, region.ymax)
+    ):
+        coord = target[:, axis]
+        coord = np.where(lo > coord, lo, coord)
+        target[:, axis] = np.where(hi < coord, hi, coord)
+    destinations = np.where(moving[:, None], target, pos)
 
     return CMAPlan(
-        node_id=node_id,
-        origin=pos,
-        destination=destination,
+        node_ids=np.asarray(node_ids, dtype=np.intp).reshape(-1),
+        origins=pos,
+        destinations=destinations,
         breakdown=breakdown,
-        own_curvature=own_curvature,
-        neighbor_table=usable,
+        magnitudes=magnitudes,
+        neighbors=neighbors,
     )

@@ -29,6 +29,10 @@ so the term is still fully local.
 Curvature weights default to |G| per DESIGN.md §6.5 (a signed Gaussian
 curvature would make saddles *repel*); pass signed values to study the
 paper-literal variant.
+
+:func:`resultant_force` evaluates the forces on one node;
+:func:`fleet_resultant_force` evaluates them on every node of a round at
+once, bit for bit the same per node (DESIGN.md §6.16).
 """
 
 from __future__ import annotations
@@ -70,7 +74,11 @@ class VirtualForceParams:
 
 @dataclass(frozen=True)
 class ForceBreakdown:
-    """The individual force vectors acting on one node, plus the resultant."""
+    """The individual force vectors acting on one node, plus the resultant.
+
+    :func:`fleet_resultant_force` stacks them: each field is then ``(n, 2)``
+    with one row per node.
+    """
 
     f1: np.ndarray
     f2: np.ndarray
@@ -200,5 +208,89 @@ def resultant_force(
         if region is not None
         else np.zeros(2)
     )
+    fs = f1 + f2 + params.beta * fr + params.border_gain * fb
+    return ForceBreakdown(f1=f1, f2=f2, fr=fr, fb=fb, fs=fs)
+
+
+def _sum_in_order(terms: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """``Σ_j terms[:, j]`` over the present slots, left to right, from 0.
+
+    ``terms`` is ``(n, d, 2)``. This is the sum both a per-node loop and
+    numpy's ``sum(axis=0)`` over a node's ``(q, 2)`` terms make. Absent
+    slots add ``-0.0``, the exact additive identity, so they leave every
+    partial sum unchanged, signed zeros included.
+    """
+    padded = np.where(present[..., None], terms, -0.0)
+    total = np.zeros((len(terms), 2))
+    for j in range(padded.shape[1]):
+        total = total + padded[:, j]
+    return total
+
+
+def fleet_resultant_force(
+    positions: np.ndarray,
+    peak_positions: np.ndarray,
+    peak_curvatures: np.ndarray,
+    has_peak: np.ndarray,
+    neighbor_positions: np.ndarray,
+    neighbor_curvatures: np.ndarray,
+    neighbor_mask: np.ndarray,
+    params: VirtualForceParams,
+    region: BoundingBox,
+) -> ForceBreakdown:
+    """:func:`resultant_force` for ``n`` nodes at once, row for row.
+
+    ``positions``/``peak_positions`` are ``(n, 2)`` and ``peak_curvatures``
+    ``(n,)``; a node with ``has_peak`` false sensed nothing and gets no
+    F1. Node ``i``'s neighbours are the slots ``j`` of
+    ``neighbor_positions[i]`` (``(n, d, 2)``) and
+    ``neighbor_curvatures[i]`` (``(n, d)``) where ``neighbor_mask[i, j]``
+    holds. Every row is bit-identical to :func:`resultant_force` on that
+    node alone: the same elementwise formulas, and the neighbour sums
+    taken in slot order (DESIGN.md §6.16).
+    """
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    nbrs = np.asarray(neighbor_positions, dtype=float)
+    mask = np.asarray(neighbor_mask, dtype=bool)
+    rc = params.rc
+
+    f1 = np.where(
+        has_peak[:, None],
+        (peak_positions - pos) * peak_curvatures[:, None],
+        0.0,
+    )
+    f2 = _sum_in_order(
+        (nbrs - pos[:, None, :]) * neighbor_curvatures[..., None], mask
+    )
+
+    # Eqn. 17, as repulsion_from_neighbors: d is the norm(axis=1)
+    # formula, a coincident neighbour pushes along +x, and one beyond Rc
+    # does not push at all.
+    away = pos[:, None, :] - nbrs
+    sq = away * away
+    dists = np.sqrt(sq[..., 0] + sq[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        push = (rc - dists)[..., None] * (away / dists[..., None])
+    push = np.where((dists == 0.0)[..., None], np.array([rc, 0.0]), push)
+    fr = _sum_in_order(push, mask & (dists <= rc))
+
+    # CWD requirement #2, as border_attraction: wall by wall, in its order.
+    margin = rc / 2.0
+    fb = np.zeros_like(pos)
+    walls = (
+        (0, -1.0, pos[:, 0] - region.xmin),
+        (0, +1.0, region.xmax - pos[:, 0]),
+        (1, -1.0, pos[:, 1] - region.ymin),
+        (1, +1.0, region.ymax - pos[:, 1]),
+    )
+    for axis, sign, dist in walls:
+        ahead = sign * (nbrs[..., axis] - pos[:, axis, None]) > 1e-9
+        covered = (ahead & mask).any(axis=1)
+        pulls = ~((dist <= margin) | (dist > 2.5 * rc)) & ~covered
+        fb[:, axis] = np.where(
+            pulls, fb[:, axis] + sign * np.minimum(dist - margin, rc),
+            fb[:, axis],
+        )
+
     fs = f1 + f2 + params.beta * fr + params.border_gain * fb
     return ForceBreakdown(f1=f1, f2=f2, fr=fr, fb=fb, fs=fs)

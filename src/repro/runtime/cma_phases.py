@@ -21,17 +21,23 @@ arrays they index and write in place, and per-round scratch on the
 of engines or rounds. Moves write rows of ``state.positions``, so no
 phase keeps a row view across a move: plans are made from the round's
 pre-move copy (``ctx.positions``), which nothing writes.
+
+Sense and plan evaluate every alive node in one pass over packed arrays
+(:mod:`repro.core.cma`); constrain-move and LCM stay sequential in node
+order, because each move reads rows earlier movers wrote (DESIGN.md
+§6.16).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.cma import (
     CMAPlan,
-    LocalSensing,
+    FleetSensing,
+    NeighborTable,
     estimate_own_curvature,
     plan_move,
 )
@@ -63,7 +69,7 @@ class MobileRoundContext(RoundContext):
 
     __slots__ = (
         "positions", "alive_mask", "alive_ids", "snapshot", "sensor",
-        "sensings", "raw_own_curvature", "inboxes", "plans",
+        "sensing", "inboxes", "plan",
         "n_moved", "force_norms", "n_lcm_moves",
         "extra_positions", "extra_values",
     )
@@ -75,12 +81,12 @@ class MobileRoundContext(RoundContext):
         self.alive_ids: List[int] = []
         self.snapshot = None
         self.sensor = None
-        self.sensings: Dict[int, LocalSensing] = {}
-        self.raw_own_curvature: Dict[int, float] = {}
+        #: The alive nodes' sensing, curvature weights normalised.
+        self.sensing: Optional[FleetSensing] = None
         self.inboxes: List[list] = []
-        self.plans: List[CMAPlan] = []
+        self.plan: Optional[CMAPlan] = None
         self.n_moved = 0
-        self.force_norms: List[float] = []
+        self.force_norms: np.ndarray = np.empty(0)
         self.n_lcm_moves = 0
         self.extra_positions: List[np.ndarray] = []
         self.extra_values: List[np.ndarray] = []
@@ -129,56 +135,49 @@ class SensePhase:
         engine = ctx.engine
         state = engine.state
         params = engine.params
-        ctx.snapshot = sample_grid(
-            engine.problem.field, engine.problem.region, engine.resolution,
-            t=engine.t,
-        )
-        ctx.sensor = DiskSensor(
-            ctx.snapshot,
-            engine.problem.rs,
-            noise_std=engine.sensor_noise_std,
-            noise_rng=engine._sensor_rng,
-        )
-
-        alive_positions = state.positions[ctx.alive_ids]
-        sensed = ctx.sensor.read_many(alive_positions)
-        raw_sensings = dict(zip(ctx.alive_ids, sensed))
-        if state.curvature_scale is None:
-            all_curv = np.concatenate(
-                [s.curvatures for s in raw_sensings.values() if s.m]
-            ) if raw_sensings else np.empty(0)
-            mean_curv = (
-                float(np.mean(np.abs(all_curv))) if all_curv.size else 0.0
+        obs = engine.obs
+        with obs.span("read"):
+            ctx.snapshot = sample_grid(
+                engine.problem.field, engine.problem.region,
+                engine.resolution, t=engine.t,
             )
-            state.curvature_scale = mean_curv if mean_curv > 0.0 else 1.0
-        scale = state.curvature_scale
+            ctx.sensor = DiskSensor(
+                ctx.snapshot,
+                engine.problem.rs,
+                noise_std=engine.sensor_noise_std,
+                noise_rng=engine._sensor_rng,
+            )
+            alive_positions = state.positions[ctx.alive_ids]
+            sensing = FleetSensing.pack(
+                ctx.sensor.read_many(alive_positions)
+            )
 
-        ctx.sensings = {}
-        ctx.raw_own_curvature = {}
-        for node_id, position in zip(ctx.alive_ids, alive_positions):
-            sensing = raw_sensings[node_id]
-            curvature = estimate_own_curvature(sensing, position, params)
-            # The raw fit result is what plan_move would recompute (the
-            # quadric only reads positions/values, which normalisation
-            # leaves untouched) — hand it through so the solve runs once
-            # per node per round, not twice.
-            ctx.raw_own_curvature[node_id] = curvature
+        with obs.span("fit"):
+            if state.curvature_scale is None:
+                mean_curv = (
+                    float(np.mean(np.abs(sensing.curvatures)))
+                    if sensing.curvatures.size else 0.0
+                )
+                state.curvature_scale = mean_curv if mean_curv > 0.0 else 1.0
+            scale = state.curvature_scale
+
+            curvature = estimate_own_curvature(
+                sensing, alive_positions, params
+            )
             if params.normalize_curvature:
                 cap = params.curvature_weight_cap
                 thr = params.curvature_threshold
-                curvature = float(
-                    np.clip(curvature / scale - thr, 0.0, cap)
+                curvature = np.clip(curvature / scale - thr, 0.0, cap)
+                sensing = FleetSensing(
+                    positions=sensing.positions,
+                    values=sensing.values,
+                    curvatures=np.clip(
+                        sensing.curvatures / scale - thr, 0.0, cap
+                    ),
+                    offsets=sensing.offsets,
                 )
-                if sensing.m:
-                    sensing = LocalSensing(
-                        positions=sensing.positions,
-                        values=sensing.values,
-                        curvatures=np.clip(
-                            sensing.curvatures / scale - thr, 0.0, cap
-                        ),
-                    )
-            state.curvature[node_id] = curvature
-            ctx.sensings[node_id] = sensing
+            state.curvature[ctx.alive_ids] = curvature
+            ctx.sensing = sensing
 
 
 class ExchangePhase:
@@ -237,19 +236,16 @@ class PlanPhase:
 
     def run(self, ctx: MobileRoundContext) -> None:
         engine = ctx.engine
-        ctx.plans = []
-        for node_id in ctx.alive_ids:
-            ctx.plans.append(
-                plan_move(
-                    node_id,
-                    ctx.positions[node_id],
-                    ctx.sensings[node_id],
-                    ctx.inboxes[node_id],
-                    engine.params,
-                    engine.problem.region,
-                    own_curvature=ctx.raw_own_curvature[node_id],
-                )
-            )
+        params = engine.params
+        ids = ctx.alive_ids
+        ctx.plan = plan_move(
+            np.asarray(ids, dtype=np.intp),
+            ctx.positions[ids],
+            ctx.sensing,
+            NeighborTable.pack([ctx.inboxes[i] for i in ids], params),
+            params,
+            engine.problem.region,
+        )
 
 
 class ConstrainMovePhase:
@@ -257,7 +253,8 @@ class ConstrainMovePhase:
 
     Connectivity-preserving movement; the follower-side LCM phase repairs
     the rare residual breaks caused by two neighbours moving in the same
-    round.
+    round. Movers go one at a time in node order: each reads the live
+    rows of neighbours that moved before it.
     """
 
     name = "constrain_move"
@@ -265,65 +262,69 @@ class ConstrainMovePhase:
 
     #: Step fractions tried when clipping a move against link constraints.
     ALPHA_LADDER = (1.0, 0.75, 0.5, 0.25, 0.1, 0.0)
+    _RUNGS = np.asarray(ALPHA_LADDER)[:, None]
 
     def run(self, ctx: MobileRoundContext) -> None:
         engine = ctx.engine
         state = engine.state
+        rc = engine.problem.rc
+        plan = ctx.plan
         ctx.n_moved = 0
-        ctx.force_norms = []
-        for plan in ctx.plans:
-            if plan.breakdown is not None:
-                ctx.force_norms.append(plan.breakdown.magnitude)
-            if plan.moved:
-                i = plan.node_id
-                destination = self._constrain_move(engine, plan)
-                step = destination - state.positions[i]
-                if float(np.linalg.norm(step)) > 0.0:
-                    state.move(i, destination)
-                    ctx.n_moved += 1
+        ctx.force_norms = plan.magnitudes
+        movers = np.flatnonzero(plan.moved).tolist()
+        if not movers:
+            return
+        id_lists = plan.neighbors.id_lists()
+        for row in movers:
+            i = int(plan.node_ids[row])
+            destination = self.clip_move(
+                state.positions, state.alive, i, plan.destinations[row],
+                id_lists[row], rc,
+            )
+            step = destination - state.positions[i]
+            if float(np.linalg.norm(step)) > 0.0:
+                state.move(i, destination)
+                ctx.n_moved += 1
 
-    def _constrain_move(self, engine, plan: CMAPlan) -> np.ndarray:
-        """Largest fraction of the planned step that breaks no unbridged link.
+    @classmethod
+    def clip_move(
+        cls,
+        positions: np.ndarray,
+        alive: np.ndarray,
+        node_id: int,
+        destination: np.ndarray,
+        neighbor_ids: List[int],
+        rc: float,
+    ) -> np.ndarray:
+        """Largest rung of the planned step that breaks no unbridged link.
 
         A link to neighbour ``j`` may stretch beyond ``Rc`` only if some
         other neighbour ``k`` (a bridge) remains within ``Rc`` of both
         ``j`` and the new position. Uses only the node's own neighbour
-        table — the information CMA already has.
+        table — the information CMA already has — at the live
+        ``positions`` rows, which earlier movers may have written.
         """
-        state = engine.state
-        alive = state.alive
-        nbr_ids = [
-            o.node_id for o in plan.neighbor_table if alive[o.node_id]
-        ]
+        nbr_ids = [j for j in neighbor_ids if alive[j]]
         if not nbr_ids:
-            return plan.destination
-        origin = state.positions[plan.node_id].copy()
-        step_vec = plan.destination - origin
-        rc = engine.problem.rc
-        # Neighbour positions as one (n, 2) matrix (a gathered copy of
-        # the live rows); the neighbour-pair link matrix is
-        # candidate-independent, so it is computed once per plan, not
-        # once per ladder step.
-        nbr_pos = state.positions[nbr_ids]
-        pair_linked = None
-
-        # Ladder rungs are tried lazily — the full planned step succeeds
-        # far more often than not, so the lower rungs' distance batches
-        # (and the neighbour-pair link matrix, which only the bridge test
-        # consults) are usually never computed. A link to j may stretch
-        # beyond Rc only if some other neighbour k (a bridge) stays
-        # within Rc of both j and the candidate.
-        for alpha in self.ALPHA_LADDER:
-            candidate = origin + alpha * step_vec
-            diff = nbr_pos - candidate[None, :]
-            near = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2) <= rc
-            if near.all():
-                return candidate
-            if pair_linked is None:
-                pair_linked = radius_adjacency(nbr_pos, rc)
-            if bool((pair_linked[~near] & near).any(axis=1).all()):
-                return candidate
-        return origin
+            return destination
+        origin = positions[node_id].copy()
+        # Every rung's distances in one batch: (rungs, neighbours).
+        candidates = origin + cls._RUNGS * (destination - origin)
+        nbr_pos = positions[nbr_ids]
+        diff = nbr_pos[None, :, :] - candidates[:, None, :]
+        near = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2) <= rc
+        if near[0].all():
+            return candidates[0]
+        # The full step breaks a link, so the bridge test is needed: a
+        # rung holds if every neighbour it leaves is linked to one it
+        # keeps. The neighbour-pair link matrix is the same for every
+        # rung.
+        pair_linked = radius_adjacency(nbr_pos, rc)
+        bridged = (pair_linked[None, :, :] & near[:, None, :]).any(axis=2)
+        holds = (near | bridged).all(axis=1)
+        if not holds.any():
+            return origin
+        return candidates[int(np.argmax(holds))]
 
 
 class LcmPhase:
@@ -350,13 +351,13 @@ class LcmPhase:
         positions, alive = state.positions, state.alive
         n_moves = 0
         n_passes = 0
+        movers = ctx.plan.node_ids.tolist()
+        tables = ctx.plan.neighbors.id_lists()
         for _ in range(self.MAX_PASSES):
             moves_this_pass = 0
-            for plan in ctx.plans:
-                m = plan.node_id
+            for m, table in zip(movers, tables):
                 if not alive[m]:
                     continue
-                table = [o.node_id for o in plan.neighbor_table]
                 if table:
                     # Direct-link prescreen: almost every follower is
                     # still within Rc of the mover, and lcm_adjustment
@@ -423,12 +424,12 @@ class TraceSamplePhase:
         if engine.trace_sampler is None:
             return
         state = engine.state
-        for plan in ctx.plans:
-            if not state.alive[plan.node_id]:
+        plan = ctx.plan
+        for i, origin in zip(plan.node_ids.tolist(), plan.origins):
+            if not state.alive[i]:
                 continue
             pts, vals = engine.trace_sampler.sample_path(
-                engine.problem.field, plan.origin,
-                state.positions[plan.node_id], engine.t,
+                engine.problem.field, origin, state.positions[i], engine.t,
             )
             if len(pts):
                 ctx.extra_positions.append(pts)
@@ -446,7 +447,7 @@ class MeasurePhase:
         record.n_moved = ctx.n_moved
         record.n_lcm_moves = ctx.n_lcm_moves
         record.mean_force = (
-            float(np.mean(ctx.force_norms)) if ctx.force_norms else 0.0
+            float(np.mean(ctx.force_norms)) if len(ctx.force_norms) else 0.0
         )
         ctx.record = record
 

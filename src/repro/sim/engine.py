@@ -4,11 +4,16 @@ Each simulated minute (round) the engine:
 
 1. snapshots the hidden environment field at the current time (the nodes
    never see this snapshot — only their ``Rs``-disk readings of it),
-2. lets every alive node sense and estimate curvature,
+2. lets every alive node sense and estimate curvature
+   (:func:`repro.core.cma.estimate_own_curvature`, one call for the
+   whole fleet),
 3. runs one beacon exchange over the unit-disk radio,
-4. has every node plan its move with :func:`repro.core.cma.plan_move`,
-5. applies the moves, then runs the Local Connectivity Mechanism pass
-   (followers chase movers that would strand them),
+4. plans every alive node's move in one call to
+   :func:`repro.core.cma.plan_move` — each node still decides from its
+   own sensing and beacons alone,
+5. applies the moves one node at a time in id order, each clipped so it
+   breaks no unbridged link, then runs the Local Connectivity Mechanism
+   pass (followers chase movers that would strand them),
 6. reconstructs the surface from the nodes' *current samples* and scores
    δ against the true snapshot — the paper's Fig. 10 measurement.
 

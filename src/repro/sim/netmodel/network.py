@@ -21,8 +21,8 @@ and bit-reproducible:
    per neighbour. A neighbour not heard this round is still usable from
    cache for up to ``max_age`` rounds; every observation is stamped
    with its ``staleness`` (rounds since it was sensed) so the planner
-   can decay its weight (:func:`repro.core.cma.plan_move`) before the
-   bound drops it entirely.
+   can decay its weight (:meth:`repro.core.cma.NeighborTable.pack`)
+   before the bound drops it entirely.
 
 With ``PerfectLink``, no delay model and ``max_age = 0`` the exchange
 is bit-identical to the plain radio (no RNG draws, fresh beacons only,

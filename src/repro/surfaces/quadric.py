@@ -70,6 +70,29 @@ def principal_curvatures(a: float, b: float, c: float) -> Tuple[float, float]:
     return a + c - root, a + c + root
 
 
+def quadric_design(
+    points: np.ndarray,
+    center: np.ndarray = (0.0, 0.0),
+    mode: QuadricFitMode = QuadricFitMode.CENTERED,
+) -> np.ndarray:
+    """The least-squares design matrix of Eqn. 11, for one fit or a stack.
+
+    ``points`` is ``(..., m, 2)`` and ``center`` ``(..., 2)``; the result
+    is ``(..., m, 3)`` in PAPER mode (``x², xy, y²`` in absolute
+    coordinates) and ``(..., m, 6)`` in CENTERED mode (``x², xy, y², x,
+    y, 1`` relative to the centre). Each ``(m, k)`` slice is C-contiguous
+    and bit-identical to the matrix a single fit builds.
+    """
+    pts = np.asarray(points, dtype=float)
+    if mode is QuadricFitMode.PAPER:
+        x, y = pts[..., 0], pts[..., 1]
+        return np.stack([x**2, x * y, y**2], axis=-1)
+    c = np.asarray(center, dtype=float)
+    x = pts[..., 0] - c[..., 0, None]
+    y = pts[..., 1] - c[..., 1, None]
+    return np.stack([x**2, x * y, y**2, x, y, np.ones_like(x)], axis=-1)
+
+
 def fit_quadric(
     points: np.ndarray,
     values: np.ndarray,
@@ -106,8 +129,7 @@ def fit_quadric(
     if mode is QuadricFitMode.PAPER:
         if len(pts) < 3:
             raise ValueError(f"PAPER-mode fit needs >= 3 samples, got {len(pts)}")
-        x, y = pts[:, 0], pts[:, 1]
-        design = np.column_stack([x**2, x * y, y**2])
+        design = quadric_design(pts, mode=mode)
         coeffs, *_ = np.linalg.lstsq(design, z, rcond=None)
         a, b, c = (float(v) for v in coeffs)
         d = e = f = 0.0
@@ -115,9 +137,7 @@ def fit_quadric(
     else:
         if len(pts) < 6:
             raise ValueError(f"CENTERED-mode fit needs >= 6 samples, got {len(pts)}")
-        x = pts[:, 0] - float(center[0])
-        y = pts[:, 1] - float(center[1])
-        design = np.column_stack([x**2, x * y, y**2, x, y, np.ones_like(x)])
+        design = quadric_design(pts, center, mode)
         coeffs, *_ = np.linalg.lstsq(design, z, rcond=None)
         a, b, c, d, e, f = (float(v) for v in coeffs)
         predicted = design @ coeffs

@@ -321,7 +321,52 @@ class TestSmallFleets:
         assert all(np.isfinite(r.delta) for r in rounds)
 
 
+class TestSenseCalibration:
+    def test_no_samples_in_round_zero_falls_back_to_unit_scale(self):
+        # Regression: with every node at a half-cell offset and Rs
+        # smaller than half a cell, no node senses a sample in round 0,
+        # and the calibration raised on an empty concatenate.
+        field = GreenOrbsLightField(seed=7, freeze_sun_at=600.0)
+        problem = OSTDProblem(
+            k=9, rc=10.0, rs=0.3, region=field.region, field=field,
+            speed=1.0, t0=600.0, duration=2.0,
+        )
+        grid = np.array(
+            [[40.5 + 5 * i, 40.5 + 5 * j] for i in range(3) for j in range(3)]
+        )
+        sim = MobileSimulation(
+            problem, params=CMAParams(rs=0.3), resolution=101,
+            initial_positions=grid,
+        )
+        rounds = sim.run().rounds
+        assert len(rounds) == 2
+        assert sim.state.curvature_scale == 1.0
+        assert all(np.isfinite(r.delta) for r in rounds)
+
+
 class TestInstrumentation:
+    def test_sense_sub_spans_nest_under_sense(self):
+        obs = Instrumentation.in_memory()
+        make_sim(obs=obs).step()
+        paths = [e.fields["path"] for e in obs.memory_events()
+                 if e.name == "span"]
+        assert paths[:3] == ["step/sense/read", "step/sense/fit",
+                             "step/sense"]
+        assert paths.count("step/sense/read") == 1
+        assert paths.count("step/sense/fit") == 1
+
+    def test_traced_run_matches_untraced(self):
+        untraced = make_sim()
+        traced = make_sim(obs=Instrumentation.in_memory())
+        for _ in range(3):
+            a, b = untraced.step(), traced.step()
+            assert np.array_equal(a.positions, b.positions)
+            assert a.delta == b.delta
+            assert a.mean_force == b.mean_force
+        assert np.array_equal(untraced.state.curvature, traced.state.curvature)
+        assert np.array_equal(untraced.state.distance_travelled,
+                              traced.state.distance_travelled)
+
     def test_step_emits_phase_spans_and_round_event(self):
         obs = Instrumentation.in_memory()
         sim = make_sim(obs=obs)
