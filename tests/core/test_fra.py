@@ -157,6 +157,21 @@ class TestSolveOSD:
         assert result.delta > 0
         assert result.meta["algorithm"] == "fra"
 
+    @pytest.mark.parametrize("anchors", [True, False])
+    def test_history_ends_at_final_delta(self, greenorbs_reference, anchors):
+        # With no relays and no leftovers the last commit completes the
+        # layout, so the last history point scores the final point set.
+        problem = OSDProblem(k=15, rc=RC, reference=greenorbs_reference)
+        result = solve_osd(
+            problem,
+            FRAConfig(record_history=True, anchors_in_reconstruction=anchors),
+        )
+        assert result.meta["n_relays"] == 0
+        assert result.meta["n_leftover"] == 0
+        last_k, last_delta = result.meta["history"][-1]
+        assert last_k == 15
+        assert last_delta == result.reconstruction.delta
+
     def test_anchor_toggle_changes_delta(self, greenorbs_reference):
         problem = OSDProblem(k=15, rc=RC, reference=greenorbs_reference)
         with_anchors = solve_osd(problem, FRAConfig(anchors_in_reconstruction=True))
