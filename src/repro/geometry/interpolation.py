@@ -16,21 +16,23 @@ Kernel design
   precomputed once per interpolator as per-triangle arrays; the rasteriser
   applies them with the same floating-point formula as
   :func:`repro.geometry.predicates.barycentric_weights`, so the fast path
-  is bit-compatible with the per-triangle scan kept in
-  :meth:`_evaluate_reference` (the tests' oracle).
-* Out-of-hull extrapolation is evaluated as a chunked whole-array
-  broadcast over (triangle, query) pairs rather than a Python loop over
-  triangles. A hull-edge-only candidate set would be ~6x smaller but can
-  pick a *different* least-violated triangle for far queries (a large
-  interior triangle can out-score a boundary sliver), so exactness wins:
-  the dense-but-vectorised scan reproduces the sequential reference
-  bit-for-bit and the extrapolated point set (outside the sample hull) is
-  small in every workload.
+  is bit-compatible with the per-triangle scan of
+  :meth:`LinearSurfaceInterpolator.evaluate_grid_reference` (the tests'
+  oracle).
+* Out-of-hull extrapolation finds each query's least-violated triangle
+  with a chunked whole-array scan over (triangle, query) pairs or, for
+  large workloads, a Morton-blocked search that skips the pairs whose
+  affine lower bound provably loses. A hull-edge-only candidate set would
+  be ~6x smaller but can pick a *different* least-violated triangle for
+  far queries (a large interior triangle can out-score a boundary
+  sliver), so exactness wins: both searches reproduce the sequential
+  reference bit-for-bit.
 
-Outside the convex hull of the samples (possible under the random baseline)
-``DT`` is undefined; per DESIGN.md we extrapolate with clamped barycentric
-coordinates of the least-violated triangle, which matches nearest-point-on-
-hull evaluation for hull-adjacent queries and is continuous.
+Outside the convex hull of the samples ``DT`` is undefined; per DESIGN.md
+§6.3 we extrapolate with the clamped barycentric coordinates of the
+least-violated triangle. The extension is continuous, but it is not
+nearest-point projection onto the hull: the two differ in most outside
+cells of a fig10 round (DESIGN.md §6.3 has the measurement).
 """
 
 from __future__ import annotations
@@ -368,8 +370,7 @@ class LinearSurfaceInterpolator:
         stage 2 computes the clamped value for the single winner per query
         at O(q) cost. Both stages use the exact weight formula (and hence
         every rounding step) of `barycentric_weights`, so the result matches
-        the sequential reference scan (:meth:`_extrapolate_clamped_reference`)
-        bit-for-bit.
+        a sequential per-triangle scan (the tests' oracle) bit-for-bit.
         """
         px = np.asarray(px, dtype=float).reshape(-1)
         py = np.asarray(py, dtype=float).reshape(-1)
@@ -623,28 +624,6 @@ class LinearSurfaceInterpolator:
         winner = np.empty(q, dtype=np.intp)
         winner[perm] = winner_full[:q]
         return winner
-
-    def _extrapolate_clamped_reference(
-        self, px: np.ndarray, py: np.ndarray
-    ) -> np.ndarray:
-        """Sequential per-triangle extrapolation scan (the tests' oracle)."""
-        best_violation = np.full(px.shape, np.inf, dtype=float)
-        best_value = np.full(px.shape, np.nan, dtype=float)
-        for ia, ib, ic in self.simplices:
-            a, b, c = self.points[ia], self.points[ib], self.points[ic]
-            wa, wb, wc = barycentric_weights(px, py, a, b, c)
-            violation = -np.minimum(np.minimum(wa, wb), wc)
-            ca = np.clip(wa, 0.0, None)
-            cb = np.clip(wb, 0.0, None)
-            cc = np.clip(wc, 0.0, None)
-            total = ca + cb + cc
-            value = (
-                ca * self.values[ia] + cb * self.values[ib] + cc * self.values[ic]
-            ) / total
-            better = violation < best_violation
-            best_violation[better] = violation[better]
-            best_value[better] = value[better]
-        return best_value
 
     def _nearest(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         d2 = (px[:, None] - self.points[None, :, 0]) ** 2 + (
