@@ -23,7 +23,8 @@ from repro.core.fra import solve_osd
 from repro.core.problem import OSDProblem, OSTDProblem
 from repro.experiments import config
 from repro.experiments.registry import ExperimentResult, experiment
-from repro.fields.base import sample_grid
+from repro.fields.base import GridSample, sample_grid
+from repro.geometry.interpolation import LinearSurfaceInterpolator
 from repro.sim.engine import MobileSimulation, SimulationResult
 from repro.surfaces.reconstruction import reconstruct_surface
 from repro.viz.ascii import render_series, render_topology
@@ -65,6 +66,17 @@ def _grid_control_delta(problem: OSTDProblem, t: float, resolution: int) -> floa
     reference = sample_grid(problem.field, problem.region, resolution, t=t)
     values = problem.field.sample(grid, t)
     return reconstruct_surface(reference, grid, values=values).delta
+
+
+def _outside_share(positions: np.ndarray, reference: GridSample) -> float:
+    """Share of reference cells outside the mesh over ``positions``.
+
+    δ extrapolates the surface into these cells (DESIGN.md §6.3).
+    """
+    mesh = LinearSurfaceInterpolator(
+        positions, np.zeros(len(positions)), extrapolate="nan"
+    )
+    return float(np.isnan(mesh.evaluate_grid(reference.xs, reference.ys)).mean())
 
 
 def _snapshot_row(result: SimulationResult, minute: int) -> dict:
@@ -149,6 +161,9 @@ def run_fig10(fast: bool = False) -> ExperimentResult:
             {
                 "t": f"10:{int(record.t - config.T_REFERENCE):02d}",
                 "delta_cma": round(record.delta, 1),
+                "outside_share": round(
+                    _outside_share(record.positions, reference), 3
+                ),
                 "delta_static_grid": round(
                     _grid_control_delta(problem, record.t, sc.resolution), 1
                 ),
@@ -164,7 +179,10 @@ def run_fig10(fast: bool = False) -> ExperimentResult:
     return ExperimentResult(
         experiment_id="fig10",
         title="delta(t), 100 mobile nodes with CMA",
-        columns=("t", "delta_cma", "delta_static_grid", "connected", "n_moved"),
+        columns=(
+            "t", "delta_cma", "outside_share", "delta_static_grid",
+            "connected", "n_moved",
+        ),
         rows=rows,
         notes=[
             "Paper: delta decreases gradually, the nodes converge from "
