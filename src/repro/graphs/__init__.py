@@ -31,6 +31,7 @@ from repro.graphs.geometric import (
     unit_disk_graph,
 )
 from repro.graphs.relay import (
+    IncrementalRelayCount,
     RelayPlan,
     count_required_relays,
     plan_relays,
@@ -43,6 +44,7 @@ from repro.graphs.robustness import (
 
 __all__ = [
     "Graph",
+    "IncrementalRelayCount",
     "RelayPlan",
     "UnionFind",
     "articulation_points",

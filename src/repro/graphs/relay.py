@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -133,6 +133,96 @@ def count_required_relays(positions: np.ndarray, radius: float) -> int:
     comps = connected_components(graph)
     groups = [pts[np.asarray(c, dtype=int)] for c in comps]
     return sum(link.n_relays for link in _component_mst(groups, radius))
+
+
+class IncrementalRelayCount:
+    """``L(G, Rc)`` kept up to date as nodes join one at a time.
+
+    Holds the nodes, a component label per node and the closest gap
+    between every pair of components. :meth:`add` merges the components
+    within ``radius`` of the new node (``d <= radius``, the
+    :func:`~repro.graphs.geometric.unit_disk_graph` edge test) and folds
+    their gap rows together with an exact minimum. :meth:`required`
+    answers ``L`` for the current nodes, optionally plus one candidate,
+    with a dense Prim over integer relay costs, without changing state.
+
+    The answer equals :func:`count_required_relays` over the same points:
+    an MST's total weight does not depend on which MST is found, merged
+    gap rows are minima of the same floats, and distances and relay costs
+    use the same expressions.
+    """
+
+    def __init__(self, radius: float) -> None:
+        if radius <= 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        self.radius = float(radius)
+        self._points = np.empty((0, 2))
+        self._labels = np.empty(0, dtype=np.intp)
+        #: Closest gap between components; ``inf`` on the diagonal.
+        self._gaps = np.empty((0, 0))
+
+    def add(self, point: Tuple[float, float]) -> None:
+        """Join ``point`` to the network."""
+        p = np.asarray(point, dtype=float).reshape(1, 2)
+        keep, gaps = self._merge(p)
+        relabel = np.full(len(self._gaps), len(keep), dtype=np.intp)
+        relabel[keep] = np.arange(len(keep))
+        self._labels = np.append(relabel[self._labels], len(keep))
+        self._points = np.vstack([self._points, p])
+        self._gaps = gaps
+
+    def required(self, candidate: Optional[Tuple[float, float]] = None) -> int:
+        """``L`` for the current nodes, plus ``candidate`` if given."""
+        if candidate is None:
+            gaps = self._gaps
+        else:
+            p = np.asarray(candidate, dtype=float).reshape(1, 2)
+            gaps = self._merge(p)[1]
+        costs = np.maximum(np.ceil(gaps / self.radius - _CEIL_TOL) - 1.0, 0.0)
+        return _dense_mst_total(costs)
+
+    def _merge(self, p: np.ndarray):
+        """The gap table after ``p`` joins, without storing it.
+
+        Returns ``(keep, gaps)``: the ids of the components out of reach
+        of ``p``, and the gap table over them followed by one last
+        component holding ``p`` and every component within reach.
+        """
+        n_comp = len(self._gaps)
+        d = np.sqrt(((self._points - p) ** 2).sum(axis=1))
+        in_reach = np.zeros(n_comp, dtype=bool)
+        in_reach[self._labels[d <= self.radius]] = True
+        keep = np.flatnonzero(~in_reach)
+        row = np.full(n_comp, np.inf)
+        np.minimum.at(row, self._labels, d)
+        if in_reach.any():
+            row = np.minimum(row, self._gaps[in_reach].min(axis=0))
+        row = row[keep]
+        gaps = np.empty((len(keep) + 1, len(keep) + 1))
+        gaps[:-1, :-1] = self._gaps[np.ix_(keep, keep)]
+        gaps[-1, :-1] = row
+        gaps[:-1, -1] = row
+        gaps[-1, -1] = np.inf
+        return keep, gaps
+
+
+def _dense_mst_total(costs: np.ndarray) -> int:
+    """Total weight of a minimum spanning tree of a dense cost matrix."""
+    n = len(costs)
+    if n <= 1:
+        return 0
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = costs[0].copy()
+    best[0] = np.inf
+    total = 0.0
+    for _ in range(n - 1):
+        v = int(np.argmin(best))
+        total += best[v]
+        in_tree[v] = True
+        np.minimum(best, costs[v], out=best)
+        best[in_tree] = np.inf
+    return int(total)
 
 
 def plan_relays(

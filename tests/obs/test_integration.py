@@ -81,6 +81,9 @@ class TestFRARunLog:
         for e in refines:
             assert e.fields["err_before"] >= 0.0
             assert e.fields["err_after"] >= 0.0
+        # Foresight is timed on its own, inside the refine loop.
+        paths = [e.fields["path"] for e in obs.memory_events() if e.name == "span"]
+        assert paths.count("fra_refine_loop/fra_foresight") > result.n_refinement
 
     def test_instrumentation_does_not_change_result(self):
         field = GreenOrbsLightField(side=50.0, seed=7, freeze_sun_at=600.0)
