@@ -121,6 +121,15 @@ def test_bench_fra_k30(benchmark, reference):
     assert result.connected
 
 
+def test_bench_fra_k200(benchmark, reference):
+    """The top of the fra_sweep k range, where foresight costs the most."""
+    result = benchmark.pedantic(
+        foresighted_refinement, args=(reference, 200, 10.0),
+        rounds=1, iterations=1, warmup_rounds=0,
+    )
+    assert result.connected
+
+
 def test_bench_cma_round(benchmark):
     field = GreenOrbsLightField(seed=7, freeze_sun_at=600.0)
     problem = OSTDProblem(

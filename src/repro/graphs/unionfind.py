@@ -8,8 +8,9 @@ from typing import Dict, List
 class UnionFind:
     """Classic union-find over elements ``0..n-1``.
 
-    Amortised near-O(1) ``find``/``union``; used by Kruskal's MST and by
-    incremental connectivity checks in FRA's foresight step.
+    Amortised near-O(1) ``find``/``union``; used by Kruskal's MST.
+    FRA's foresight does not use it: it keeps a component label per node
+    (:class:`repro.graphs.relay.IncrementalRelayCount`).
     """
 
     def __init__(self, n: int) -> None:
