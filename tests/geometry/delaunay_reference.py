@@ -9,9 +9,10 @@ that.
 
 Storage is struct-of-arrays with a per-slot liveness mask; dead slots are
 compacted away (creation order kept) once they outnumber the live ones.
-``_bad_triangle_slots`` tests cached circumcircles ``r^2 - d^2 >
-EPSILON / |2A|`` and re-runs the exact determinant inside a rounding band
-around the threshold.
+``_bad_triangle_slots`` evaluates the scalar predicate's in-circle
+determinant on every live triangle, so each decision is the scalar
+predicate's by construction; the production class filters with cached
+circumcircles and must agree with it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,6 @@ _N_SUPER = 3
 
 #: Initial capacity of the growable vertex / triangle buffers.
 _INITIAL_CAPACITY = 32
-
-#: Relative half-width of the uncertainty band of the cached in-circle
-#: test (see _bad_triangle_slots): ~1024 ulp, generous against the worst
-#: cancellation either the r^2-form or the determinant-form accumulates,
-#: yet narrow enough that real workloads essentially never hit the exact
-#: determinant fallback.
-_CC_BAND = 1024 * np.finfo(float).eps
 
 
 class ReferenceDelaunayTriangulation:
@@ -96,15 +90,11 @@ class ReferenceDelaunayTriangulation:
         self._tri_live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         self._tri_orient = np.zeros(_INITIAL_CAPACITY, dtype=np.int8)
         self._tri_xy = np.zeros((6, _INITIAL_CAPACITY), dtype=float)
-        # Cached circumcircle parameters per slot: centre x/y, radius^2, and
-        # the insideness threshold in (r^2 - d^2) units (see
-        # _bad_triangle_slots).
-        self._tri_cc = np.zeros((4, _INITIAL_CAPACITY), dtype=float)
         self._nt = 0
         self._n_live = 0
         self._simplices_cache: Optional[np.ndarray] = None
 
-        self._add_triangle(0, 1, 2)
+        self._add_triangles(np.array([0]), np.array([1]), np.array([2]))
         if points is not None:
             for p in points:
                 self.insert(p)
@@ -141,9 +131,6 @@ class ReferenceDelaunayTriangulation:
         grown_xy = np.zeros((6, cap), dtype=float)
         grown_xy[:, : self._nt] = self._tri_xy[:, : self._nt]
         self._tri_xy = grown_xy
-        grown_cc = np.zeros((4, cap), dtype=float)
-        grown_cc[:, : self._nt] = self._tri_cc[:, : self._nt]
-        self._tri_cc = grown_cc
 
     def _new_slot(self) -> int:
         if self._nt == len(self._tri_buf):
@@ -158,7 +145,6 @@ class ReferenceDelaunayTriangulation:
         self._tri_buf[: len(keep)] = self._tri_buf[keep]
         self._tri_orient[: len(keep)] = self._tri_orient[keep]
         self._tri_xy[:, : len(keep)] = self._tri_xy[:, keep]
-        self._tri_cc[:, : len(keep)] = self._tri_cc[:, keep]
         self._tri_live[: len(keep)] = True
         self._tri_live[len(keep) : self._nt] = False
         self._nt = len(keep)
@@ -233,137 +219,55 @@ class ReferenceDelaunayTriangulation:
         self._simplices_cache = None
         return internal_index - _N_SUPER
 
+    def _incircle_det(self, px: float, py: float) -> np.ndarray:
+        """The scalar predicate's in-circle determinant, every slot."""
+        n = self._nt
+        xy = self._tri_xy
+        adx, ady = xy[0, :n] - px, xy[1, :n] - py
+        bdx, bdy = xy[2, :n] - px, xy[3, :n] - py
+        cdx, cdy = xy[4, :n] - px, xy[5, :n] - py
+        return (
+            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+        )
+
     def _bad_triangle_slots(self, px: float, py: float) -> np.ndarray:
         """Slots whose circumcircle strictly contains ``(px, py)``.
 
-        Tests cached circumcircle parameters: the scalar in-circle
-        determinant satisfies ``orient_det * incircle_det = |2A| *
-        (r^2 - d^2)`` in exact arithmetic, so the predicate's
-        ``incircle_det > EPSILON`` rule (with its orientation adjustment)
-        becomes ``r^2 - d^2 > EPSILON / |2A|`` — five array passes instead
-        of the determinant's eighteen. The two formulations round
-        differently, so queries landing inside a conservative relative
-        error band around the threshold (``_CC_BAND`` scales with
-        ``r^2 + d^2``, the magnitudes the cached subtraction cancels
-        between) are re-tested with the exact determinant of the scalar
-        predicate — the decision is *always* the scalar predicate's, the
-        cache only filters the clear cases. The band matters: a query on
-        a chord of a super-triangle-sized circumcircle is inside by a
-        margin of ~1 against r^2 ~ 1e13, far below any fixed relative
-        fudge. Degenerate (orient == 0) slots store ``r^2 = -inf`` and so
-        never test bad — the cavity never grows through flat triangles.
+        The scalar predicate's rule: the determinant, sign-adjusted by
+        the stored orientation, exceeds EPSILON. Flat (orient == 0) slots
+        are never bad, so the cavity never grows through them.
         """
-        n = self._nt
-        cc = self._tri_cc
-        dx = cc[0, :n] - px
-        dy = cc[1, :n] - py
-        d2 = dx * dx + dy * dy
-        lhs = cc[2, :n] - d2
-        thr = cc[3, :n]
-        band = _CC_BAND * (cc[2, :n] + d2)
-        live = self._tri_live[:n]
-        bad = live & (lhs > thr + band)
-        uncertain = live & ~bad & (lhs > thr - band)
-        if uncertain.any():
-            idx = np.flatnonzero(uncertain)
-            xy = self._tri_xy[:, idx]
-            adx, ady = xy[0] - px, xy[1] - py
-            bdx, bdy = xy[2] - px, xy[3] - py
-            cdx, cdy = xy[4] - px, xy[5] - py
-            det = (
-                (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-                - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-                + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-            )
-            orient = self._tri_orient[idx]
-            bad[idx] = ((orient > 0) & (det > EPSILON)) | (
-                (orient < 0) & (-det > EPSILON)
-            )
+        det = self._incircle_det(px, py)
+        orient = self._tri_orient[: self._nt]
+        bad = self._tri_live[: self._nt] & (
+            ((orient > 0) & (det > EPSILON)) | ((orient < 0) & (-det > EPSILON))
+        )
         return np.flatnonzero(bad)
 
     def _bad_triangle_slots_nonstrict(self, px: float, py: float) -> np.ndarray:
         """Slots whose *closed* circumdisk contains ``(px, py)``.
 
         The fallback cavity for degenerate inserts (a point lying exactly
-        on circumcircle boundaries, which the strict scan rejects). Same
-        exact determinant as the reference scan with the strictness
-        inequality flipped to include the boundary; flat (orient == 0)
-        slots stay excluded, as everywhere else.
+        on circumcircle boundaries, which the strict scan rejects): the
+        strict scan with the inequality flipped to include the boundary;
+        flat (orient == 0) slots stay excluded, as everywhere else.
         """
-        n = self._nt
-        xy = self._tri_xy
-        adx, ady = xy[0, :n] - px, xy[1, :n] - py
-        bdx, bdy = xy[2, :n] - px, xy[3, :n] - py
-        cdx, cdy = xy[4, :n] - px, xy[5, :n] - py
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
-        orient = self._tri_orient[:n]
-        bad = self._tri_live[:n] & (
+        det = self._incircle_det(px, py)
+        orient = self._tri_orient[: self._nt]
+        bad = self._tri_live[: self._nt] & (
             ((orient > 0) & (det >= -EPSILON))
             | ((orient < 0) & (-det >= -EPSILON))
         )
         return np.flatnonzero(bad)
 
-    def _add_triangle(self, a: int, b: int, c: int) -> None:
-        # Inlined scalar orientation predicate (identical formula and
-        # EPSILON to predicates.orientation, minus the Point2 boxing —
-        # this runs ~6x per insert).
-        verts = self._vert_list
-        ax, ay = verts[a]
-        bx, by = verts[b]
-        cx, cy = verts[c]
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if det < -EPSILON:
-            a, b = b, a
-            ax, ay, bx, by = bx, by, ax, ay
-            # Orientation of the *stored* (swapped) triple, recomputed:
-            # this is exactly what the scalar in-circle predicate would see.
-            det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        slot = self._new_slot()
-        self._tri_buf[slot] = (a, b, c)
-        self._tri_live[slot] = True
-        self._tri_orient[slot] = (
-            1 if det > EPSILON else (-1 if det < -EPSILON else 0)
-        )
-        self._tri_xy[:, slot] = (ax, ay, bx, by, cx, cy)
-        if det > EPSILON or det < -EPSILON:
-            # Circumcircle parameters for the cached bad-triangle test:
-            # centre, radius^2, and the per-slot strictness threshold
-            # EPSILON / |2A| (the in-circle determinant divided by the
-            # doubled signed area equals r^2 - d^2 in exact arithmetic).
-            # Queries within the rounding band around the threshold fall
-            # back to the exact determinant — see _bad_triangle_slots.
-            asq = ax * ax + ay * ay
-            bsq = bx * bx + by * by
-            csq = cx * cx + cy * cy
-            d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-            ux = (asq * (by - cy) + bsq * (cy - ay) + csq * (ay - by)) / d
-            uy = (asq * (cx - bx) + bsq * (ax - cx) + csq * (bx - ax)) / d
-            # Plain multiplication, not ** 2: libm pow and numpy's square
-            # can differ in the last ulp, and the batched adder must store
-            # bitwise-identical parameters. (A 1-ulp r^2 shift only moves
-            # queries in or out of the exact-retest band — never changes a
-            # cavity decision.)
-            rx, ry = ax - ux, ay - uy
-            r2 = rx * rx + ry * ry
-            self._tri_cc[:, slot] = (ux, uy, r2, EPSILON / abs(det))
-        else:
-            # Degenerate triangle: no finite circumcircle; r^2 = -inf
-            # guarantees the cached test never reports it bad.
-            self._tri_cc[:, slot] = (0.0, 0.0, -np.inf, 0.0)
-        self._n_live += 1
-        self._simplices_cache = None
-
     def _add_triangles(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        """Batched :meth:`_add_triangle` over parallel vertex-slot arrays.
+        """Add triangles ``(a[i], b[i], c[i])`` in order, one slot each.
 
-        Same scalar formulas evaluated elementwise and the same sequential
-        slot order, so the stored buffers are bitwise what the one-at-a-time
-        loop would produce — this only strips the per-triangle Python
-        overhead (~6 calls per insert).
+        A clockwise triple is stored with ``a`` and ``b`` swapped; its
+        orientation is recomputed from the stored triple, which is what
+        the scalar in-circle predicate sees.
         """
         e = len(a)
         if e == 0:
@@ -396,28 +300,6 @@ class ReferenceDelaunayTriangulation:
         orient[det < -EPSILON] = -1
         self._tri_orient[s0:s1] = orient
         self._tri_xy[:, s0:s1] = xy.reshape(e, 6).T
-        sq = xy[:, :, 0] * xy[:, :, 0] + xy[:, :, 1] * xy[:, :, 1]
-        asq, bsq, csq = sq[:, 0], sq[:, 1], sq[:, 2]
-        t1, t2, t3 = by - cy, cy - ay, ay - by
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = 2.0 * (ax * t1 + bx * t2 + cx * t3)
-            ux = (asq * t1 + bsq * t2 + csq * t3) / d
-            uy = (asq * (cx - bx) + bsq * (ax - cx) + csq * (bx - ax)) / d
-            rx, ry = ax - ux, ay - uy
-            r2 = rx * rx + ry * ry
-            thr = EPSILON / np.abs(det)
-        cc = self._tri_cc
-        cc[0, s0:s1] = ux
-        cc[1, s0:s1] = uy
-        cc[2, s0:s1] = r2
-        cc[3, s0:s1] = thr
-        degenerate = np.flatnonzero(orient == 0)
-        if degenerate.size:
-            cols = s0 + degenerate
-            cc[0, cols] = 0.0
-            cc[1, cols] = 0.0
-            cc[2, cols] = -np.inf
-            cc[3, cols] = 0.0
         self._n_live += e
         self._simplices_cache = None
 
