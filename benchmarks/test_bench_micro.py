@@ -67,6 +67,27 @@ def test_bench_delaunay_grid_2500(benchmark):
     assert result.n_points == 2500
 
 
+def test_bench_measurement_mesh_100(benchmark, points):
+    """The measurement build of the 100 points above: BRIO-sorted inserts."""
+    values = np.zeros(len(points))
+    result = benchmark(lambda: LinearSurfaceInterpolator(points, values))
+    assert len(result.points) == 100
+
+
+def test_bench_measurement_mesh_grid_2500(benchmark):
+    """The measurement build of the cma_large grid start.
+
+    The same triangles as ``test_bench_delaunay_grid_2500``'s row-major
+    build, inserted in BRIO order, so the gap between the two is the
+    cost of the insertion order alone.
+    """
+    grid = default_grid_layout(BoundingBox.square(500.0), 2500, 10.0)
+    values = np.zeros(len(grid))
+    result = benchmark.pedantic(LinearSurfaceInterpolator, args=(grid, values),
+                                rounds=3, iterations=1, warmup_rounds=0)
+    assert len(result.points) == 2500
+
+
 def test_bench_interpolator_grid_eval(benchmark, points, reference):
     values = np.sin(points[:, 0] / 9.0)
     interp = LinearSurfaceInterpolator(points, values)

@@ -6,7 +6,9 @@ substrate that the paper's algorithms rest on:
 * robust-enough orientation and in-circle predicates (:mod:`.predicates`),
 * Andrew monotone-chain convex hull (:mod:`.hull`),
 * incremental Bowyer--Watson Delaunay triangulation: each insert walks to
-  the point and grows its cavity through neighbouring triangles
+  the point and grows its cavity through neighbouring triangles, and a
+  tie rule keyed on point priorities makes the triangles independent of
+  the insertion order, so the measurement mesh is built in BRIO order
   (:mod:`.delaunay`),
 * vectorised piecewise-linear evaluation of the triangulated surface
   ``z* = DT(x, y)`` used by the paper's reconstruction metric
@@ -38,6 +40,7 @@ from repro.geometry.delaunay import (
     DelaunayTriangulation,
     Triangle,
     canonical_simplices,
+    delaunay_mesh,
 )
 from repro.geometry.interpolation import (
     LinearSurfaceInterpolator,
@@ -60,6 +63,7 @@ __all__ = [
     "barycentric_coordinates",
     "canonical_simplices",
     "convex_hull",
+    "delaunay_mesh",
     "distance",
     "distance_squared",
     "incircle",

@@ -46,6 +46,7 @@ __all__ = [
     "CELL_MARGIN",
     "DENSE_CROSSOVER",
     "SpatialHashGrid",
+    "morton_argsort",
     "radius_adjacency",
     "radius_neighbor_lists",
 ]
@@ -341,3 +342,26 @@ def radius_neighbor_lists(
     callers that do not reuse the grid.
     """
     return SpatialHashGrid(points, radius).neighbor_lists(alive=alive)
+
+
+def morton_argsort(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Order points along a Z-curve over their bounding box.
+
+    Consecutive points in this order are spatially close: the block-pruned
+    extrapolation search uses it to make query blocks compact, and the
+    Delaunay build inserts each BRIO round in it so the walk to the next
+    point is short. 10 bits per axis (a 1024x1024 bucketing) is plenty for
+    both; points in one bucket keep their given order.
+    """
+    def spread(v: np.ndarray) -> np.ndarray:
+        v = (v | (v << 8)) & 0x00FF00FF
+        v = (v | (v << 4)) & 0x0F0F0F0F
+        v = (v | (v << 2)) & 0x33333333
+        v = (v | (v << 1)) & 0x55555555
+        return v
+
+    spanx = max(float(px.max() - px.min()), 1e-300)
+    spany = max(float(py.max() - py.min()), 1e-300)
+    nx = ((px - px.min()) * (1023.0 / spanx)).astype(np.uint32)
+    ny = ((py - py.min()) * (1023.0 / spany)).astype(np.uint32)
+    return np.argsort(spread(nx) | (spread(ny) << 1), kind="stable")

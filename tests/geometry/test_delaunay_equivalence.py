@@ -181,9 +181,9 @@ class TestRarePaths:
         scans = []
         real_scan = DelaunayTriangulation._scan
 
-        def scan(self, px, py):
+        def scan(self, px, py, prio):
             scans.append((px, py))
-            return real_scan(self, px, py)
+            return real_scan(self, px, py, prio)
 
         monkeypatch.setattr(DelaunayTriangulation, "_scan", scan)
         pts = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0), (4.0, 6.0)]
