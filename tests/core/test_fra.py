@@ -20,6 +20,7 @@ from repro.fields.greenorbs import GreenOrbsLightField
 from repro.graphs.geometric import unit_disk_graph
 from repro.graphs.relay import IncrementalRelayCount, count_required_relays
 from repro.graphs.traversal import is_connected
+from repro.obs import Instrumentation
 
 
 RC = 10.0
@@ -116,6 +117,25 @@ class TestConnectivity:
         assert leftover.tolist() == [100.0, 90.0]
         corners = result.positions[:4]
         assert np.hypot(*(corners - leftover).T).min() <= RC
+
+    def test_fallback_takes_a_cell_exactly_rc_away(self):
+        # In reach means d <= Rc, boundary included. Seed-3 GreenOrbs,
+        # k=5, Rc=15: foresight vetoes the fifth pick, and the best cell
+        # in reach is (40, 70), exactly Rc from the node at (52, 61)
+        # (a 9-12-15 triangle).
+        field = GreenOrbsLightField(side=100.0, seed=3)
+        reference = sample_grid(field, field.region, 101, t=600.0)
+        obs = Instrumentation.in_memory()
+        result = foresighted_refinement(reference, 5, 15.0, obs=obs)
+        kinds = [
+            e.fields["kind"] for e in obs.memory_events()
+            if e.name == "fra_refine"
+        ]
+        assert kinds[-1] == "fallback"
+        pick = result.positions[-1]
+        assert pick.tolist() == [40.0, 70.0]
+        d2 = ((result.positions[:-1] - pick) ** 2).sum(axis=1)
+        assert d2.min() == 15.0 ** 2
 
     def test_single_node_connected(self, bump_reference):
         result = foresighted_refinement(bump_reference, 1, RC)
