@@ -9,7 +9,8 @@ Usage::
     repro-exp run fig10 --checkpoint-dir ck  # snapshot state as it runs
     repro-exp run fig10 --checkpoint-dir ck --resume  # continue from latest
     repro-exp run fig10 --runs-dir runs  # recorded run: manifest + registry
-    repro-exp run fig10 --runs-dir runs --profile  # + per-phase profiling
+    repro-exp run fig10 --runs-dir runs --profile  # + per-phase CPU profile
+    repro-exp run fig10 --runs-dir runs --profile=mem  # + allocations
     repro-exp runs list --runs-dir runs  # registered runs, newest first
     repro-exp runs show RUN_ID           # manifest + artifact verification
     repro-exp runs compare ID_A ID_B     # outcome/counters side by side
@@ -89,9 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
         "and an atomic manifest (inspect with `repro-exp runs`)",
     )
     run_p.add_argument(
-        "--profile", action="store_true",
-        help="per-phase CPU/allocation/counter-delta profiling as "
-        "profile.* events in the obs log (needs --obs-log or --runs-dir)",
+        "--profile", nargs="?", const=True, default=False, choices=["mem"],
+        help="per-phase CPU and counter-delta profiling as profile.* "
+        "events in the obs log (needs --obs-log or --runs-dir); "
+        "--profile=mem adds tracemalloc allocation deltas, which slow "
+        "the phases they measure",
     )
 
     runs_p = sub.add_parser(

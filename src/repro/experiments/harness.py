@@ -39,7 +39,7 @@ def run_experiment(
     checkpoint_every: int = 10,
     resume: bool = False,
     checkpoint_interrupt: Optional[Callable[[], bool]] = None,
-    profile: bool = False,
+    profile: Union[bool, str] = False,
 ) -> ExperimentResult:
     """Run one registered experiment by id.
 
@@ -54,10 +54,11 @@ def run_experiment(
 
     ``profile=True`` installs the ambient per-phase profiler
     (:class:`repro.obs.profile.PhaseProfiler`): every engine the
-    experiment constructs records per-phase CPU time, allocation deltas
-    and obs-counter deltas as ``profile.*`` events in the obs log. It
-    only has an effect when instrumentation is on (``obs_log`` here, or
-    an enabled ambient instrumentation).
+    experiment constructs records per-phase CPU time and obs-counter
+    deltas as ``profile.*`` events in the obs log; ``profile="mem"``
+    adds tracemalloc allocation deltas, at the cost of slowing the
+    phases it times. It only has an effect when instrumentation is on
+    (``obs_log`` here, or an enabled ambient instrumentation).
 
     ``checkpoint_dir`` installs an ambient checkpoint policy (see
     :mod:`repro.runtime.checkpoint`): every engine ``run()`` the
@@ -89,7 +90,9 @@ def run_experiment(
         if profile:
             from repro.obs.profile import ProfileConfig, use_profiling
 
-            stack.enter_context(use_profiling(ProfileConfig()))
+            stack.enter_context(
+                use_profiling(ProfileConfig(memory=profile == "mem"))
+            )
         if obs_log is not None:
             obs = Instrumentation.to_jsonl(
                 obs_log, flush_every=obs_flush_every, append=obs_append
@@ -342,7 +345,7 @@ def run_recorded(
     experiment_id: str,
     runs_dir: Union[str, Path],
     fast: bool = False,
-    profile: bool = False,
+    profile: Union[bool, str] = False,
     obs_flush_every: Optional[int] = None,
     obs_health: bool = False,
     checkpoints: bool = False,

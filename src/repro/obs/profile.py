@@ -9,9 +9,10 @@ records, per phase and per round:
 * **CPU time** — ``time.process_time`` deltas (user+system of this
   process), so a phase that sleeps shows wall > cpu;
 * **allocation deltas** — net allocated bytes and the phase's peak,
-  from :mod:`tracemalloc` (started by the first profiler constructed,
-  precisely because its bookkeeping is far too expensive to ever be
-  on by default);
+  from :mod:`tracemalloc`, only when ``ProfileConfig(memory=True)``
+  asks for them (``--profile=mem``). Its bookkeeping slows every
+  allocation several-fold, so it would inflate the very times the
+  profiler records; a bare ``--profile`` leaves it off;
 * **counter deltas** — per-round deltas of every scalar counter in the
   engine's metrics registry, attributing ``net.sent`` or
   ``geom.pairs_checked`` growth to the round that caused it.
@@ -29,7 +30,8 @@ pays nothing — the ≤2% disabled-instrumentation budget pinned in
     with use_profiling():
         MobileSimulation(problem, obs=obs).run()
 
-or ``repro-exp run fig10 --profile --obs-log run.jsonl``.
+or ``repro-exp run fig10 --profile --obs-log run.jsonl`` (CPU and
+counters) and ``--profile=mem`` (allocations too).
 """
 
 from __future__ import annotations
@@ -54,10 +56,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    """What the profiler records; all three dimensions default on."""
+    """What the profiler records.
+
+    CPU time and counter deltas default on. ``memory`` (tracemalloc) is
+    opt-in: tracing allocations slows the phases it measures.
+    """
 
     cpu: bool = True
-    memory: bool = True
+    memory: bool = False
     counters: bool = True
 
 
@@ -217,6 +223,8 @@ class ProfileSummary:
     n_rounds: int = 0
     cpu_total_s: float = 0.0
     counter_totals: Dict[str, float] = dataclass_field(default_factory=dict)
+    #: Whether any phase row carried allocation fields (``--profile=mem``).
+    memory: bool = False
 
     @property
     def has_data(self) -> bool:
@@ -235,6 +243,7 @@ def summarize_profile(rows: Iterable[Dict[str, Any]]) -> ProfileSummary:
             agg.count += 1
             agg.cpu_s += float(row.get("cpu_s", 0.0))
             agg.wall_s += float(row.get("wall_s", 0.0))
+            summary.memory = summary.memory or "alloc_delta_b" in row
             agg.alloc_delta_b += int(row.get("alloc_delta_b", 0) or 0)
             agg.alloc_peak_b = max(
                 agg.alloc_peak_b, int(row.get("alloc_peak_b", 0) or 0)
@@ -278,9 +287,11 @@ def format_profile(summary: ProfileSummary, title: str = "run") -> str:
     )
     if summary.phases:
         width = max(len(p.phase) for p in summary.phases) + 2
+        mem = summary.memory
         lines.append(
             f"{'phase'.ljust(width)}{'cpu':>10}{'wall':>10}{'cpu/round':>12}"
-            f"{'alloc':>12}{'peak':>12}{'n':>7}"
+            + (f"{'alloc':>12}{'peak':>12}" if mem else "")
+            + f"{'n':>7}"
         )
         for p in summary.phases:
             lines.append(
@@ -288,9 +299,12 @@ def format_profile(summary: ProfileSummary, title: str = "run") -> str:
                 f"{_fmt_seconds(p.cpu_s):>10}"
                 f"{_fmt_seconds(p.wall_s):>10}"
                 f"{_fmt_seconds(p.cpu_mean_s):>12}"
-                f"{_fmt_bytes(p.alloc_delta_b):>12}"
-                f"{_fmt_bytes(p.alloc_peak_b):>12}"
-                f"{p.count:>7}"
+                + (
+                    f"{_fmt_bytes(p.alloc_delta_b):>12}"
+                    f"{_fmt_bytes(p.alloc_peak_b):>12}"
+                    if mem else ""
+                )
+                + f"{p.count:>7}"
             )
     if summary.counter_totals:
         lines.append("-- counter deltas over profiled rounds --")

@@ -131,6 +131,21 @@ class TestRunsCli:
         )
         assert manifest["params"]["profile"] is True
 
+    def test_profile_mem_recorded(self, tmp_path, capsys):
+        import json
+
+        runs, run_ids = self._record(tmp_path, capsys, extra=["--profile=mem"])
+        manifest = json.loads(
+            (runs / run_ids[0] / "manifest.json").read_text()
+        )
+        assert manifest["params"]["profile"] == "mem"
+
+    def test_profile_rejects_other_values(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig7", "--fast", "--profile=heap"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_summarize_prints_profile_table(self, tmp_path, capsys):
         from repro.experiments.harness import run_recorded
         from tests.experiments.test_harness_obs import _fresh_cma_run

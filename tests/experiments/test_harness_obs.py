@@ -168,12 +168,15 @@ class TestRunExperimentWiring:
         _fresh_cma_run()
         log = tmp_path / "run.jsonl"
         run_experiment("fig10", fast=True, obs_log=log, profile=True)
-        names = {
-            json.loads(line)["event"]
-            for line in log.read_text().splitlines()
-        }
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        names = {row["event"] for row in rows}
         assert "profile.phase" in names
         assert "profile.round" in names
+        # A bare --profile leaves tracemalloc off (--profile=mem turns it on).
+        assert not any(
+            "alloc_delta_b" in row for row in rows
+            if row["event"] == "profile.phase"
+        )
 
     def test_no_profile_events_without_flag(self, tmp_path):
         _fresh_cma_run()

@@ -1,5 +1,7 @@
 """Per-phase profiling: opt-in middleware, profile.* events, read side."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.problem import OSTDProblem
@@ -61,9 +63,13 @@ class TestEngineWiring:
         )
 
     def test_profiled_run_emits_events(self):
+        # The default records CPU and counters; tracemalloc stays off, so
+        # the profiler does not slow the phases it times.
+        assert not tracemalloc.is_tracing()
         obs = Instrumentation.in_memory()
         with use_instrumentation(obs), use_profiling():
             MobileSimulation(make_problem(), resolution=21).run()
+        assert not tracemalloc.is_tracing()
         names = [e.name for e in obs.memory_events()]
         assert "profile.phase" in names
         assert "profile.round" in names
@@ -76,6 +82,17 @@ class TestEngineWiring:
         sample = phase_rows[0]
         assert sample["wall_s"] >= 0.0
         assert "cpu_s" in sample
+        assert "alloc_delta_b" not in sample
+
+    def test_memory_is_opt_in(self):
+        obs = Instrumentation.in_memory()
+        with use_instrumentation(obs), use_profiling(ProfileConfig(memory=True)):
+            MobileSimulation(make_problem(), resolution=21).run()
+        assert tracemalloc.is_tracing()
+        sample = next(
+            e.fields for e in obs.memory_events()
+            if e.name == "profile.phase"
+        )
         assert "alloc_delta_b" in sample and "alloc_peak_b" in sample
 
     def test_round_counter_deltas_attributed(self):
@@ -120,9 +137,9 @@ class TestEngineWiring:
 
 
 class TestReadSide:
-    def _rows(self):
+    def _rows(self, config=None):
         obs = Instrumentation.in_memory()
-        with use_instrumentation(obs), use_profiling():
+        with use_instrumentation(obs), use_profiling(config):
             MobileSimulation(make_problem(), resolution=21).run()
         return [
             {"event": e.name, "t": e.t, **e.fields}
@@ -145,6 +162,15 @@ class TestReadSide:
         assert "== profile: t ==" in text
         assert "measure" in text
         assert "rounds profiled: 2" in text
+        # No allocation data without memory tracing, so no such columns.
+        assert not summary.memory
+        assert "alloc" not in text
+
+    def test_format_shows_allocations_when_traced(self):
+        summary = summarize_profile(self._rows(ProfileConfig(memory=True)))
+        assert summary.memory
+        header = format_profile(summary).splitlines()[2]
+        assert "alloc" in header and "peak" in header
 
     def test_empty_stream(self):
         summary = summarize_profile([{"event": "round", "t": 0.0}])
