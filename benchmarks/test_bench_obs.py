@@ -17,7 +17,12 @@ import pytest
 
 from repro.core.problem import OSTDProblem
 from repro.fields.greenorbs import GreenOrbsLightField
-from repro.obs import Instrumentation, MemorySink, NullSink
+from repro.obs import (
+    Instrumentation,
+    MemorySink,
+    NullSink,
+    get_instrumentation,
+)
 from repro.obs.trace import MessageTracer
 from repro.runtime.cma_phases import ExchangePhase
 from repro.sim.engine import MobileSimulation
@@ -38,7 +43,9 @@ def noop_step_touches(obs):
 
     an outer ``step`` span, six phase spans, the ``read``/``fit`` spans
     inside ``sense``, the ``enabled`` guards in ``step``/``_lcm_pass``,
-    and one ambient lookup in reconstruction.
+    and the reconstruction's ambient lookups (one in reconstruction, one
+    in the grid evaluation) with the ``triangulate``, ``rasterize``,
+    ``extrapolate`` and ``score`` spans inside ``reconstruct``.
     """
     with obs.span("step"):
         with obs.span("sense"):
@@ -58,7 +65,15 @@ def noop_step_touches(obs):
             pass
         with obs.span("measure"):
             with obs.span("reconstruct"):
-                pass
+                with obs.span("triangulate"):
+                    pass
+                get_instrumentation()  # evaluate_grid's ambient lookup
+                with obs.span("rasterize"):
+                    pass
+                with obs.span("extrapolate"):
+                    pass
+                with obs.span("score"):
+                    pass
         if obs.enabled:  # reconstruct metrics guard
             pass
     if obs.enabled:  # round-event guard

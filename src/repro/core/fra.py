@@ -16,9 +16,8 @@ refinement loop:
 
 The local-error update is *incremental*: a Bowyer–Watson insertion only
 changes the surface inside the retriangulated cavity, so only grid cells
-inside the cavity's bounding box are re-evaluated. A full-recompute mode
-exists for validation (`FRAConfig.incremental=False`); tests assert both
-modes agree.
+inside the cavity's bounding box are re-evaluated. The tests check it
+against a full recompute of the grid after every insert.
 
 Besides the paper's max-local-error criterion, the selection rule is
 pluggable (curvature / error·curvature product / random) to reproduce the
@@ -69,9 +68,6 @@ class FRAConfig:
     #: When true, the four region corners are real nodes consuming budget
     #: (the alternative reading of the pseudocode; DESIGN.md §6.2).
     corners_are_nodes: bool = False
-    #: Incremental local-error updates (fast path). False recomputes the
-    #: whole grid each step — for validation only.
-    incremental: bool = True
     #: RNG seed for the RANDOM selection criterion.
     seed: int = 0
     #: Record δ after every selection (costly; for convergence studies).
@@ -118,9 +114,8 @@ class FRAResult:
 class _ErrorTracker:
     """Maintains the triangulation and the local-error grid during FRA."""
 
-    def __init__(self, reference: GridSample, incremental: bool) -> None:
+    def __init__(self, reference: GridSample) -> None:
         self.reference = reference
-        self.incremental = incremental
         self.tri = DelaunayTriangulation()
         self.vertex_values: List[float] = []
         self.err = np.zeros_like(reference.values)
@@ -131,10 +126,7 @@ class _ErrorTracker:
             raise RuntimeError("triangulation index out of sync with values")
         self.vertex_values.append(z)
         if self.tri.n_points >= 3 and self.tri.simplices.size:
-            if self.incremental:
-                self._update_window(index)
-            else:
-                self._recompute_all()
+            self._update_window(index)
         return index
 
     def _interpolator(self, simplices: Optional[np.ndarray] = None,
@@ -208,7 +200,7 @@ def foresighted_refinement(
     obs = obs if obs is not None else get_instrumentation()
     rng = np.random.default_rng(cfg.seed)
 
-    tracker = _ErrorTracker(reference, incremental=cfg.incremental)
+    tracker = _ErrorTracker(reference)
     xs, ys = reference.xs, reference.ys
     selected: List[Tuple[float, float]] = []
     used = np.zeros_like(reference.values, dtype=bool)

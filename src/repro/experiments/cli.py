@@ -20,10 +20,6 @@ Usage::
     repro-exp faults --fast              # fault-intensity degradation curves
     repro-exp faults --sweeps all --processes 4 --seeds 5
     repro-exp obs summarize r.jsonl      # phase timings + round aggregates
-    repro-exp obs trace r.jsonl          # -> Chrome/Perfetto trace JSON
-    repro-exp obs diff a.jsonl b.jsonl   # first divergent round/event
-    repro-exp obs health r.jsonl         # replay health rules over a log
-    repro-exp obs metrics r.jsonl        # OpenMetrics text exposition
     repro-exp watch r.jsonl              # live dashboard over a growing log
 """
 
@@ -64,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-flush-every", type=int, default=None, metavar="N",
         help="flush the --obs-log every N events so `repro-exp watch` "
         "can tail the run live (default: buffer until the run ends)",
-    )
-    run_p.add_argument(
-        "--obs-health", action="store_true",
-        help="attach the health-rule engine to the --obs-log run; rule "
-        "findings are written into the log as 'alert' events live",
     )
     run_p.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -204,53 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize_p.add_argument("log", help="path to a JSONL event log")
 
-    trace_p = obs_sub.add_parser(
-        "trace",
-        help="convert a run log to Chrome trace-event JSON — open it in "
-        "https://ui.perfetto.dev or chrome://tracing (per-phase tracks, "
-        "message flow arrows)",
-    )
-    trace_p.add_argument("log", help="path to a JSONL event log")
-    trace_p.add_argument(
-        "-o", "--out", metavar="PATH", default=None,
-        help="output path (default: LOG with a .trace.json suffix)",
-    )
-
-    diff_p = obs_sub.add_parser(
-        "diff",
-        help="align two run logs; report the first divergent round and "
-        "event plus per-phase wall-time deltas",
-    )
-    diff_p.add_argument("log_a", help="baseline JSONL event log")
-    diff_p.add_argument("log_b", help="candidate JSONL event log")
-    diff_p.add_argument(
-        "--rtol", type=float, default=0.0,
-        help="relative tolerance for float fields (default: 0 — "
-        "bit-identical)",
-    )
-    diff_p.add_argument(
-        "--atol", type=float, default=0.0,
-        help="absolute tolerance for float fields (default: 0)",
-    )
-
-    health_p = obs_sub.add_parser(
-        "health",
-        help="replay the health rules (delta stall, divergence, dead "
-        "fleet, disconnection bursts) over a finished run log",
-    )
-    health_p.add_argument("log", help="path to a JSONL event log")
-
-    metrics_p = obs_sub.add_parser(
-        "metrics",
-        help="render the run's final metrics snapshot as OpenMetrics "
-        "text exposition (the scrape format repro-serve will publish)",
-    )
-    metrics_p.add_argument("log", help="path to a JSONL event log")
-
     watch_p = sub.add_parser(
         "watch",
         help="tail a growing JSONL run log and render a live round/delta/"
-        "phase-time/alerts view (write the log with --obs-flush-every)",
+        "phase-time/network view (write the log with --obs-flush-every)",
     )
     watch_p.add_argument("log", help="path to the JSONL event log to tail")
     watch_p.add_argument(
@@ -278,12 +226,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.resume and not args.checkpoint_dir:
             print("--resume requires --checkpoint-dir", file=sys.stderr)
             return 2
-        if (
-            args.obs_flush_every is not None or args.obs_health
-        ) and not (args.obs_log or args.runs_dir):
+        if args.obs_flush_every is not None and not (
+            args.obs_log or args.runs_dir
+        ):
             print(
-                "--obs-flush-every/--obs-health require --obs-log or "
-                "--runs-dir",
+                "--obs-flush-every requires --obs-log or --runs-dir",
                 file=sys.stderr,
             )
             return 2
@@ -313,7 +260,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     fast=args.fast,
                     profile=args.profile,
                     obs_flush_every=args.obs_flush_every,
-                    obs_health=args.obs_health,
                 )
             else:
                 manifest = None
@@ -322,7 +268,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     fast=args.fast,
                     obs_log=args.obs_log,
                     obs_flush_every=args.obs_flush_every,
-                    obs_health=args.obs_health,
                     checkpoint_dir=args.checkpoint_dir,
                     checkpoint_every=args.checkpoint_every,
                     resume=args.resume,
@@ -490,64 +435,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if profile.has_data:
                 print()
                 print(format_profile(profile, title=args.log))
-            return 0
-        if args.obs_command == "trace":
-            from repro.obs import export_run_log
-
-            try:
-                out = export_run_log(args.log, args.out)
-            except (OSError, ValueError) as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            print(f"wrote {out}")
-            print(
-                "open it at https://ui.perfetto.dev or chrome://tracing"
-            )
-            return 0
-        if args.obs_command == "diff":
-            from repro.obs import diff_run_logs, format_diff
-
-            try:
-                diff = diff_run_logs(
-                    args.log_a, args.log_b, rtol=args.rtol, atol=args.atol
-                )
-            except (OSError, ValueError) as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            print(format_diff(diff, title_a=args.log_a, title_b=args.log_b))
-            return 0 if diff.identical else 1
-        if args.obs_command == "health":
-            from repro.obs import check_run_log, format_alerts
-
-            try:
-                alerts = check_run_log(args.log)
-            except (OSError, ValueError) as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            print(format_alerts(alerts, title=args.log))
-            return 0
-        if args.obs_command == "metrics":
-            from repro.obs import load_run_log, render_openmetrics
-
-            try:
-                rows = load_run_log(args.log)
-            except (OSError, ValueError) as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            snapshots = [
-                r for r in rows if r.get("event") == "metrics"
-            ]
-            if not snapshots:
-                print(
-                    f"{args.log}: no 'metrics' snapshot event (did the "
-                    "run close its instrumentation?)",
-                    file=sys.stderr,
-                )
-                return 2
-            print(
-                render_openmetrics(snapshots[-1].get("snapshot") or {}),
-                end="",
-            )
             return 0
     if args.command == "watch":
         from repro.obs import watch as watch_log

@@ -33,7 +33,6 @@ def run_experiment(
     fast: bool = False,
     obs_log: Optional[Union[str, Path]] = None,
     obs_flush_every: Optional[int] = None,
-    obs_health: bool = False,
     obs_append: bool = False,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: int = 10,
@@ -49,8 +48,7 @@ def run_experiment(
     The log opens with a ``run_meta`` header event identifying the
     scenario, seed and launch parameters. ``obs_flush_every=N`` flushes
     that log every N events so ``repro-exp watch`` can tail the run
-    live, and ``obs_health`` attaches the health-rule engine so rule
-    findings land in the log as ``alert`` events the moment they fire.
+    live.
 
     ``profile=True`` installs the ambient per-phase profiler
     (:class:`repro.obs.profile.PhaseProfiler`): every engine the
@@ -97,10 +95,6 @@ def run_experiment(
             obs = Instrumentation.to_jsonl(
                 obs_log, flush_every=obs_flush_every, append=obs_append
             )
-            if obs_health:
-                from repro.obs.health import HealthSink
-
-                obs.bus.add_sink(HealthSink(obs.bus))
             stack.callback(obs.close)
             stack.enter_context(use_instrumentation(obs))
             emit_run_meta(
@@ -347,7 +341,6 @@ def run_recorded(
     fast: bool = False,
     profile: Union[bool, str] = False,
     obs_flush_every: Optional[int] = None,
-    obs_health: bool = False,
     checkpoints: bool = False,
     checkpoint_every: int = 10,
     run_id: Optional[str] = None,
@@ -436,7 +429,6 @@ def run_recorded(
             fast=fast,
             obs_log=obs_path,
             obs_flush_every=obs_flush_every,
-            obs_health=obs_health,
             obs_append=resume,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,

@@ -41,13 +41,10 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.geometry.delaunay import (
-    DelaunayTriangulation,
-    canonical_simplices,
-    delaunay_mesh,
-)
+from repro.geometry.delaunay import DelaunayTriangulation, delaunay_mesh
 from repro.geometry.predicates import barycentric_weights
 from repro.geometry.spatial_index import morton_argsort
+from repro.obs.instrument import get_instrumentation
 
 #: Barycentric slack treated as "inside" to absorb rounding on shared edges.
 _INSIDE_TOL = 1e-9
@@ -96,13 +93,6 @@ class LinearSurfaceInterpolator:
     extrapolate:
         ``"clamp"`` (default) extends the surface outside the sample hull via
         clamped barycentric coordinates; ``"nan"`` returns NaN there.
-    canonical:
-        When true, the triangle array is put into the order-independent
-        canonical form of :func:`repro.geometry.delaunay.canonical_simplices`
-        before use. The surface is the same; the rasteriser's shared-edge
-        tie-break and the extrapolation winner become functions of the
-        triangle *set* alone, so interpolators built from two meshes with
-        the same triangles in different orders evaluate bit-identically.
     """
 
     def __init__(
@@ -111,7 +101,6 @@ class LinearSurfaceInterpolator:
         values: np.ndarray,
         triangulation: Union[DelaunayTriangulation, np.ndarray, None] = None,
         extrapolate: str = "clamp",
-        canonical: bool = False,
     ) -> None:
         if extrapolate not in ("clamp", "nan"):
             raise ValueError(f"unknown extrapolate mode: {extrapolate!r}")
@@ -138,8 +127,6 @@ class LinearSurfaceInterpolator:
             self.simplices = np.asarray(triangulation, dtype=int).reshape(-1, 3)
         if self.simplices.size and self.simplices.max() >= len(self.points):
             raise ValueError("triangle index out of range for the point set")
-        if canonical:
-            self.simplices = canonical_simplices(self.simplices)
         self.simplices = self._drop_degenerate(self.simplices)
         self._tables: Optional[Tuple[np.ndarray, ...]] = None
         self._prune: Optional[Tuple[np.ndarray, ...]] = None
@@ -209,7 +196,10 @@ class LinearSurfaceInterpolator:
 
         Uses the grid-bucketed rasteriser when both axes are sorted
         ascending (every grid in this library); falls back to the scattered
-        reference path otherwise.
+        reference path otherwise. The grid path's two stages, rasterising
+        the hull and extrapolating outside it, are timed as the
+        ``rasterize`` and ``extrapolate`` spans of the ambient
+        instrumentation.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1)
         ys = np.asarray(ys, dtype=float).reshape(-1)
@@ -220,6 +210,30 @@ class LinearSurfaceInterpolator:
         ):
             return self.evaluate_grid_reference(xs, ys)
 
+        obs = get_instrumentation()
+        n_cols, n_rows = len(xs), len(ys)
+        with obs.span("rasterize"):
+            out, win_cell = self._rasterize(xs, ys)
+        if len(win_cell) < out.size and self.extrapolate == "clamp":
+            with obs.span("extrapolate"):
+                filled = np.zeros(out.size, dtype=bool)
+                filled[win_cell] = True
+                # flat indices ascend, so queries arrive in row-major order
+                # just as the reference's np.nonzero(unfilled) produces them.
+                miss = np.flatnonzero(~filled)
+                out[miss] = self._extrapolate_clamped(
+                    xs[miss % n_cols], ys[miss // n_cols]
+                )
+        return out.reshape(n_rows, n_cols)
+
+    def _rasterize(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rasterise the triangles onto the grid, flattened row-major.
+
+        Returns the values (NaN in cells no triangle covers) and the
+        flat indices of the covered cells.
+        """
         n_cols, n_rows = len(xs), len(ys)
         (det, ea1, ea2, eb1, eb2, cx, cy, va, vb, vc,
          xmin, xmax, ymin, ymax) = self._bary_tables()
@@ -271,17 +285,7 @@ class LinearSurfaceInterpolator:
             + wb[inside][win] * vb[win_tid]
             + wc[inside][win] * vc[win_tid]
         )
-
-        if len(win_cell) < out.size and self.extrapolate == "clamp":
-            filled = np.zeros(out.size, dtype=bool)
-            filled[win_cell] = True
-            # flat indices ascend, so queries arrive in row-major order just
-            # as the reference's np.nonzero(unfilled) produces them.
-            miss = np.flatnonzero(~filled)
-            out[miss] = self._extrapolate_clamped(
-                xs[miss % n_cols], ys[miss // n_cols]
-            )
-        return out.reshape(n_rows, n_cols)
+        return out, win_cell
 
     def evaluate_grid_reference(
         self, xs: np.ndarray, ys: np.ndarray

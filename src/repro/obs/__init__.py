@@ -1,7 +1,7 @@
-"""Observability: events, metrics, tracing, export, monitoring, diffing.
+"""Observability: events, metrics, timing, tracing, run records.
 
-The instrumentation substrate every perf / scaling PR measures against,
-plus the deep-telemetry read side:
+The instrumentation substrate every perf / scaling change measures
+against, plus the read side that summarises, tails and records runs:
 
 * :mod:`.events` — a process-local :class:`EventBus` of typed,
   timestamped events,
@@ -20,15 +20,8 @@ plus the deep-telemetry read side:
   :class:`~repro.core.cma.NeighborObservation`'s provenance,
 * :mod:`.report` — aggregate a run log into per-phase wall-time shares
   and round-level metric aggregates, no rerun needed,
-* :mod:`.export` — convert a run log to Chrome trace-event JSON
-  (Perfetto / ``chrome://tracing``) with per-phase tracks and message
-  flow arrows,
-* :mod:`.watch` — tail a growing run log live (``repro-exp watch``)
-  and render an OpenMetrics snapshot,
-* :mod:`.diff` — align two run logs, localise the first divergent
-  round/event, report phase-time deltas,
-* :mod:`.health` — rules that turn event streams into ``alert`` events
-  (δ stall, divergence, dead fleet, disconnection bursts),
+* :mod:`.watch` — tail a growing run log (``repro-exp watch``'s live
+  dashboard, ``repro-serve``'s SSE event streams),
 * :mod:`.manifest` / :mod:`.registry` — run provenance: a
   :class:`RunManifest` (identity, params hash, code version, env
   fingerprint, outcome, content-hashed artifacts) written next to each
@@ -50,8 +43,6 @@ Quick start::
 
     # later, or from another process:
     #   repro-exp obs summarize run.jsonl
-    #   repro-exp obs trace run.jsonl        # -> Perfetto
-    #   repro-exp obs diff a.jsonl b.jsonl   # first divergence
     #   repro-exp watch run.jsonl            # live, while it runs
 """
 
@@ -61,24 +52,7 @@ from repro.obs.aggregate import (
     merge_snapshots,
     merge_summary_parts,
 )
-from repro.obs.diff import (
-    RunDiff,
-    diff_run_logs,
-    diff_runs,
-    format_diff,
-)
 from repro.obs.events import LOG_SCHEMA_VERSION, Event, EventBus
-from repro.obs.export import export_run_log, to_chrome_trace
-from repro.obs.health import (
-    Alert,
-    HealthMonitor,
-    HealthRule,
-    HealthSink,
-    check_events,
-    check_run_log,
-    default_rules,
-    format_alerts,
-)
 from repro.obs.instrument import (
     DISABLED,
     Instrumentation,
@@ -137,13 +111,11 @@ from repro.obs.watch import (
     follow,
     parse_event_line,
     read_new_lines,
-    render_openmetrics,
     render_watch,
     watch,
 )
 
 __all__ = [
-    "Alert",
     "ArtifactCheck",
     "ArtifactRef",
     "Counter",
@@ -152,9 +124,6 @@ __all__ = [
     "EventBus",
     "Gauge",
     "GcReport",
-    "HealthMonitor",
-    "HealthRule",
-    "HealthSink",
     "Instrumentation",
     "JsonlSink",
     "LOG_SCHEMA_VERSION",
@@ -169,7 +138,6 @@ __all__ = [
     "PhaseTimer",
     "ProfileConfig",
     "ProfileSummary",
-    "RunDiff",
     "RunManifest",
     "RunRegistry",
     "RunSummary",
@@ -182,20 +150,12 @@ __all__ = [
     "aggregate_run_log",
     "artifact_ref",
     "beacon_trace_id",
-    "check_events",
-    "check_run_log",
     "code_version",
-    "default_rules",
-    "diff_run_logs",
-    "diff_runs",
     "emit_run_meta",
     "env_fingerprint",
-    "export_run_log",
     "file_sha256",
     "follow",
-    "format_alerts",
     "format_compare",
-    "format_diff",
     "format_profile",
     "format_run_detail",
     "format_runs_table",
@@ -210,12 +170,10 @@ __all__ = [
     "params_hash",
     "parse_event_line",
     "read_new_lines",
-    "render_openmetrics",
     "render_watch",
     "summarize_events",
     "summarize_profile",
     "summarize_run_log",
-    "to_chrome_trace",
     "use_instrumentation",
     "use_profiling",
     "watch",

@@ -8,23 +8,13 @@ file promptly) and keeps a terminal view current:
   sparkline over the recent window,
 * per-phase wall-time totals from the ``span`` events,
 * network counters from the ``msg_*`` causal-trace events (sent,
-  delivered, lost, stale-served),
-* health alerts — both ``alert`` events already in the log (a live
-  :class:`~repro.obs.health.HealthSink` on the writer side) and alerts
-  the watcher's own :class:`~repro.obs.health.HealthMonitor` derives
-  while tailing, deduplicated by (rule, round).
+  delivered, lost, stale-served).
 
 The tailer (:func:`follow`) is deliberately boring: poll the file,
 yield complete lines, keep a partial trailing line buffered until its
 newline arrives (a half-written JSON object is *pending*, not an
 error), and pick up content that existed before the watcher started.
-It also serves as the read-side substrate the future ``repro-serve``
-will publish over SSE/WebSocket.
-
-:func:`render_openmetrics` formats a metrics-registry snapshot (the
-``metrics`` event payload, or a live :class:`MetricsRegistry`) as
-OpenMetrics / Prometheus text exposition — ``repro-exp obs metrics``
-prints it, and a scrape endpoint can serve it verbatim.
+It is also the read side ``repro-serve`` streams over SSE.
 """
 
 from __future__ import annotations
@@ -34,19 +24,7 @@ import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
-
-from repro.obs.health import Alert, HealthMonitor
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "LineAssembler",
@@ -56,7 +34,6 @@ __all__ = [
     "WatchState",
     "render_watch",
     "watch",
-    "render_openmetrics",
 ]
 
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -193,23 +170,9 @@ class WatchState:
     phase_totals: Dict[str, float] = dataclass_field(default_factory=dict)
     phase_counts: Dict[str, int] = dataclass_field(default_factory=dict)
     net_counts: Dict[str, int] = dataclass_field(default_factory=dict)
-    alerts: List[Alert] = dataclass_field(default_factory=list)
-    #: (rule, round) pairs already listed — dedupes log-side ``alert``
-    #: events against the watcher's own monitor findings.
-    _seen_alerts: Set[Tuple[str, int]] = dataclass_field(
-        default_factory=set
-    )
-    monitor: HealthMonitor = dataclass_field(default_factory=HealthMonitor)
 
     #: δ history kept for the sparkline (bounded).
     max_deltas: int = 120
-
-    def _add_alert(self, alert: Alert) -> None:
-        key = (alert.rule, alert.round)
-        if key in self._seen_alerts:
-            return
-        self._seen_alerts.add(key)
-        self.alerts.append(alert)
 
     def feed(self, row: Dict[str, Any]) -> None:
         """Fold one event dict into the view state."""
@@ -237,15 +200,6 @@ class WatchState:
             self.phase_counts[path] = self.phase_counts.get(path, 0) + 1
         elif isinstance(name, str) and name.startswith("msg_"):
             self.net_counts[name] = self.net_counts.get(name, 0) + 1
-        elif name == "alert":
-            self._add_alert(Alert(
-                rule=str(row.get("rule", "?")),
-                round=int(row.get("round", -1)),
-                severity=str(row.get("severity", "warning")),
-                message=str(row.get("message", "")),
-            ))
-        for alert in self.monitor.feed(row):
-            self._add_alert(alert)
 
 
 def _sparkline(values: List[float], width: int = 40) -> str:
@@ -311,13 +265,6 @@ def render_watch(state: WatchState, title: str = "run") -> str:
             for name in sorted(state.net_counts)
         ]
         lines.append("network: " + "  ".join(parts))
-    if state.alerts:
-        lines.append("-- alerts --")
-        for alert in state.alerts[-8:]:
-            lines.append(
-                f"  [{alert.severity}] round {alert.round} "
-                f"{alert.rule}: {alert.message}"
-            )
     return "\n".join(lines)
 
 
@@ -361,51 +308,3 @@ def watch(
     out(render_watch(state, title))
     return state
 
-
-# ----------------------------------------------------------------------
-# OpenMetrics text exposition
-
-
-def _metric_name(name: str, prefix: str) -> str:
-    safe = "".join(
-        c if c.isalnum() or c == "_" else "_" for c in name
-    )
-    if safe and safe[0].isdigit():
-        safe = "_" + safe
-    return f"{prefix}_{safe}" if prefix else safe
-
-
-def render_openmetrics(
-    snapshot: Dict[str, Any], prefix: str = "repro"
-) -> str:
-    """Format a metrics snapshot as OpenMetrics text exposition.
-
-    ``snapshot`` is what :meth:`repro.obs.metrics.MetricsRegistry.snapshot`
-    returns (and what the run log's final ``metrics`` event carries):
-    scalar values for counters/gauges, ``{count,total,mean,min,max,p50,
-    p95}`` dicts for summaries. Summaries map onto the OpenMetrics
-    summary family (``_count``/``_sum`` plus ``quantile`` labels); the
-    registry does not distinguish counters from gauges in a snapshot, so
-    scalars are exposed as gauges (the semantically safe choice — a
-    counter re-read from a snapshot is not guaranteed monotone across
-    runs). Ends with ``# EOF`` per the OpenMetrics spec.
-    """
-    lines: List[str] = []
-    for name in sorted(snapshot):
-        value = snapshot[name]
-        metric = _metric_name(name, prefix)
-        if isinstance(value, dict):
-            lines.append(f"# TYPE {metric} summary")
-            for q_label, q_key in (("0.5", "p50"), ("0.95", "p95")):
-                q_value = value.get(q_key)
-                if q_value is not None:
-                    lines.append(
-                        f'{metric}{{quantile="{q_label}"}} {float(q_value):g}'
-                    )
-            lines.append(f"{metric}_count {int(value.get('count', 0))}")
-            lines.append(f"{metric}_sum {float(value.get('total', 0.0)):g}")
-        else:
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {float(value):g}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"

@@ -43,19 +43,16 @@ def reconstruct_surface(
     positions: np.ndarray,
     values: Optional[np.ndarray] = None,
     field: Optional[Field] = None,
-    triangulation: Optional[np.ndarray] = None,
 ) -> Reconstruction:
     """Rebuild the surface from samples at ``positions`` and score it.
 
     Either pass the sampled ``values`` directly (what real nodes would
     report), or a ``field`` to sample — exactly one of the two.
 
-    ``triangulation`` optionally supplies a precomputed ``(m, 3)`` simplex
-    array over exactly these positions (e.g. the ``simplices`` of a
-    :class:`~repro.geometry.delaunay.DelaunayTriangulation` grown point by
-    point with ``insert``), skipping the from-scratch Delaunay build. The
-    simplices are canonicalised either way, so two meshes with the same
-    triangle set score bit-identically.
+    Under enabled instrumentation the work is timed as a ``reconstruct``
+    span with ``triangulate`` (the Delaunay build), ``rasterize`` and
+    ``extrapolate`` (the grid evaluation) and ``score`` (δ, RMSE and max
+    error) nested inside it.
     """
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if (values is None) == (field is None):
@@ -71,25 +68,28 @@ def reconstruct_surface(
         raise ValueError("cannot reconstruct from zero samples")
 
     # Timed under the ambient instrumentation (a no-op span by default):
-    # triangulate + grid evaluation is the measurement hot path of every
-    # CMA round and FRA history point.
+    # this is the measurement hot path of every CMA round and FRA history
+    # point.
     obs = get_instrumentation()
     with obs.span("reconstruct"):
-        interp = LinearSurfaceInterpolator(
-            pts, vals, triangulation=triangulation, canonical=True
-        )
+        with obs.span("triangulate"):
+            interp = LinearSurfaceInterpolator(pts, vals)
         surface = GridSample(
             xs=reference.xs,
             ys=reference.ys,
             values=interp.evaluate_grid(reference.xs, reference.ys),
         )
+        with obs.span("score"):
+            delta = volume_difference(reference, surface)
+            rms = rmse(reference, surface)
+            max_error = max_absolute_error(reference, surface)
     if obs.enabled:
         obs.summary("reconstruct.n_samples").observe(len(pts))
     return Reconstruction(
         sample_positions=pts,
         sample_values=vals,
         surface=surface,
-        delta=volume_difference(reference, surface),
-        rmse=rmse(reference, surface),
-        max_error=max_absolute_error(reference, surface),
+        delta=delta,
+        rmse=rms,
+        max_error=max_error,
     )

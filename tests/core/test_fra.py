@@ -191,13 +191,16 @@ class TestQuality:
         ]
         assert deltas[0] > deltas[1] > deltas[2]
 
-    def test_incremental_matches_full_recompute(self, bump_reference):
-        fast = foresighted_refinement(
-            bump_reference, 15, RC, FRAConfig(incremental=True)
+    def test_incremental_matches_full_recompute(
+        self, bump_reference, monkeypatch
+    ):
+        fast = foresighted_refinement(bump_reference, 15, RC)
+        # Oracle: re-evaluate the whole local-error grid after every insert.
+        monkeypatch.setattr(
+            fra_module._ErrorTracker, "_update_window",
+            lambda tracker, new_index: tracker._recompute_all(),
         )
-        slow = foresighted_refinement(
-            bump_reference, 15, RC, FRAConfig(incremental=False)
-        )
+        slow = foresighted_refinement(bump_reference, 15, RC)
         assert np.allclose(fast.positions, slow.positions)
 
     def test_record_history_monotone_tail(self, bump_reference):

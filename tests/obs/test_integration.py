@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.core.fra import foresighted_refinement
 from repro.core.problem import OSTDProblem
+from repro.experiments import config
 from repro.experiments.cli import main
 from repro.fields.base import sample_grid
 from repro.fields.greenorbs import GreenOrbsLightField
@@ -62,6 +63,45 @@ class TestCMARunLog:
         assert np.allclose([r["delta"] for r in rounds], result.deltas)
         moved = sum(r.n_moved for r in result.rounds)
         assert sum(r["n_moved"] for r in rounds) == moved
+
+
+def fig10_fast_run(obs=None):
+    """The fig10 ``--fast`` simulation (k=100, 8 rounds), optionally traced."""
+    sc = config.scale(True)
+    field = config.ostd_field()
+    problem = OSTDProblem(
+        k=100, rc=config.RC, rs=config.RS, region=field.region, field=field,
+        speed=config.SPEED, t0=config.T_REFERENCE,
+        duration=float(sc.n_rounds),
+    )
+    with use_instrumentation(obs or Instrumentation.disabled()):
+        return MobileSimulation(
+            problem, params=config.cma_params(), resolution=sc.resolution,
+        ).run()
+
+
+class TestReconstructSpans:
+    def test_stages_nest_under_measure_reconstruct(self):
+        obs = Instrumentation.in_memory()
+        result = fig10_fast_run(obs)
+        paths = [e.fields["path"] for e in obs.memory_events()
+                 if e.name == "span"]
+        n_rounds = len(result.rounds)
+        for stage in ("triangulate", "rasterize", "extrapolate", "score"):
+            assert paths.count(f"step/measure/reconstruct/{stage}") == (
+                n_rounds
+            ), stage
+        assert not [p for p in paths
+                    if p.endswith(("/triangulate", "/rasterize",
+                                   "/extrapolate", "/score"))
+                    and not p.startswith("step/measure/reconstruct/")]
+
+    def test_traced_run_matches_untraced(self):
+        plain = fig10_fast_run()
+        traced = fig10_fast_run(Instrumentation.in_memory())
+        assert np.array_equal(plain.deltas, traced.deltas)
+        for a, b in zip(plain.rounds, traced.rounds, strict=True):
+            assert np.array_equal(a.positions, b.positions)
 
 
 class TestFRARunLog:

@@ -1,15 +1,13 @@
-"""Tests for live monitoring: the tailer, the dashboard, OpenMetrics."""
+"""Tests for live monitoring: the tailer and the dashboard."""
 
 import json
 import threading
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.watch import (
     LineAssembler,
     WatchState,
     follow,
     read_new_lines,
-    render_openmetrics,
     render_watch,
     watch,
 )
@@ -239,17 +237,6 @@ class TestWatchState:
             state.feed(_round(i, float(i)))
         assert state.deltas == [7.0, 8.0, 9.0, 10.0, 11.0]
 
-    def test_log_alerts_dedupe_against_own_monitor(self):
-        # Feed a dead-fleet round: the watcher's own monitor fires, and
-        # the writer-side alert event for the same (rule, round) must not
-        # double-count.
-        state = WatchState()
-        state.feed(_round(3, 2.0, n_alive=0))
-        assert [a.rule for a in state.alerts] == ["dead_fleet"]
-        state.feed({"event": "alert", "t": 3.5, "rule": "dead_fleet",
-                    "round": 3, "severity": "critical", "message": "x"})
-        assert len(state.alerts) == 1
-
     def test_render_includes_all_sections(self):
         state = WatchState()
         state.feed(_round(0, 3.0))
@@ -257,14 +244,11 @@ class TestWatchState:
                     "path": "step", "dur_s": 0.5, "depth": 0})
         state.feed({"event": "msg_lost", "t": 1.0, "trace_id": "r0.n1>n0",
                     "round": 0, "sender": 1, "receiver": 0, "attempts": 3})
-        state.feed({"event": "alert", "t": 1.0, "rule": "divergence",
-                    "round": 0, "severity": "critical", "message": "boom"})
         text = render_watch(state, "demo")
         assert "watching: demo" in text
         assert "round    0" in text
         assert "step" in text
         assert "lost=1" in text
-        assert "divergence: boom" in text
 
     def test_render_with_no_events(self):
         text = render_watch(WatchState(), "empty")
@@ -303,63 +287,3 @@ class TestWatchRunMeta:
         text = render_watch(WatchState(), "demo")
         assert "scenario" not in text
 
-
-class TestRenderOpenmetrics:
-    def test_exact_exposition_format(self):
-        """Pin the full text byte for byte — the scrape contract.
-
-        A scrape endpoint serves this verbatim; silent format drift would
-        break downstream parsers, so the whole rendering is pinned, not
-        just spot-checked, and it must terminate with ``# EOF`` per the
-        OpenMetrics spec.
-        """
-        snapshot = {
-            "net.sent": 42,
-            "phase.step": {
-                "count": 6, "total": 1.2, "mean": 0.2,
-                "min": 0.1, "max": 0.4, "p50": 0.18, "p95": 0.38,
-            },
-        }
-        assert render_openmetrics(snapshot) == (
-            "# TYPE repro_net_sent gauge\n"
-            "repro_net_sent 42\n"
-            "# TYPE repro_phase_step summary\n"
-            'repro_phase_step{quantile="0.5"} 0.18\n'
-            'repro_phase_step{quantile="0.95"} 0.38\n'
-            "repro_phase_step_count 6\n"
-            "repro_phase_step_sum 1.2\n"
-            "# EOF\n"
-        )
-
-    def test_empty_snapshot_is_just_eof(self):
-        assert render_openmetrics({}) == "# EOF\n"
-
-    def test_scalars_become_gauges(self):
-        text = render_openmetrics({"net.sent": 42, "rounds": 6})
-        assert "# TYPE repro_net_sent gauge" in text
-        assert "repro_net_sent 42" in text
-        assert text.endswith("# EOF\n")
-
-    def test_summaries_expose_quantiles_count_and_sum(self):
-        snapshot = {"phase.step": {
-            "count": 6, "total": 1.2, "mean": 0.2,
-            "min": 0.1, "max": 0.4, "p50": 0.18, "p95": 0.38,
-        }}
-        text = render_openmetrics(snapshot)
-        assert "# TYPE repro_phase_step summary" in text
-        assert 'repro_phase_step{quantile="0.5"} 0.18' in text
-        assert 'repro_phase_step{quantile="0.95"} 0.38' in text
-        assert "repro_phase_step_count 6" in text
-        assert "repro_phase_step_sum 1.2" in text
-
-    def test_names_are_sanitised(self):
-        text = render_openmetrics({"9weird-name/x": 1.0}, prefix="")
-        assert "_9weird_name_x 1" in text
-
-    def test_live_registry_snapshot_renders(self):
-        registry = MetricsRegistry()
-        registry.counter("net.sent").inc(3)
-        registry.summary("dt").observe(0.5)
-        text = render_openmetrics(registry.snapshot())
-        assert "repro_net_sent 3" in text
-        assert "repro_dt_count 1" in text
