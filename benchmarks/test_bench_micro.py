@@ -24,14 +24,7 @@ from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.interpolation import LinearSurfaceInterpolator
 from repro.geometry.primitives import BoundingBox
 from repro.graphs.relay import plan_relays
-from repro.runtime.cma_phases import (
-    CapturePhase,
-    ConstrainMovePhase,
-    ExchangePhase,
-    MobileRoundContext,
-    PlanPhase,
-    SensePhase,
-)
+from repro.runtime import cma_phases
 from repro.sim.engine import MobileSimulation, default_grid_layout
 from repro.surfaces.metrics import volume_difference
 from repro.surfaces.quadric import fit_quadric
@@ -178,25 +171,26 @@ def test_bench_plan_round_100(benchmark):
     sim = MobileSimulation(problem)
     for _ in range(5):
         sim.step()
-    ctx = MobileRoundContext(sim)
-    for phase in (CapturePhase(), SensePhase(), ExchangePhase()):
-        phase.run(ctx)
+    positions, alive_mask = sim.positions, sim.alive_mask
+    alive_ids = np.flatnonzero(alive_mask).tolist()
+    _, sensing = cma_phases.sense(sim, alive_ids)
+    inboxes = cma_phases.exchange(sim, positions, alive_mask)
     pre_move = sim.state.copy()
-    plan, constrain = PlanPhase(), ConstrainMovePhase()
-    alive_positions = ctx.positions[ctx.alive_ids]
+    alive_positions = positions[alive_ids]
+    n_moved = []
 
     def restore():
         sim.state.positions[:] = pre_move.positions
         sim.state.distance_travelled[:] = pre_move.distance_travelled
 
     def round_plan():
-        estimate_own_curvature(ctx.sensing, alive_positions, sim.params)
-        plan.run(ctx)
-        constrain.run(ctx)
+        estimate_own_curvature(sensing, alive_positions, sim.params)
+        plan = cma_phases.plan(sim, positions, alive_ids, sensing, inboxes)
+        n_moved.append(cma_phases.constrain_move(sim, plan))
 
     benchmark.pedantic(round_plan, setup=restore, rounds=20, iterations=1,
                        warmup_rounds=1)
-    assert ctx.n_moved > 0
+    assert n_moved[-1] > 0
 
 
 def _step_simulation(k: int) -> MobileSimulation:

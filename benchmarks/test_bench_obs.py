@@ -24,8 +24,7 @@ from repro.obs import (
     get_instrumentation,
 )
 from repro.obs.trace import MessageTracer
-from repro.runtime.cma_phases import ExchangePhase
-from repro.sim.engine import MobileSimulation
+from repro.sim.engine import MobileSimulation, round_scope
 from repro.sim.netmodel import NetworkModel
 
 
@@ -38,32 +37,39 @@ def make_sim(obs=None, k=100, resolution=101, **kwargs):
     return MobileSimulation(problem, resolution=resolution, obs=obs, **kwargs)
 
 
-def noop_step_touches(obs):
+def noop_step_touches(sim):
     """The exact instrumentation sequence one disabled step executes:
 
-    an outer ``step`` span, six phase spans, the ``read``/``fit`` spans
-    inside ``sense``, the ``enabled`` guards in ``step``/``_lcm_pass``,
-    and the reconstruction's ambient lookups (one in reconstruction, one
-    in the grid evaluation) with the ``triangulate``, ``rasterize``,
-    ``extrapolate`` and ``score`` spans inside ``reconstruct``.
+    the engine's round frame (:func:`round_scope`: the ambient
+    ``use_instrumentation`` push/pop and its ``enabled`` check), a no-op
+    profiler timer around each of the eight phases, six phase spans, the
+    ``read``/``fit`` spans inside ``sense``, the ``enabled`` guards in
+    ``lcm`` and the round event, and the reconstruction's ambient
+    lookups (one in reconstruction, one in the grid evaluation) with the
+    ``triangulate``, ``rasterize``, ``extrapolate`` and ``score`` spans
+    inside ``reconstruct``.
     """
-    with obs.span("step"):
-        with obs.span("sense"):
+    obs = sim.obs
+    with round_scope(sim) as timed:
+        with timed("capture"):
+            pass
+        with obs.span("sense"), timed("sense"):
             with obs.span("read"):
                 pass
             with obs.span("fit"):
                 pass
-        with obs.span("exchange"):
+        with obs.span("exchange"), timed("exchange"):
             pass
-        with obs.span("plan"):
+        with obs.span("plan"), timed("plan"):
             pass
-        with obs.span("constrain_move"):
+        with obs.span("constrain_move"), timed("constrain_move"):
             pass
-        with obs.span("lcm"):
+        with obs.span("lcm"), timed("lcm"):
+            if obs.enabled:  # lcm's per-pass emit guard
+                pass
+        with timed("trace"):
             pass
-        if obs.enabled:  # _lcm_pass per-pass emit guard
-            pass
-        with obs.span("measure"):
+        with obs.span("measure"), timed("measure"):
             with obs.span("reconstruct"):
                 with obs.span("triangulate"):
                     pass
@@ -74,8 +80,8 @@ def noop_step_touches(obs):
                     pass
                 with obs.span("score"):
                     pass
-        if obs.enabled:  # reconstruct metrics guard
-            pass
+            if obs.enabled:  # reconstruct metrics guard
+                pass
     if obs.enabled:  # round-event guard
         pass
 
@@ -89,11 +95,10 @@ def test_disabled_overhead_below_two_percent():
     sim.step()
     step_seconds = perf_counter() - start
 
-    obs = sim.obs
     n = 20_000
     start = perf_counter()
     for _ in range(n):
-        noop_step_touches(obs)
+        noop_step_touches(sim)
     touch_seconds = (perf_counter() - start) / n
 
     overhead = touch_seconds / step_seconds
@@ -107,24 +112,22 @@ def test_disabled_overhead_below_two_percent():
 def test_disabled_overhead_with_tracing_below_two_percent():
     """ISSUE 6 re-assertion: with causal message tracing wired into the
     exchange path, a disabled networked step's only new cost is the
-    :meth:`ExchangePhase._tracer_for` guard (one ``enabled`` check
-    returning ``None``) — the 2% budget must still hold."""
+    ``MobileSimulation.message_tracer`` lookup (``None`` when
+    disabled) — the 2% budget must still hold."""
     sim = make_sim(network=NetworkModel())
     assert sim.obs.enabled is False
-    phase = ExchangePhase()
-    assert phase._tracer_for(sim) is None  # disabled → no tracer built
+    assert sim.message_tracer is None  # disabled → no tracer built
     sim.step()  # warm caches
 
     start = perf_counter()
     sim.step()
     step_seconds = perf_counter() - start
 
-    obs = sim.obs
     n = 20_000
     start = perf_counter()
     for _ in range(n):
-        noop_step_touches(obs)
-        phase._tracer_for(sim)  # the tracing addition, once per round
+        noop_step_touches(sim)
+        sim.message_tracer  # the tracing addition, once per round
     touch_seconds = (perf_counter() - start) / n
 
     overhead = touch_seconds / step_seconds
@@ -138,17 +141,15 @@ def test_disabled_overhead_with_tracing_below_two_percent():
 def test_disabled_overhead_unchanged_by_profiling_layer():
     """ISSUE 8 re-assertion: with the per-phase profiler in the tree, a
     run that did not opt in pays only the engine's construction-time
-    :func:`get_profile_config` lookup — no middleware is installed, no
+    :func:`get_profile_config` lookup — no profiler is built, no
     tracemalloc is started, and the disabled-step budget still holds."""
     import tracemalloc
 
-    from repro.obs.profile import PhaseProfiler, get_profile_config
+    from repro.obs.profile import get_profile_config
 
     assert get_profile_config() is None  # off unless use_profiling is active
     sim = make_sim()
-    assert not any(
-        isinstance(m, PhaseProfiler) for m in sim.scheduler.middleware
-    )
+    assert sim.profiler is None
     assert not tracemalloc.is_tracing()
     sim.step()  # warm caches
 
@@ -156,11 +157,10 @@ def test_disabled_overhead_unchanged_by_profiling_layer():
     sim.step()
     step_seconds = perf_counter() - start
 
-    obs = sim.obs
     n = 20_000
     start = perf_counter()
     for _ in range(n):
-        noop_step_touches(obs)
+        noop_step_touches(sim)
         get_profile_config()  # the construction-time lookup, amortised
     touch_seconds = (perf_counter() - start) / n
 
@@ -175,7 +175,7 @@ def test_disabled_overhead_unchanged_by_profiling_layer():
 def test_bench_noop_instrumentation_touches(benchmark):
     """Absolute cost of a disabled step's instrumentation touches."""
     sim = make_sim(k=25, resolution=41)
-    benchmark(noop_step_touches, sim.obs)
+    benchmark(noop_step_touches, sim)
 
 
 def test_bench_step_instrumented_memory_sink(benchmark):

@@ -25,6 +25,8 @@ from repro.experiments import config
 from repro.experiments.registry import ExperimentResult, experiment
 from repro.fields.base import GridSample, sample_grid
 from repro.geometry.interpolation import LinearSurfaceInterpolator
+from repro.obs.instrument import get_instrumentation
+from repro.runtime.checkpoint import get_checkpoint_config
 from repro.sim.engine import MobileSimulation, SimulationResult
 from repro.surfaces.reconstruction import reconstruct_surface
 from repro.viz.ascii import render_series, render_topology
@@ -36,8 +38,17 @@ _cache: dict = {}
 
 
 def _simulate(fast: bool):
+    """The shared run, reused from the cache only while nothing watches.
+
+    Under an enabled ambient instrumentation or an active checkpoint
+    policy the engine always runs, so every obs log holds its own
+    experiment's rounds and every checkpoint directory its own run.
+    """
     key = bool(fast)
-    if key not in _cache:
+    watched = (
+        get_instrumentation().enabled or get_checkpoint_config() is not None
+    )
+    if watched or key not in _cache:
         sc = config.scale(fast)
         field = config.ostd_field()
         problem = OSTDProblem(

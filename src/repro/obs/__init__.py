@@ -8,7 +8,7 @@ against, plus the read side that summarises, tails and records runs:
 * :mod:`.metrics` — counters, gauges and quantile summaries in a
   :class:`MetricsRegistry`,
 * :mod:`.timing` — nestable phase spans built on ``perf_counter``,
-  with round-context fields threaded by the scheduler middleware,
+  with round-context fields the engines stamp onto each round's spans,
 * :mod:`.sinks` — JSONL file sink (the replayable run log, strict-JSON
   with NaN/Inf → null and optional ``flush_every`` auto-flush),
   in-memory sink for tests, null sink for the disabled default,
@@ -30,7 +30,7 @@ against, plus the read side that summarises, tails and records runs:
 * :mod:`.aggregate` — merge per-worker metric snapshots into one
   fleet-level rollup (sum/min/max/last per metric kind),
 * :mod:`.profile` — opt-in per-phase CPU / allocation / counter-delta
-  profiling as scheduler middleware (``--profile``).
+  profiling of the engines' rounds (``--profile``).
 
 Quick start::
 

@@ -3,8 +3,9 @@
 The obs layer's span events answer "how long did the sense phase take";
 they cannot say whether that time was CPU or blocking, how much memory
 the phase allocated, or which phase drove the ``geom.*``/``net.*``
-counters. :class:`PhaseProfiler` is an opt-in scheduler middleware that
-records, per phase and per round:
+counters. :class:`PhaseProfiler` is an opt-in per-engine recorder that
+the engines enter around each round and each phase; it records, per
+phase and per round:
 
 * **CPU time** — ``time.process_time`` deltas (user+system of this
   process), so a phase that sleeps shows wall > cpu;
@@ -23,8 +24,8 @@ summarised offline by :func:`summarize_profile` — no new file formats.
 
 Cost discipline: profiling is **off unless requested**. The engines
 consult :func:`get_profile_config` once, at construction; when no
-ambient config is installed the middleware is never built and a run
-pays nothing — the ≤2% disabled-instrumentation budget pinned in
+ambient config is installed no profiler is built and a run pays
+nothing — the ≤2% disabled-instrumentation budget pinned in
 ``benchmarks/test_bench_obs.py`` is untouched. Turn it on with::
 
     with use_profiling():
@@ -40,7 +41,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
     "PhaseProfile",
@@ -81,9 +82,9 @@ def use_profiling(
 ) -> Iterator[ProfileConfig]:
     """Install an ambient :class:`ProfileConfig` for a code region.
 
-    Engines constructed inside the region attach a
-    :class:`PhaseProfiler` to their scheduler (when their
-    instrumentation is enabled — profile events need a bus to land on).
+    Engines constructed inside the region build a :class:`PhaseProfiler`
+    (when their instrumentation is enabled — profile events need a bus
+    to land on).
     """
     cfg = config if config is not None else ProfileConfig()
     _current.append(cfg)
@@ -94,14 +95,12 @@ def use_profiling(
 
 
 class PhaseProfiler:
-    """Scheduler middleware emitting ``profile.*`` events (see module doc).
+    """Emits ``profile.*`` events for one engine's rounds (see module doc).
 
-    Structurally a :class:`repro.runtime.middleware.Middleware` (the
-    scheduler duck-types its hooks); not a subclass because the obs
-    layer sits *below* the runtime — the runtime imports obs, never the
-    reverse. Appended *after* the stock middleware so its phase hook is
-    the innermost wrapper — the measured window is the phase body, not
-    the obs span bookkeeping around it.
+    The engine enters :meth:`round` inside its ``step`` span and
+    :meth:`phase` inside each phase's span, so the measured window is
+    the phase body, not the span bookkeeping around it. Both read
+    ``engine.obs`` and ``engine.round_index`` when they run.
     """
 
     def __init__(
@@ -113,11 +112,7 @@ class PhaseProfiler:
         self.config = config if config is not None else ProfileConfig()
         if self.config.memory and not tracemalloc.is_tracing():
             tracemalloc.start()
-        #: Scalar counter values at round start, for per-round deltas.
-        self._round_counters: Dict[str, float] = {}
-        self._round_cpu0 = 0.0
 
-    # -- helpers --------------------------------------------------------
     def _scalar_counters(self) -> Dict[str, float]:
         registry = self._engine.obs.metrics
         kinds = registry.kinds()
@@ -127,25 +122,11 @@ class PhaseProfiler:
                 snap[name] = float(registry.counter(name).value)
         return snap
 
-    # -- middleware hooks (duck-typed Middleware protocol) --------------
-    def on_round_start(self, ctx: Any) -> None:
-        pass
-
-    def on_round_end(self, ctx: Any, record: Any) -> None:
-        pass
-
-    def around_round(self, ctx: Any) -> ContextManager:
-        return self._profiled_round()
-
     @contextmanager
-    def _profiled_round(self):
-        obs = self._engine.obs
-        if not obs.enabled:
-            yield
-            return
+    def round(self) -> Iterator[None]:
+        """Time one round; emits ``profile.round`` when it ends."""
         round_index = self._engine.round_index
-        if self.config.counters:
-            self._round_counters = self._scalar_counters()
+        counters0 = self._scalar_counters() if self.config.counters else {}
         cpu0 = time.process_time() if self.config.cpu else 0.0
         try:
             yield
@@ -155,23 +136,16 @@ class PhaseProfiler:
                 fields["cpu_s"] = time.process_time() - cpu0
             if self.config.counters:
                 after = self._scalar_counters()
-                deltas = {
-                    name: after[name] - self._round_counters.get(name, 0.0)
+                fields["counter_deltas"] = {
+                    name: after[name] - counters0.get(name, 0.0)
                     for name in after
-                    if after[name] != self._round_counters.get(name, 0.0)
+                    if after[name] != counters0.get(name, 0.0)
                 }
-                fields["counter_deltas"] = deltas
-            obs.emit("profile.round", **fields)
-
-    def around_phase(self, phase: Any, ctx: Any) -> ContextManager:
-        return self._profiled_phase(phase)
+            self._engine.obs.emit("profile.round", **fields)
 
     @contextmanager
-    def _profiled_phase(self, phase: Any):
-        obs = self._engine.obs
-        if not obs.enabled:
-            yield
-            return
+    def phase(self, name: str) -> Iterator[None]:
+        """Time one phase; emits ``profile.phase`` when it ends."""
         mem = self.config.memory and tracemalloc.is_tracing()
         if mem:
             tracemalloc.reset_peak()
@@ -182,7 +156,7 @@ class PhaseProfiler:
             yield
         finally:
             fields: Dict[str, Any] = {
-                "phase": phase.name,
+                "phase": name,
                 "round": self._engine.round_index,
                 "wall_s": time.perf_counter() - wall0,
             }
@@ -192,7 +166,7 @@ class PhaseProfiler:
                 alloc1, peak = tracemalloc.get_traced_memory()
                 fields["alloc_delta_b"] = alloc1 - alloc0
                 fields["alloc_peak_b"] = max(0, peak - alloc0)
-            obs.emit("profile.phase", **fields)
+            self._engine.obs.emit("profile.phase", **fields)
 
 
 # ----------------------------------------------------------------------

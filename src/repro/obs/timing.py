@@ -97,11 +97,10 @@ class PhaseTimer:
     def push_context(self, **fields: Any) -> Dict[str, Any]:
         """Stamp ``fields`` onto every span event until ``pop_context``.
 
-        The scheduler's observability middleware uses this to thread the
-        current round index through the phase spans — each ``span`` event
-        then carries ``round=N``, which is what lets the trace exporter
-        and run differ group phase timings by round without timestamp
-        heuristics. Returns the previous context (pass it back to
+        The engines use this to thread the current round index through
+        the phase spans — each ``span`` event then carries ``round=N``,
+        so phase timings group by round without timestamp heuristics.
+        Returns the previous context (pass it back to
         :meth:`pop_context`); nesting merges, innermost wins.
         """
         previous = self._context

@@ -41,11 +41,11 @@ without widening the netmodel's JSON cache format, and any
 ``NeighborObservation`` can be traced after the fact with
 :func:`observation_trace_id` (its ``staleness`` recovers ``sent_round``).
 
-Tracing rides the ordinary instrumentation switch: the
-:class:`~repro.runtime.cma_phases.ExchangePhase` only constructs a
-tracer when ``engine.obs`` is enabled *and* the engine routes beacons
-through a :class:`~repro.sim.netmodel.network.NetworkModel`, so
-uninstrumented runs (and the paper's perfect radio) pay nothing.
+Tracing rides the ordinary instrumentation switch: the engine builds
+its tracer (``MobileSimulation.message_tracer``) only when ``obs`` is
+enabled, and only a :class:`~repro.sim.netmodel.network.NetworkModel`
+exchange uses it, so uninstrumented runs (and the paper's perfect
+radio) pay nothing.
 """
 
 from __future__ import annotations

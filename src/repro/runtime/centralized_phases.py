@@ -1,10 +1,8 @@
-"""The centralized baseline's round pipeline as runtime phase units.
+"""The centralized baseline's round phases, as plain functions.
 
-The replan → move → measure cycle of
-:class:`repro.sim.centralized.CentralizedSimulation`, cut out of its
-hand-rolled ``step()`` so both engines run on the same
-:class:`~repro.runtime.scheduler.Scheduler`. The numerical content is
-transplanted verbatim; the facade's results are unchanged bit for bit.
+:meth:`repro.sim.centralized.CentralizedSimulation.step` calls
+:func:`replan`, :func:`move` and :func:`measure` in that order, each
+inside its span.
 """
 
 from __future__ import annotations
@@ -16,28 +14,10 @@ from repro.core.fra import foresighted_refinement
 from repro.fields.base import sample_grid
 from repro.graphs.geometric import unit_disk_graph
 from repro.graphs.traversal import connected_components, hop_counts
-from repro.runtime.phase import RoundContext
 from repro.runtime.records import CentralizedRound
 from repro.surfaces.reconstruction import reconstruct_surface
 
-__all__ = [
-    "CentralizedRoundContext",
-    "ReplanPhase",
-    "CentralizedMovePhase",
-    "CentralizedMeasurePhase",
-    "CENTRALIZED_PHASES",
-    "assign_targets",
-]
-
-
-class CentralizedRoundContext(RoundContext):
-    """Per-round scratch for the centralized pipeline."""
-
-    __slots__ = ("n_messages",)
-
-    def __init__(self, engine) -> None:
-        super().__init__(engine)
-        self.n_messages = 0
+__all__ = ["assign_targets", "replan", "move", "measure"]
 
 
 def assign_targets(positions: np.ndarray, layout: np.ndarray) -> np.ndarray:
@@ -71,120 +51,98 @@ def assign_targets(positions: np.ndarray, layout: np.ndarray) -> np.ndarray:
     return targets
 
 
-class ReplanPhase:
-    """Global replan on cadence, from delayed information."""
+def replan(engine) -> int:
+    """Global replan on cadence, from delayed information.
 
-    name = "replan"
-    span_name = "replan"
-
-    def run(self, ctx: CentralizedRoundContext) -> None:
-        engine = ctx.engine
-        state = engine.state
-        ctx.n_messages = 0
-        if engine.round_index % engine.replan_every != 0:
-            state.aux["target_info_age"] += 1
-            return
-        info_t = engine.t - engine.delay_rounds * engine.problem.dt
-        snapshot = sample_grid(
-            engine.problem.field, engine.problem.region, engine.resolution,
-            t=info_t,
-        )
-        if engine.planner == "fra":
-            layout = foresighted_refinement(
-                snapshot, engine.problem.k, engine.problem.rc
-            ).positions
-            targets = assign_targets(state.positions, layout)
-        else:
-            targets = solve_cwd(
-                snapshot,
-                engine.problem.k,
-                rc=engine.problem.rc,
-                rs=engine.problem.rs,
-                initial=state.positions,
-                max_iterations=engine.solver_iterations,
-            ).positions
-        state.arrays["targets"] = targets
-        state.aux["target_info_age"] = engine.delay_rounds
-        ctx.n_messages += self._collection_messages(engine)
-
-    @staticmethod
-    def _sink_index(engine) -> int:
-        centre = engine.problem.region.center.as_array()
-        return int(
-            np.argmin(np.linalg.norm(engine.state.positions - centre, axis=1))
-        )
-
-    def _collection_messages(self, engine) -> int:
-        """Hop count for every node reporting to the sink and commands back.
-
-        Unreachable nodes (disconnected from the sink) fail to report;
-        their traffic is not counted — they also receive no commands,
-        which is part of why centralized control is fragile. One BFS from
-        the sink yields every node's hop count (distances are symmetric
-        and unique), replacing the former per-node path searches — same
-        integer totals at O(V + E) instead of O(V·E).
-        """
-        graph = unit_disk_graph(engine.state.positions, engine.problem.rc)
-        sink = self._sink_index(engine)
-        dist = hop_counts(graph, sink)
-        hops = sum(d for i, d in enumerate(dist) if i != sink and d > 0)
-        return 2 * hops  # reports up + commands down
+    Returns the round's radio messages: the multi-hop collection and
+    dispatch traffic of a replan, 0 on rounds between replans.
+    """
+    state = engine.state
+    if engine.round_index % engine.replan_every != 0:
+        state.aux["target_info_age"] += 1
+        return 0
+    info_t = engine.t - engine.delay_rounds * engine.problem.dt
+    snapshot = sample_grid(
+        engine.problem.field, engine.problem.region, engine.resolution,
+        t=info_t,
+    )
+    if engine.planner == "fra":
+        layout = foresighted_refinement(
+            snapshot, engine.problem.k, engine.problem.rc
+        ).positions
+        targets = assign_targets(state.positions, layout)
+    else:
+        targets = solve_cwd(
+            snapshot,
+            engine.problem.k,
+            rc=engine.problem.rc,
+            rs=engine.problem.rs,
+            initial=state.positions,
+            max_iterations=engine.solver_iterations,
+        ).positions
+    state.arrays["targets"] = targets
+    state.aux["target_info_age"] = engine.delay_rounds
+    return _collection_messages(engine)
 
 
-class CentralizedMovePhase:
+def _sink_index(engine) -> int:
+    centre = engine.problem.region.center.as_array()
+    return int(
+        np.argmin(np.linalg.norm(engine.state.positions - centre, axis=1))
+    )
+
+
+def _collection_messages(engine) -> int:
+    """Hop count for every node reporting to the sink and commands back.
+
+    Unreachable nodes (disconnected from the sink) fail to report;
+    their traffic is not counted — they also receive no commands,
+    which is part of why centralized control is fragile. One BFS from
+    the sink yields every node's hop count (distances are symmetric
+    and unique), replacing the former per-node path searches — same
+    integer totals at O(V + E) instead of O(V·E).
+    """
+    graph = unit_disk_graph(engine.state.positions, engine.problem.rc)
+    sink = _sink_index(engine)
+    dist = hop_counts(graph, sink)
+    hops = sum(d for i, d in enumerate(dist) if i != sink and d > 0)
+    return 2 * hops  # reports up + commands down
+
+
+def move(engine) -> None:
     """Move every node toward its target, speed-capped."""
-
-    name = "move"
-    span_name = "move"
-
-    def run(self, ctx: CentralizedRoundContext) -> None:
-        engine = ctx.engine
-        state = engine.state
-        step_cap = engine.problem.speed * engine.problem.dt
-        vec = state.arrays["targets"] - state.positions
-        dist = np.linalg.norm(vec, axis=1)
-        move = np.where(
-            dist > 0,
-            np.minimum(dist, step_cap) / np.maximum(dist, 1e-12),
-            0.0,
-        )
-        state.positions += vec * move[:, None]
+    state = engine.state
+    step_cap = engine.problem.speed * engine.problem.dt
+    vec = state.arrays["targets"] - state.positions
+    dist = np.linalg.norm(vec, axis=1)
+    fraction = np.where(
+        dist > 0,
+        np.minimum(dist, step_cap) / np.maximum(dist, 1e-12),
+        0.0,
+    )
+    state.positions += vec * fraction[:, None]
 
 
-class CentralizedMeasurePhase:
+def measure(engine, n_messages: int) -> CentralizedRound:
     """Score the current layout against the *current* truth."""
-
-    name = "measure"
-    span_name = "measure"
-
-    def run(self, ctx: CentralizedRoundContext) -> None:
-        engine = ctx.engine
-        state = engine.state
-        positions = state.positions.copy()
-        reference = sample_grid(
-            engine.problem.field, engine.problem.region, engine.resolution,
-            t=engine.t,
-        )
-        values = engine.problem.field.sample(positions, engine.t)
-        recon = reconstruct_surface(reference, positions, values=values)
-        components = connected_components(
-            unit_disk_graph(positions, engine.problem.rc)
-        )
-        ctx.record = CentralizedRound(
-            round_index=engine.round_index,
-            t=engine.t,
-            positions=positions,
-            delta=recon.delta,
-            connected=len(components) <= 1,
-            n_components=len(components),
-            n_messages=ctx.n_messages,
-            information_age=state.aux["target_info_age"],
-        )
-
-
-#: The centralized round pipeline, in execution order.
-CENTRALIZED_PHASES = (
-    ReplanPhase,
-    CentralizedMovePhase,
-    CentralizedMeasurePhase,
-)
+    state = engine.state
+    positions = state.positions.copy()
+    reference = sample_grid(
+        engine.problem.field, engine.problem.region, engine.resolution,
+        t=engine.t,
+    )
+    values = engine.problem.field.sample(positions, engine.t)
+    recon = reconstruct_surface(reference, positions, values=values)
+    components = connected_components(
+        unit_disk_graph(positions, engine.problem.rc)
+    )
+    return CentralizedRound(
+        round_index=engine.round_index,
+        t=engine.t,
+        positions=positions,
+        delta=recon.delta,
+        connected=len(components) <= 1,
+        n_components=len(components),
+        n_messages=n_messages,
+        information_age=state.aux["target_info_age"],
+    )

@@ -2,9 +2,9 @@
 
 These used to live inside :mod:`repro.sim.engine` and
 :mod:`repro.sim.centralized`; the runtime refactor moved them down here
-so the phase units (:mod:`repro.runtime.cma_phases`,
+so the phase functions (:mod:`repro.runtime.cma_phases`,
 :mod:`repro.runtime.centralized_phases`) can construct records without
-importing the engine facades (which import the phases — a cycle). The
+importing the engines (which import the phases — a cycle). The
 engines re-export every name, so ``from repro.sim.engine import
 RoundRecord`` keeps working.
 

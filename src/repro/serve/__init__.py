@@ -60,7 +60,6 @@ from repro.serve.worker import (
     execute_job,
     make_interrupt,
     request_cancel_marker,
-    reset_experiment_caches,
 )
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
     "make_interrupt",
     "read_request",
     "request_cancel_marker",
-    "reset_experiment_caches",
     "send_json",
     "sse_comment",
     "sse_message",

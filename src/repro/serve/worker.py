@@ -31,7 +31,6 @@ __all__ = [
     "execute_job",
     "make_interrupt",
     "request_cancel_marker",
-    "reset_experiment_caches",
 ]
 
 #: Marker file in a run directory that asks the child to preempt.
@@ -83,19 +82,6 @@ def make_interrupt(
     return interrupt
 
 
-def reset_experiment_caches() -> None:
-    """Drop memoized engine results so a re-submitted scenario re-runs.
-
-    ``fig8910_cma_run`` memoizes its engine sweep per ``fast`` flag
-    — correct inside one CLI invocation, wrong in a long-lived pool
-    worker where a second submission of the same scenario must actually
-    execute (and emit round events) again.
-    """
-    from repro.experiments import fig8910_cma_run
-
-    fig8910_cma_run._cache.clear()
-
-
 def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job to a terminal state; the pool-worker entry point.
 
@@ -117,7 +103,6 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     job_id = spec["job_id"]
     runs_dir = Path(spec["runs_dir"])
     run_dir = runs_dir / job_id
-    reset_experiment_caches()
     # A marker surviving from a cancelled attempt must not instantly
     # kill the resumed one.
     clear_cancel_marker(run_dir)

@@ -18,11 +18,10 @@ whole field); with realistic delays it chases stale gap positions while
 paying an order of magnitude more radio traffic — which is exactly the
 paper's claim, now with numbers.
 
-Like :class:`~repro.sim.engine.MobileSimulation`, this engine is a thin
-facade over the shared runtime since the scheduler refactor: its
-replan → move → measure cycle lives in
-:mod:`repro.runtime.centralized_phases`, and checkpoint/resume comes for
-free through ``capture_state``/``restore_state``.
+Like :class:`~repro.sim.engine.MobileSimulation`, its ``step()`` calls
+the phase functions of :mod:`repro.runtime.centralized_phases` (replan →
+move → measure) in order, each inside its span, and checkpoint/resume
+comes through ``capture_state``/``restore_state``.
 """
 
 from __future__ import annotations
@@ -34,16 +33,11 @@ import numpy as np
 from repro.core.problem import OSTDProblem
 from repro.obs.instrument import Instrumentation, get_instrumentation
 from repro.obs.profile import PhaseProfiler, get_profile_config
-from repro.runtime.centralized_phases import (
-    CENTRALIZED_PHASES,
-    CentralizedRoundContext,
-)
+from repro.runtime import centralized_phases
 from repro.runtime.checkpoint import CheckpointConfig, drive_run
-from repro.runtime.middleware import ObsMiddleware
 from repro.runtime.records import CentralizedResult, CentralizedRound
-from repro.runtime.scheduler import Scheduler
 from repro.runtime.state import WorldState
-from repro.sim.engine import default_grid_layout
+from repro.sim.engine import default_grid_layout, round_scope
 
 __all__ = [
     "CentralizedRound",
@@ -129,17 +123,14 @@ class CentralizedSimulation:
         self.state.arrays["targets"] = self.state.positions.copy()
         self.state.aux["target_info_age"] = 0
 
-        self.scheduler = Scheduler(
-            phases=[phase() for phase in CENTRALIZED_PHASES],
-            middleware=[ObsMiddleware(self)],
-            advance=self._advance,
-        )
         # Opt-in per-phase profiling, same ambient contract as the
-        # mobile engine: nothing is installed (or paid) unless a
+        # mobile engine: nothing is built (or paid) unless a
         # use_profiling context is active at construction.
         profile_cfg = get_profile_config()
-        if profile_cfg is not None and self.obs.enabled:
-            self.scheduler.middleware.append(PhaseProfiler(self, profile_cfg))
+        self.profiler: Optional[PhaseProfiler] = (
+            PhaseProfiler(self, profile_cfg)
+            if profile_cfg is not None and self.obs.enabled else None
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -155,12 +146,19 @@ class CentralizedSimulation:
         """A copy of the ``(k, 2)`` positions."""
         return self.state.positions.copy()
 
-    def _advance(self, ctx: CentralizedRoundContext) -> None:
+    def step(self) -> CentralizedRound:
+        """Advance one round; returns the round's measurements."""
+        obs = self.obs
+        with round_scope(self) as timed:
+            with obs.span("replan"), timed("replan"):
+                n_messages = centralized_phases.replan(self)
+            with obs.span("move"), timed("move"):
+                centralized_phases.move(self)
+            with obs.span("measure"), timed("measure"):
+                record = centralized_phases.measure(self, n_messages)
         self.state.t += self.problem.dt
         self.state.round_index += 1
-
-    def step(self) -> CentralizedRound:
-        return self.scheduler.run_round(CentralizedRoundContext(self))
+        return record
 
     # ------------------------------------------------------------------
     def capture_state(self) -> WorldState:

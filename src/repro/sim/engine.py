@@ -20,38 +20,35 @@ Each simulated minute (round) the engine:
 The engine is deterministic for a fixed configuration (all randomness sits
 in explicitly seeded models).
 
-Since the runtime refactor, :class:`MobileSimulation` is a thin facade:
-the six phases above live as composable units in
-:mod:`repro.runtime.cma_phases`, driven by a
-:class:`~repro.runtime.scheduler.Scheduler` that threads observability
-spans, failure injection and recorder dispatch through as middleware.
-The facade assembles the pipeline, owns the run's one
-:class:`~repro.runtime.state.WorldState` (``self.state``), and exposes
-``step``/``run``/``positions``/``alive_mask``, plus
-``capture_state``/``restore_state`` for checkpoint/resume (see
-:mod:`repro.runtime.checkpoint`).
+:meth:`MobileSimulation.step` is that round, written out: failure
+injection, then each phase function of :mod:`repro.runtime.cma_phases`
+inside its span, then the ``round`` event and the recorders. The engine
+owns the run's one :class:`~repro.runtime.state.WorldState`
+(``self.state``) and exposes ``step``/``run``/``positions``/
+``alive_mask``, plus ``capture_state``/``restore_state`` for
+checkpoint/resume (see :mod:`repro.runtime.checkpoint`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import Callable, ContextManager, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.cma import CMAParams
 from repro.core.problem import OSTDProblem
 from repro.core.baselines import uniform_grid_placement
-from repro.obs.instrument import Instrumentation, get_instrumentation
-from repro.obs.profile import PhaseProfiler, get_profile_config
-from repro.runtime.checkpoint import CheckpointConfig, drive_run
-from repro.runtime.cma_phases import CMA_PHASES, MobileRoundContext
-from repro.runtime.middleware import (
-    FailureInjectionMiddleware,
-    ObsMiddleware,
-    RecorderMiddleware,
+from repro.obs.instrument import (
+    Instrumentation,
+    get_instrumentation,
+    use_instrumentation,
 )
+from repro.obs.profile import PhaseProfiler, get_profile_config
+from repro.obs.trace import MessageTracer
+from repro.runtime import cma_phases
+from repro.runtime.checkpoint import CheckpointConfig, drive_run
 from repro.runtime.records import RoundRecord, SimulationResult
-from repro.runtime.scheduler import Scheduler
 from repro.runtime.state import WorldState
 from repro.sim.netmodel.churn import EnergyDepletionModel
 from repro.sim.netmodel.failures import MessageLossModel, NodeFailureSchedule
@@ -65,7 +62,44 @@ __all__ = [
     "RoundRecord",
     "SimulationResult",
     "default_grid_layout",
+    "round_scope",
 ]
+
+_UNTIMED = nullcontext()
+
+
+def _untimed(name: str) -> ContextManager:
+    return _UNTIMED
+
+
+@contextmanager
+def round_scope(engine) -> Iterator[Callable[[str], ContextManager]]:
+    """One engine round's instrumentation frame.
+
+    Runs the body with ``engine.obs`` as the ambient instrumentation, so
+    the spans of code that reads only the ambient one (reconstruction,
+    grid evaluation) nest under the engine's ``step`` span too. When
+    ``engine.obs`` is enabled the body runs inside the ``step`` span,
+    with the round index stamped onto every span it emits, and inside
+    the engine's profiler round when it has one. Yields the per-phase
+    timer: ``engine.profiler.phase``, or a no-op when not profiling.
+    """
+    obs = engine.obs
+    with use_instrumentation(obs):
+        if not obs.enabled:
+            yield _untimed
+            return
+        previous = obs.timer.push_context(round=engine.round_index)
+        try:
+            with obs.span("step"):
+                profiler = engine.profiler
+                if profiler is None:
+                    yield _untimed
+                else:
+                    with profiler.round():
+                        yield profiler.phase
+        finally:
+            obs.timer.pop_context(previous)
 
 
 def default_grid_layout(region, k: int, rc: float) -> np.ndarray:
@@ -181,24 +215,20 @@ class MobileSimulation:
                 f"expected k={problem.k}"
             )
 
-        #: The round pipeline: the six CMA phases plus bookkeeping units,
-        #: with cross-cutting concerns as middleware (order matters — the
-        #: per-round ``round`` event precedes recorder side effects).
-        self.scheduler = Scheduler(
-            phases=[phase() for phase in CMA_PHASES],
-            middleware=[
-                ObsMiddleware(self, record_event=record_round),
-                FailureInjectionMiddleware(self),
-                RecorderMiddleware(self),
-            ],
-            advance=self._advance,
-        )
         # Opt-in per-phase CPU/allocation profiling (--profile / ambient
-        # use_profiling). Checked once at construction: when off, no
-        # middleware exists and a step pays nothing.
+        # use_profiling). Checked once at construction: when off, there
+        # is no profiler and a step pays nothing.
         profile_cfg = get_profile_config()
-        if profile_cfg is not None and self.obs.enabled:
-            self.scheduler.middleware.append(PhaseProfiler(self, profile_cfg))
+        self.profiler: Optional[PhaseProfiler] = (
+            PhaseProfiler(self, profile_cfg)
+            if profile_cfg is not None and self.obs.enabled else None
+        )
+        #: Narrates the networked exchange's beacons as ``msg_*`` events
+        #: when instrumented. Tracing draws no RNG, so traced runs stay
+        #: bit-identical to untraced ones.
+        self.message_tracer: Optional[MessageTracer] = (
+            MessageTracer(self.obs) if self.obs.enabled else None
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -219,14 +249,78 @@ class MobileSimulation:
         """A copy of the ``(k,)`` liveness mask."""
         return self.state.alive.copy()
 
-    def _advance(self, ctx: MobileRoundContext) -> None:
-        self.state.t += self.problem.dt
-        self.state.round_index += 1
+    def _inject_failures(self) -> None:
+        """Node-level faults due this round, in a fixed order.
+
+        The order keeps the injected fault sequence, and with it every
+        RNG stream, deterministic:
+
+        1. scheduled permanent deaths (``failure_schedule``),
+        2. transient crash/recovery (``crash_model`` — a
+           :class:`~repro.sim.netmodel.churn.CrashSchedule` or
+           :class:`~repro.sim.netmodel.churn.RandomChurn`),
+        3. energy depletion (``energy_model``), then the
+           movement-distance ``energy_budget``.
+        """
+        state = self.state
+        if self.failure_schedule is not None:
+            for node_id in self.failure_schedule.failures_due(self.t):
+                if 0 <= node_id < state.k:
+                    state.kill(node_id, self.t)
+        if self.crash_model is not None:
+            self.crash_model.step(self.t, self.round_index, state)
+        if self.energy_model is not None:
+            self.energy_model.step(self.t, self.round_index, state)
+        if self.energy_budget is not None:
+            spent = state.alive & (state.distance_travelled >= self.energy_budget)
+            state.kill(np.flatnonzero(spent), self.t)
 
     # ------------------------------------------------------------------
     def step(self) -> RoundRecord:
-        """Advance one round; returns the round's measurements."""
-        return self.scheduler.run_round(MobileRoundContext(self))
+        """Advance one round; returns the round's measurements.
+
+        The ``round`` event and the recorders see the record only after
+        every phase has finished and the ``step`` span has closed; a
+        phase that raises leaves them untouched and the clock where it
+        was.
+        """
+        obs = self.obs
+        with round_scope(self) as timed:
+            self._inject_failures()
+            # Every phase before the moves reads this pre-move copy; it
+            # also keeps each plan's origin fixed while the moves and LCM
+            # write the live rows.
+            with timed("capture"):
+                positions = self.positions
+                alive_mask = self.alive_mask
+                alive_ids = np.flatnonzero(alive_mask).tolist()
+            with obs.span("sense"), timed("sense"):
+                snapshot, sensing = cma_phases.sense(self, alive_ids)
+            with obs.span("exchange"), timed("exchange"):
+                inboxes = cma_phases.exchange(self, positions, alive_mask)
+            with obs.span("plan"), timed("plan"):
+                plan = cma_phases.plan(
+                    self, positions, alive_ids, sensing, inboxes
+                )
+            with obs.span("constrain_move"), timed("constrain_move"):
+                n_moved = cma_phases.constrain_move(self, plan)
+            with obs.span("lcm"), timed("lcm"):
+                n_lcm_moves = cma_phases.lcm(self, plan)
+            with timed("trace"):
+                extra_positions, extra_values = cma_phases.trace_samples(
+                    self, plan
+                )
+            with obs.span("measure"), timed("measure"):
+                record = cma_phases.measure(
+                    self, snapshot, extra_positions, extra_values,
+                    n_moved, n_lcm_moves, plan.magnitudes,
+                )
+        record_round(obs, record)
+        for recorder in self.recorders:
+            recorder.on_round(record)
+        self.state.t += self.problem.dt
+        self.state.round_index += 1
+        return record
 
     # ------------------------------------------------------------------
     def capture_state(self) -> WorldState:

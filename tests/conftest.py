@@ -37,7 +37,7 @@ def _no_tracemalloc_leak():
     """Stop tracemalloc after any test that turned it on.
 
     :class:`repro.obs.profile.PhaseProfiler` starts tracemalloc and has
-    no teardown hook (middleware lifetime is the engine's); left running
+    no teardown hook (its lifetime is the engine's); left running
     it would roughly double allocation cost for every test that follows.
     The check is one ``is_tracing()`` call when nothing was started.
     """

@@ -2,7 +2,7 @@
 
 These are the one-node-at-a-time forms of :func:`repro.core.cma.plan_move`,
 :func:`repro.core.cma.estimate_own_curvature` and the constrain-move
-ladder of :class:`repro.runtime.cma_phases.ConstrainMovePhase`, as the
+ladder of :func:`repro.runtime.cma_phases.clip_move`, as the
 engine ran them before the fleet was planned in one pass. The fleet
 functions must agree with them bit for bit, row by row
 (``tests/core/test_cma_fleet.py``).

@@ -3,7 +3,7 @@
 ``cma_reference`` keeps the planner as it ran one node at a time. For any
 fleet, every row of :func:`repro.core.cma.estimate_own_curvature`,
 :func:`repro.core.cma.plan_move` and
-:meth:`repro.runtime.cma_phases.ConstrainMovePhase.clip_move` must be
+:func:`repro.runtime.cma_phases.clip_move` must be
 ``np.array_equal`` to the oracle's answer for that node alone.
 """
 
@@ -25,7 +25,7 @@ from repro.core.cma import (
     plan_move,
 )
 from repro.geometry.primitives import BoundingBox
-from repro.runtime.cma_phases import ConstrainMovePhase
+from repro.runtime.cma_phases import clip_move
 from repro.surfaces.quadric import QuadricFitMode
 
 SIDE = 60.0
@@ -153,7 +153,7 @@ def assert_matches_oracle(params, positions, sensings, inboxes, alive,
     for i, r in enumerate(refs):
         if not r.moved:
             continue
-        got = ConstrainMovePhase.clip_move(
+        got = clip_move(
             live, alive, i, plan.destinations[i], id_lists[i], params.rc
         )
         want = ref.constrain_move(ref_live, alive, r, params.rc)

@@ -148,9 +148,7 @@ class TestRunsCli:
 
     def test_summarize_prints_profile_table(self, tmp_path, capsys):
         from repro.experiments.harness import run_recorded
-        from tests.experiments.test_harness_obs import _fresh_cma_run
 
-        _fresh_cma_run()
         runs = tmp_path / "runs"
         _, manifest = run_recorded("fig10", runs, fast=True, profile=True)
         log = runs / manifest.run_id / "obs.jsonl"

@@ -18,18 +18,6 @@ from repro.experiments.harness import (
 from repro.obs import Instrumentation, RunRegistry, use_instrumentation
 
 
-def _fresh_cma_run():
-    """Drop fig8/9/10's shared per-process simulation cache.
-
-    Those experiments memoise one simulation per (fast,) config; tests
-    that need the run to actually execute (so round/profile events hit
-    the log) must not inherit a warm cache from an earlier test.
-    """
-    from repro.experiments import fig8910_cma_run
-
-    fig8910_cma_run._cache.clear()
-
-
 class TestReplayShard:
     def test_events_land_in_memory_sink(self, tmp_path):
         shard = tmp_path / "shard.jsonl"
@@ -165,7 +153,6 @@ class TestRunExperimentWiring:
         assert first["params_hash"].startswith("sha256:")
 
     def test_profile_flag_emits_profile_events(self, tmp_path):
-        _fresh_cma_run()
         log = tmp_path / "run.jsonl"
         run_experiment("fig10", fast=True, obs_log=log, profile=True)
         rows = [json.loads(line) for line in log.read_text().splitlines()]
@@ -178,8 +165,22 @@ class TestRunExperimentWiring:
             if row["event"] == "profile.phase"
         )
 
+    def test_each_cma_experiment_logs_its_own_rounds(self, tmp_path):
+        # fig8/9/10 share one simulation; a second of them in the same
+        # process must run it again rather than replay it into its log.
+        logs = []
+        for experiment_id in ("fig8", "fig10"):
+            log = tmp_path / f"{experiment_id}.jsonl"
+            run_experiment(experiment_id, fast=True, obs_log=log)
+            logs.append(log)
+        for log in logs:
+            rounds = [
+                row for row in map(json.loads, log.read_text().splitlines())
+                if row["event"] == "round"
+            ]
+            assert rounds, f"{log.name} holds no round events"
+
     def test_no_profile_events_without_flag(self, tmp_path):
-        _fresh_cma_run()
         log = tmp_path / "run.jsonl"
         run_experiment("fig10", fast=True, obs_log=log)
         names = {
@@ -230,7 +231,6 @@ class TestPooledAggregation:
 
 class TestRunRecorded:
     def test_manifest_written_and_verifiable(self, tmp_path):
-        _fresh_cma_run()
         runs = tmp_path / "runs"
         result, manifest = run_recorded("fig10", runs, fast=True)
         run_dir = runs / manifest.run_id

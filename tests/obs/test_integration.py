@@ -96,6 +96,20 @@ class TestReconstructSpans:
                                    "/extrapolate", "/score"))
                     and not p.startswith("step/measure/reconstruct/")]
 
+    def test_explicit_obs_gets_reconstruct_spans(self):
+        # An engine handed obs= directly, with nothing installed
+        # ambiently, still logs the reconstruction under its step.
+        obs = Instrumentation.in_memory()
+        result = MobileSimulation(
+            make_problem(duration=2.0), resolution=41, obs=obs
+        ).run()
+        paths = [e.fields["path"] for e in obs.memory_events()
+                 if e.name == "span"]
+        for stage in ("triangulate", "rasterize", "extrapolate", "score"):
+            assert paths.count(f"step/measure/reconstruct/{stage}") == (
+                len(result.rounds)
+            ), stage
+
     def test_traced_run_matches_untraced(self):
         plain = fig10_fast_run()
         traced = fig10_fast_run(Instrumentation.in_memory())

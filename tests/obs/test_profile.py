@@ -1,4 +1,4 @@
-"""Per-phase profiling: opt-in middleware, profile.* events, read side."""
+"""Per-phase profiling: opt-in profiler, profile.* events, read side."""
 
 import tracemalloc
 
@@ -49,18 +49,22 @@ class TestAmbientConfig:
 class TestEngineWiring:
     def test_no_middleware_without_ambient_config(self):
         sim = MobileSimulation(make_problem(), resolution=21)
-        assert not any(
-            isinstance(m, PhaseProfiler) for m in sim.scheduler.middleware
-        )
+        assert sim.profiler is None
 
     def test_no_middleware_when_obs_disabled(self):
         # Profiling needs a bus to land on; disabled obs means no profiler
         # (and no tracemalloc cost) even inside a use_profiling region.
         with use_profiling(ProfileConfig(memory=False)):
             sim = MobileSimulation(make_problem(), resolution=21)
-        assert not any(
-            isinstance(m, PhaseProfiler) for m in sim.scheduler.middleware
-        )
+        assert sim.profiler is None
+
+    def test_profiler_built_when_instrumented(self):
+        with use_profiling() as cfg:
+            sim = MobileSimulation(
+                make_problem(), resolution=21, obs=Instrumentation.in_memory()
+            )
+        assert isinstance(sim.profiler, PhaseProfiler)
+        assert sim.profiler.config is cfg
 
     def test_profiled_run_emits_events(self):
         # The default records CPU and counters; tracemalloc stays off, so

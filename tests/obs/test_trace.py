@@ -240,14 +240,19 @@ class TestEngineIntegration:
         assert snapshot["net.sent"] > 0
 
     def test_disabled_instrumentation_builds_no_tracer(self):
-        from repro.runtime.cma_phases import ExchangePhase
+        from repro.core.problem import OSTDProblem
+        from repro.fields.greenorbs import GreenOrbsLightField
+        from repro.sim.engine import MobileSimulation
 
-        phase = ExchangePhase()
-
-        class FakeEngine:
-            obs = Instrumentation.disabled()
-
-        assert phase._tracer_for(FakeEngine()) is None
+        field = GreenOrbsLightField(side=40.0, seed=7, freeze_sun_at=600.0)
+        problem = OSTDProblem(
+            k=6, rc=12.0, rs=6.0, region=field.region, field=field,
+            speed=1.0, t0=600.0, duration=2.0,
+        )
+        sim = MobileSimulation(
+            problem, resolution=21, obs=Instrumentation.disabled()
+        )
+        assert sim.message_tracer is None
 
     def test_span_events_carry_round_context(self):
         from repro.core.problem import OSTDProblem

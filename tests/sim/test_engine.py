@@ -9,12 +9,7 @@ from repro.core.cma import CMAParams
 from repro.core.problem import OSTDProblem
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.obs import Instrumentation, use_instrumentation
-from repro.runtime.cma_phases import (
-    CapturePhase,
-    MeasurePhase,
-    MobileRoundContext,
-    SensePhase,
-)
+from repro.runtime import cma_phases
 from repro.sim.centralized import CentralizedSimulation
 from repro.sim.engine import MobileSimulation, SimulationResult
 from repro.sim.netmodel import MessageLossModel, NodeFailureSchedule
@@ -201,17 +196,20 @@ class TestDeadFleet:
 
 
 def measure_now(sim):
-    """Run the measure phase on the engine's current, unmoved positions."""
-    ctx = MobileRoundContext(sim)
-    for phase in (CapturePhase(), SensePhase(), MeasurePhase()):
-        phase.run(ctx)
-    return ctx
+    """Run the measure phase on the engine's current, unmoved positions.
+
+    Returns the sensed field snapshot and the round's record.
+    """
+    alive_ids = np.flatnonzero(sim.alive_mask).tolist()
+    snapshot, _ = cma_phases.sense(sim, alive_ids)
+    record = cma_phases.measure(sim, snapshot, [], [], 0, 0, np.empty(0))
+    return snapshot, record
 
 
-def expected_delta(sim, ctx, keep):
+def expected_delta(sim, snapshot, keep):
     pts = sim.positions[keep]
     values = sim.problem.field.sample(sim.positions, sim.t)[keep]
-    return reconstruct_surface(ctx.snapshot, pts, values=values).delta
+    return reconstruct_surface(snapshot, pts, values=values).delta
 
 
 class TestMeasureDegenerateInputs:
@@ -223,20 +221,20 @@ class TestMeasureDegenerateInputs:
         sim = make_sim()
         region = sim.problem.region
         sim.state.positions[:2] = [region.xmin, region.ymin]
-        ctx = measure_now(sim)
-        assert np.isfinite(ctx.record.delta)
+        snapshot, measured = measure_now(sim)
+        assert np.isfinite(measured.delta)
         keep = np.ones(25, dtype=bool)
         keep[1] = False  # node 0's sample stands for the corner
-        assert ctx.record.delta == expected_delta(sim, ctx, keep)
+        assert measured.delta == expected_delta(sim, snapshot, keep)
 
     def test_near_duplicate_within_dedup_tol(self):
         sim = make_sim()
         sim.state.positions[1] = sim.state.positions[0] + [1e-10, 0.0]
-        ctx = measure_now(sim)
-        assert np.isfinite(ctx.record.delta)
+        snapshot, measured = measure_now(sim)
+        assert np.isfinite(measured.delta)
         keep = np.ones(25, dtype=bool)
         keep[1] = False  # the later sample collapses onto the first
-        assert ctx.record.delta == expected_delta(sim, ctx, keep)
+        assert measured.delta == expected_delta(sim, snapshot, keep)
 
     def test_nodes_on_region_edge(self):
         sim = make_sim()
@@ -245,10 +243,10 @@ class TestMeasureDegenerateInputs:
                 (r.xmin, r.ymax), (r.xmin, 25.0), (r.xmax, 25.0),
                 (25.0, r.ymin), (25.0, r.ymax)]
         sim.state.positions[:len(edge)] = edge
-        ctx = measure_now(sim)
-        assert np.isfinite(ctx.record.delta)
-        assert ctx.record.delta == expected_delta(
-            sim, ctx, np.ones(25, dtype=bool)
+        snapshot, measured = measure_now(sim)
+        assert np.isfinite(measured.delta)
+        assert measured.delta == expected_delta(
+            sim, snapshot, np.ones(25, dtype=bool)
         )
         record = sim.step()
         assert np.isfinite(record.delta)
