@@ -81,11 +81,11 @@ def balance_residuals(
     curv = np.asarray(curvatures, dtype=float).reshape(-1)
     if len(pts) != len(curv):
         raise ValueError(f"{len(pts)} positions but {len(curv)} curvatures")
-    graph = unit_disk_graph(pts, rc)
+    indptr, indices = unit_disk_graph(pts, rc)
     residuals = np.zeros(len(pts))
     for i in range(len(pts)):
-        nbrs = graph.neighbors(i)
-        if not nbrs:
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        if len(nbrs) == 0:
             continue
         vec = ((pts[nbrs] - pts[i]) * curv[nbrs][:, None]).sum(axis=0)
         residuals[i] = float(np.linalg.norm(vec))
@@ -139,17 +139,17 @@ def solve_cwd(
     converged = False
     for iterations in range(1, max_iterations + 1):
         curv = curv_field.sample(pts)
-        graph = unit_disk_graph(pts, rc)
+        indptr, indices = unit_disk_graph(pts, rc)
         moves = np.zeros_like(pts)
         for i in range(len(pts)):
-            nbrs = graph.neighbors(i)
+            nbrs = indices[indptr[i]:indptr[i + 1]]
             peak_pos, peak_curv = peak_cache.find(pts[i])
             breakdown = resultant_force(
                 pts[i],
                 peak_pos,
                 peak_curv,
-                pts[nbrs] if nbrs else np.empty((0, 2)),
-                curv[nbrs] if nbrs else np.empty(0),
+                pts[nbrs],
+                curv[nbrs],
                 params,
                 region=region,
             )

@@ -311,20 +311,15 @@ class SpatialHashGrid:
         )
 
 
-def radius_adjacency(
-    points: np.ndarray,
-    radius: float,
-    crossover: Optional[int] = None,
-) -> np.ndarray:
+def radius_adjacency(points: np.ndarray, radius: float) -> np.ndarray:
     """Boolean within-``radius`` matrix with a ``False`` diagonal.
 
     Bit-identical to ``pairwise_distances(pts) <= radius`` with the
-    diagonal cleared; uses the dense matrix at or below ``crossover``
-    points (default :data:`DENSE_CROSSOVER`) and the cell-list grid above
-    it.
+    diagonal cleared; uses the dense matrix at or below
+    :data:`DENSE_CROSSOVER` points and the cell-list grid above it.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) <= (DENSE_CROSSOVER if crossover is None else crossover):
+    if len(pts) <= DENSE_CROSSOVER:
         adj = pairwise_distances(pts) <= radius
         np.fill_diagonal(adj, False)
         return adj

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.graphs.geometric import closest_pair_between, unit_disk_graph
+from repro.graphs.geometric import unit_disk_graph
 from repro.graphs.traversal import connected_components
 
 #: Slack multiplier on ``d / Rc`` absorbing float rounding, so a gap of
@@ -37,6 +37,28 @@ def relays_for_gap(distance: float, radius: float) -> int:
     if distance <= radius:
         return 0
     return max(0, int(math.ceil(distance / radius - _CEIL_TOL)) - 1)
+
+
+def closest_pair_between(
+    group_a: np.ndarray, group_b: np.ndarray
+) -> Tuple[int, int, float]:
+    """Indices (into each group) and distance of the closest cross pair."""
+    a = np.asarray(group_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(group_b, dtype=float).reshape(-1, 2)
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("cannot take closest pair with an empty group")
+    diff = a[:, None, :] - b[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=2))
+    flat = int(np.argmin(d))
+    i, j = divmod(flat, d.shape[1])
+    return i, j, float(d[i, j])
+
+
+def _component_groups(pts: np.ndarray, radius: float) -> List[np.ndarray]:
+    """Positions of each unit-disk component, numbered by smallest member."""
+    labels = connected_components(unit_disk_graph(pts, radius))
+    order = np.argsort(labels, kind="stable")
+    return np.split(pts[order], np.cumsum(np.bincount(labels))[:-1])
 
 
 @dataclass(frozen=True)
@@ -129,9 +151,7 @@ def count_required_relays(positions: np.ndarray, radius: float) -> int:
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if len(pts) <= 1:
         return 0
-    graph = unit_disk_graph(pts, radius)
-    comps = connected_components(graph)
-    groups = [pts[np.asarray(c, dtype=int)] for c in comps]
+    groups = _component_groups(pts, radius)
     return sum(link.n_relays for link in _component_mst(groups, radius))
 
 
@@ -247,9 +267,7 @@ def plan_relays(
             positions=np.empty((0, 2)), required=0, connected=True,
             components_before=0, components_after=0,
         )
-    graph = unit_disk_graph(pts, radius)
-    comps = connected_components(graph)
-    groups = [pts[np.asarray(c, dtype=int)] for c in comps]
+    groups = _component_groups(pts, radius)
     mst = _component_mst(groups, radius)
     required = sum(link.n_relays for link in mst)
     if budget < 0:
@@ -275,12 +293,12 @@ def plan_relays(
         if placed
         else np.empty((0, 2))
     )
-    after = len(comps) - satisfied
+    after = len(groups) - satisfied
     return RelayPlan(
         positions=relay_arr,
         required=required,
         connected=(after <= 1),
-        components_before=len(comps),
+        components_before=len(groups),
         components_after=after,
         links=mst,
     )

@@ -4,9 +4,9 @@ A connected unit-disk graph satisfies Definition 3.1, but not all
 connected layouts are equal: FRA's relay chains are cut vertices — lose
 one relay and the network partitions. This module quantifies that:
 
-* :func:`articulation_points` — Tarjan/Hopcroft's linear-time DFS
-  low-link algorithm;
-* :func:`is_biconnected` — no articulation points (2-node-connected);
+* :func:`articulation_points` — the nodes whose removal raises the
+  component count, found by relabelling once per node with its edges
+  cut;
 * :func:`layout_fragility` — the fraction of nodes whose single failure
   would disconnect the (alive) network.
 
@@ -16,74 +16,36 @@ extension uses these to explain *why* node deaths hurt when they do.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 import numpy as np
 
-from repro.graphs.geometric import unit_disk_graph
-from repro.graphs.graph import Graph
-from repro.graphs.traversal import connected_components
+from repro.graphs.geometric import CSR, unit_disk_graph
+from repro.graphs.traversal import _edge_sources, connected_components
 
 
-def articulation_points(graph: Graph) -> Set[int]:
+def _n_components(graph: CSR) -> int:
+    return int(connected_components(graph).max(initial=-1)) + 1
+
+
+def articulation_points(graph: CSR) -> Set[int]:
     """Vertices whose removal increases the number of components.
 
-    Iterative Tarjan low-link DFS (no recursion-depth limits), run per
-    connected component. O(V + E).
+    Cutting a vertex's edges leaves it as one isolated component, so it
+    is an articulation point when the cut graph has more than one
+    component beyond the original count. Vertices of degree below 2 never
+    are. One relabel per candidate: cheap at fleet sizes (k <= 200).
     """
-    n = graph.n_vertices
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
+    indptr, indices = graph
+    src = _edge_sources(indptr)
+    base = _n_components(graph)
     points: Set[int] = set()
-    timer = 0
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # Iterative DFS with an explicit stack of (vertex, neighbour iter).
-        stack = [(root, iter(graph.neighbors(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, iter(graph.neighbors(w))))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u != root and low[v] >= disc[u]:
-                        points.add(u)
-        if root_children > 1:
-            points.add(root)
+    for v in np.flatnonzero(np.diff(indptr) >= 2).tolist():
+        # Every edge at v becomes a self-loop, which joins nothing.
+        cut = np.where((src == v) | (indices == v), src, indices)
+        if _n_components((indptr, cut)) > base + 1:
+            points.add(v)
     return points
-
-
-def is_biconnected(graph: Graph) -> bool:
-    """Connected with no articulation points (tolerates any single failure).
-
-    Graphs with fewer than 3 vertices follow the usual convention: the
-    2-vertex connected graph is biconnected, smaller ones trivially so.
-    """
-    if graph.n_vertices <= 2:
-        return len(connected_components(graph)) <= 1
-    if len(connected_components(graph)) > 1:
-        return False
-    return not articulation_points(graph)
 
 
 def layout_fragility(positions: np.ndarray, rc: float) -> float:
@@ -97,5 +59,4 @@ def layout_fragility(positions: np.ndarray, rc: float) -> float:
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if len(pts) <= 2:
         return 0.0
-    graph = unit_disk_graph(pts, rc)
-    return len(articulation_points(graph)) / len(pts)
+    return len(articulation_points(unit_disk_graph(pts, rc))) / len(pts)

@@ -1,104 +1,77 @@
-"""Breadth-first traversal, connected components, hop-count paths.
+"""Connected components and hop counts over a CSR graph.
 
-The paper's NP-hardness argument (Section 4.1) leans on connectivity of
-``G(V, E)`` being decidable cheaply; these are those decision procedures.
+Both take the ``(indptr, indices)`` rows of
+:func:`repro.graphs.geometric.unit_disk_graph` and sweep whole arrays: a
+few numpy passes per merge round or BFS level, no Python step per edge.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional
+import numpy as np
 
-from repro.graphs.graph import Graph
-
-
-def bfs_order(graph: Graph, source: int) -> List[int]:
-    """Vertices reachable from ``source`` in BFS visiting order."""
-    graph._check(source)
-    seen = [False] * graph.n_vertices
-    seen[source] = True
-    order = [source]
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-                queue.append(v)
-    return order
+from repro.graphs.geometric import CSR
 
 
-def connected_components(graph: Graph) -> List[List[int]]:
-    """All connected components, each sorted, ordered by smallest member."""
-    seen = [False] * graph.n_vertices
-    components: List[List[int]] = []
-    for start in range(graph.n_vertices):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        components.append(sorted(comp))
-    return components
+def _edge_sources(indptr: np.ndarray) -> np.ndarray:
+    """The source node of every CSR entry."""
+    n = len(indptr) - 1
+    return np.repeat(np.arange(n), np.diff(indptr))
 
 
-def is_connected(graph: Graph) -> bool:
+def connected_components(graph: CSR) -> np.ndarray:
+    """Canonical component label of every node.
+
+    Label ``c`` is the component whose smallest member index is the
+    ``c``-th smallest, so components are numbered by their smallest
+    member. Min-label propagation with pointer jumping: every edge
+    hooks its source's root onto the smaller label across it, then each
+    node jumps to its root. Labels only fall and stay within the node's
+    component, so at the fixed point each node holds its component's
+    smallest member.
+    """
+    indptr, indices = graph
+    n = len(indptr) - 1
+    src = _edge_sources(indptr)
+    labels = np.arange(n)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels[src], labels[indices])
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    is_root = labels == np.arange(n)
+    return (np.cumsum(is_root) - 1)[labels]
+
+
+def is_connected(graph: CSR) -> bool:
     """Whether the graph has at most one connected component.
 
     The empty graph and the single-vertex graph count as connected (the
     paper's ``C(G) > 1`` test is false for them).
     """
-    if graph.n_vertices <= 1:
-        return True
-    return len(bfs_order(graph, 0)) == graph.n_vertices
+    return int(connected_components(graph).max(initial=0)) == 0
 
 
-def hop_counts(graph: Graph, source: int) -> List[int]:
-    """BFS hop distance from ``source`` to every vertex; -1 if unreachable.
-
-    One O(V + E) sweep replacing per-target :func:`shortest_hop_path`
-    calls: hop distance is unique, so ``hop_counts(g, s)[t]`` equals
-    ``len(shortest_hop_path(g, t, s)) - 1`` for every reachable ``t``.
-    """
-    graph._check(source)
-    dist = [-1] * graph.n_vertices
+def hop_counts(graph: CSR, source: int) -> np.ndarray:
+    """BFS hop distance from ``source`` to every vertex; -1 if unreachable."""
+    indptr, indices = graph
+    n = len(indptr) - 1
+    if not 0 <= source < n:
+        raise IndexError(f"vertex {source} out of range [0, {n})")
+    src = _edge_sources(indptr)
+    dist = np.full(n, -1, dtype=np.intp)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    frontier = dist == 0
+    hops = 0
+    while frontier.any():
+        hops += 1
+        reached = np.zeros(n, dtype=bool)
+        reached[src[frontier[indices]]] = True
+        frontier = reached & (dist < 0)
+        dist[frontier] = hops
     return dist
-
-
-def shortest_hop_path(graph: Graph, source: int, target: int) -> Optional[List[int]]:
-    """Minimum-hop path from ``source`` to ``target``; ``None`` if unreachable."""
-    graph._check(source)
-    graph._check(target)
-    if source == target:
-        return [source]
-    parent: Dict[int, int] = {source: source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v in parent:
-                continue
-            parent[v] = u
-            if v == target:
-                path = [v]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            queue.append(v)
-    return None

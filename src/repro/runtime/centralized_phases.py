@@ -98,15 +98,11 @@ def _collection_messages(engine) -> int:
     Unreachable nodes (disconnected from the sink) fail to report;
     their traffic is not counted — they also receive no commands,
     which is part of why centralized control is fragile. One BFS from
-    the sink yields every node's hop count (distances are symmetric
-    and unique), replacing the former per-node path searches — same
-    integer totals at O(V + E) instead of O(V·E).
+    the sink yields every node's hop count (distances are symmetric).
     """
     graph = unit_disk_graph(engine.state.positions, engine.problem.rc)
-    sink = _sink_index(engine)
-    dist = hop_counts(graph, sink)
-    hops = sum(d for i, d in enumerate(dist) if i != sink and d > 0)
-    return 2 * hops  # reports up + commands down
+    dist = hop_counts(graph, _sink_index(engine))
+    return 2 * int(dist[dist > 0].sum())  # reports up + commands down
 
 
 def move(engine) -> None:
@@ -133,16 +129,17 @@ def measure(engine, n_messages: int) -> CentralizedRound:
     )
     values = engine.problem.field.sample(positions, engine.t)
     recon = reconstruct_surface(reference, positions, values=values)
-    components = connected_components(
+    labels = connected_components(
         unit_disk_graph(positions, engine.problem.rc)
     )
+    n_components = int(labels.max(initial=-1)) + 1
     return CentralizedRound(
         round_index=engine.round_index,
         t=engine.t,
         positions=positions,
         delta=recon.delta,
-        connected=len(components) <= 1,
-        n_components=len(components),
+        connected=n_components <= 1,
+        n_components=n_components,
         n_messages=n_messages,
         information_age=state.aux["target_info_age"],
     )

@@ -375,16 +375,18 @@ def measure(
         )
 
     reconstruction = reconstruct_surface(snapshot, pts, values=values)
-    graph = unit_disk_graph(alive_positions, engine.problem.rc)
-    components = connected_components(graph)
+    labels = connected_components(
+        unit_disk_graph(alive_positions, engine.problem.rc)
+    )
+    n_components = int(labels.max(initial=-1)) + 1
     return RoundRecord(
         round_index=engine.round_index,
         t=engine.t,
         positions=positions_now,
         delta=reconstruction.delta,
         rmse=reconstruction.rmse,
-        connected=len(components) <= 1,
-        n_components=len(components),
+        connected=n_components <= 1,
+        n_components=n_components,
         n_alive=n_alive,
         n_moved=n_moved,
         n_lcm_moves=n_lcm_moves,

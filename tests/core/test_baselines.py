@@ -91,8 +91,8 @@ class TestGreedyRefinement:
         from repro.graphs.geometric import unit_disk_graph
         from repro.graphs.traversal import connected_components
 
-        comps = connected_components(unit_disk_graph(pts, 10.0))
-        assert len(comps) >= 1  # sanity; usually > 1
+        labels = connected_components(unit_disk_graph(pts, 10.0))
+        assert labels.max() + 1 >= 1  # sanity; usually > 1
 
     def test_same_ballpark_as_fra(self, greenorbs_reference):
         """Unconstrained greedy lands near FRA.

@@ -62,3 +62,35 @@ class TestLargeCoordinates:
         dt = DelaunayTriangulation([(-50, -50), (50, -50), (0, 50)])
         assert len(dt.triangles) == 1
         assert dt.is_delaunay()
+
+
+class TestNearVertexLattice:
+    """A 7x7 lattice of spacing 0.005 plus one point 1.2e-8 from a vertex.
+
+    The built-in tolerance calls some of the lattice's fan triangles flat,
+    and a reversed in-order build then finds no triangle holding the last
+    point. An exact orientation test removes the failure; the strict
+    xfail makes that fix flip this test.
+    """
+
+    @staticmethod
+    def points():
+        g = np.arange(7) * 0.005
+        xx, yy = np.meshgrid(g, g)
+        lattice = np.c_[xx.ravel(), yy.ravel()]
+        lattice += (22.965544642994402, -32.4344379397441)
+        return np.vstack([lattice, [22.985544631399293, -32.43443794283496]])
+
+    def test_in_order_and_mesh_builds_succeed(self):
+        from repro.geometry.delaunay import delaunay_mesh
+
+        assert DelaunayTriangulation(self.points()).n_points == 50
+        kept, simplices = delaunay_mesh(self.points())
+        assert len(kept) == 50 and len(simplices) > 0
+
+    @pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason="tolerance-based orientation: outside the working area",
+    )
+    def test_reversed_build_succeeds(self):
+        assert DelaunayTriangulation(self.points()[::-1]).n_points == 50

@@ -189,8 +189,8 @@ class TestValidation:
 
 
 class TestDenseCrossoverOverride:
-    """The dense/cell-list switch point: a keyword on the functions and
-    a module global at every call site (the monkeypatch seam)."""
+    """The dense/cell-list switch point: a module global at every call
+    site (the monkeypatch seam)."""
 
     def test_module_global_monkeypatch_still_works(self, monkeypatch):
         from repro.geometry import spatial_index
@@ -203,11 +203,17 @@ class TestDenseCrossoverOverride:
         np.fill_diagonal(dense, False)
         np.testing.assert_array_equal(radius_adjacency(pts, RADIUS), dense)
 
-    def test_crossover_keyword_selects_path_bitwise_identically(self):
+    def test_crossover_keyword_selects_path_bitwise_identically(
+        self, monkeypatch
+    ):
+        from repro.geometry import spatial_index
+
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 30, size=(50, 2))
-        forced_dense = radius_adjacency(pts, RADIUS, crossover=10**9)
-        forced_grid = radius_adjacency(pts, RADIUS, crossover=0)
+        monkeypatch.setattr(spatial_index, "DENSE_CROSSOVER", 10**9)
+        forced_dense = radius_adjacency(pts, RADIUS)
+        monkeypatch.setattr(spatial_index, "DENSE_CROSSOVER", 0)
+        forced_grid = radius_adjacency(pts, RADIUS)
         np.testing.assert_array_equal(forced_dense, forced_grid)
 
     def test_radio_crossover_parameter(self, monkeypatch):

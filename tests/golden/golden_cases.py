@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -47,11 +47,16 @@ FALLBACK_RTOL = 1e-9
 
 @dataclass
 class Trajectory:
-    """One run: ``positions`` (R, k, 2), ``alive`` (R, k), ``deltas`` (R,)."""
+    """One run: ``positions`` (R, k, 2), ``alive`` (R, k), ``deltas`` (R,).
+
+    ``rounds`` keeps the engine's round records for checks beyond the
+    digest (which hashes only the three arrays).
+    """
 
     positions: np.ndarray
     alive: np.ndarray
     deltas: np.ndarray
+    rounds: list = dataclass_field(default_factory=list)
 
 
 class _AliveRecorder(Recorder):
@@ -84,6 +89,7 @@ def _mobile(problem: OSTDProblem, resolution: int, **kwargs) -> Trajectory:
         positions=np.stack([r.positions for r in rounds]),
         alive=np.stack(alive.masks),
         deltas=np.asarray([r.delta for r in rounds], dtype=float),
+        rounds=rounds,
     )
 
 
@@ -164,19 +170,25 @@ def cma_large() -> Trajectory:
     return _mobile(_ostd_problem(field, 2500, 3), 101)
 
 
-def centralized() -> Trajectory:
-    """The centralized FRA-dispatch baseline, delay 10, ``--fast`` scale."""
+def centralized_engine() -> CentralizedSimulation:
+    """The engine :func:`centralized` runs, before its first round."""
     sc = config.scale(True)
     problem = _ostd_problem(config.ostd_field(), 100, sc.n_rounds)
-    rounds = CentralizedSimulation(
+    return CentralizedSimulation(
         problem, delay_rounds=10, replan_every=2, solver_iterations=2,
         resolution=sc.resolution,
-    ).run().rounds
+    )
+
+
+def centralized() -> Trajectory:
+    """The centralized FRA-dispatch baseline, delay 10, ``--fast`` scale."""
+    rounds = centralized_engine().run().rounds
     positions = np.stack([r.positions for r in rounds])
     return Trajectory(
         positions=positions,
         alive=np.ones(positions.shape[:2], dtype=bool),
         deltas=np.asarray([r.delta for r in rounds], dtype=float),
+        rounds=rounds,
     )
 
 

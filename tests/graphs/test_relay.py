@@ -141,10 +141,9 @@ def _check_sequence(points, probes, radius):
         assert counter.required() == count_required_relays(so_far, radius)
         # A gap of exactly Rc costs no relay whether or not it is
         # merged, so L alone cannot see the in-range test; the labels can.
-        assert _partition(counter._labels) == {
-            frozenset(c)
-            for c in connected_components(unit_disk_graph(so_far, radius))
-        }
+        assert _partition(counter._labels) == _partition(
+            connected_components(unit_disk_graph(so_far, radius))
+        )
         for c in probes:
             before = _state(counter)
             assert counter.required(c) == count_required_relays(

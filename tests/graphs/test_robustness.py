@@ -1,27 +1,9 @@
 """Tests for articulation points and layout fragility."""
 
 import numpy as np
-import pytest
 
-from repro.graphs.graph import Graph
-from repro.graphs.robustness import (
-    articulation_points,
-    is_biconnected,
-    layout_fragility,
-)
-
-
-def path_graph(n):
-    g = Graph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
-
-
-def cycle_graph(n):
-    g = path_graph(n)
-    g.add_edge(n - 1, 0)
-    return g
+from csr_graphs import csr_from_edges, cycle_graph, path_graph
+from repro.graphs.robustness import articulation_points, layout_fragility
 
 
 class TestArticulationPoints:
@@ -32,67 +14,41 @@ class TestArticulationPoints:
         assert articulation_points(cycle_graph(6)) == set()
 
     def test_star_center(self):
-        g = Graph(5)
-        for i in range(1, 5):
-            g.add_edge(0, i)
+        g = csr_from_edges(5, [(0, i) for i in range(1, 5)])
         assert articulation_points(g) == {0}
 
     def test_two_triangles_sharing_vertex(self):
-        g = Graph(5)
-        for u, v in ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)):
-            g.add_edge(u, v)
+        g = csr_from_edges(
+            5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]
+        )
         assert articulation_points(g) == {2}
 
     def test_disconnected_components_handled(self):
-        g = Graph(6)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)  # path: 1 is articulation
-        g.add_edge(3, 4)
-        g.add_edge(4, 5)
-        g.add_edge(5, 3)  # triangle: none
+        # path: 1 is articulation; triangle: none
+        g = csr_from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
         assert articulation_points(g) == {1}
 
     def test_empty_and_tiny(self):
-        assert articulation_points(Graph(0)) == set()
-        assert articulation_points(Graph(1)) == set()
+        assert articulation_points(csr_from_edges(0, [])) == set()
+        assert articulation_points(csr_from_edges(1, [])) == set()
         assert articulation_points(path_graph(2)) == set()
 
     def test_networkx_cross_validation(self, rng):
         import networkx as nx
 
-        g = Graph(25)
+        edges = [tuple(int(x) for x in rng.integers(0, 25, size=2))
+                 for _ in range(40)]
         nxg = nx.Graph()
         nxg.add_nodes_from(range(25))
-        for _ in range(40):
-            u, v = (int(x) for x in rng.integers(0, 25, size=2))
-            if u != v:
-                g.add_edge(u, v)
-                nxg.add_edge(u, v)
-        assert articulation_points(g) == set(nx.articulation_points(nxg))
+        nxg.add_edges_from((u, v) for u, v in edges if u != v)
+        assert articulation_points(csr_from_edges(25, edges)) == set(
+            nx.articulation_points(nxg)
+        )
 
     def test_deep_path_no_recursion_error(self):
-        # 5000-vertex path would blow a recursive implementation.
-        g = path_graph(5000)
-        points = articulation_points(g)
+        # A 5000-vertex path would blow a recursive implementation.
+        points = articulation_points(path_graph(5000))
         assert len(points) == 4998
-
-
-class TestBiconnected:
-    def test_cycle(self):
-        assert is_biconnected(cycle_graph(5))
-
-    def test_path_is_not(self):
-        assert not is_biconnected(path_graph(4))
-
-    def test_disconnected_is_not(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        assert not is_biconnected(g)
-
-    def test_tiny_conventions(self):
-        assert is_biconnected(Graph(1))
-        assert is_biconnected(path_graph(2))
-        assert not is_biconnected(Graph(2))
 
 
 class TestLayoutFragility:
