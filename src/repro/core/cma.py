@@ -132,61 +132,19 @@ class CMAParams:
 
 
 @dataclass(frozen=True)
-class LocalSensing:
-    """What one node sensed inside its ``Rs`` disk this round.
-
-    ``positions``/``values`` are the ``m`` sensed samples (Table 2's
-    ``M[m][3]``); ``curvatures`` are locally estimated curvature weights at
-    those positions (Table 2's ``MdG``), produced by the sensing model.
-    """
-
-    positions: np.ndarray
-    values: np.ndarray
-    curvatures: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (
-            len(self.positions) == len(self.values) == len(self.curvatures)
-        ):
-            raise ValueError("sensing arrays must have equal length")
-
-    @property
-    def m(self) -> int:
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
 class FleetSensing:
-    """A round's :class:`LocalSensing` of ``n`` nodes, packed end to end.
+    """What ``n`` nodes sensed inside their ``Rs`` disks this round.
 
     Node ``i``'s samples are rows ``offsets[i]:offsets[i + 1]`` of
-    ``positions`` (``(M, 2)``), ``values`` and ``curvatures`` (``(M,)``).
+    ``positions`` (``(M, 2)``), ``values`` and ``curvatures`` (``(M,)``):
+    its ``m`` sensed samples (Table 2's ``M[m][3]``) and the curvature
+    weights the sensing model estimated at them (Table 2's ``MdG``).
     """
 
     positions: np.ndarray
     values: np.ndarray
     curvatures: np.ndarray
     offsets: np.ndarray
-
-    @classmethod
-    def pack(cls, sensings: Sequence[LocalSensing]) -> "FleetSensing":
-        offsets = np.zeros(len(sensings) + 1, dtype=np.intp)
-        np.cumsum([s.m for s in sensings], out=offsets[1:])
-
-        def joined(arrays, tail=()):
-            # The leading empty float block fixes the dtype and makes an
-            # empty fleet well-shaped.
-            return np.concatenate(
-                [np.empty((0, *tail))]
-                + [np.reshape(a, (-1, *tail)) for a in arrays]
-            )
-
-        return cls(
-            positions=joined([s.positions for s in sensings], (2,)),
-            values=joined([s.values for s in sensings]),
-            curvatures=joined([s.curvatures for s in sensings]),
-            offsets=offsets,
-        )
 
     @property
     def counts(self) -> np.ndarray:

@@ -94,7 +94,7 @@ def sense(engine, alive_ids: List[int]) -> Tuple[GridSample, FleetSensing]:
             noise_rng=engine._sensor_rng,
         )
         alive_positions = state.positions[alive_ids]
-        sensing = FleetSensing.pack(sensor.read_many(alive_positions))
+        sensing = sensor.read_many(alive_positions)
 
     with obs.span("fit"):
         if state.curvature_scale is None:

@@ -16,38 +16,38 @@ derivative estimates at the disk rim). This keeps the stencil regular; the
 information overreach is at most ``(√2 − 1)·Rs`` at the corners and does
 not change any experiment's shape.
 
-Kernel design (PR 2)
---------------------
-The per-read pipeline — Gaussian smoothing of the sensed patch, then the
-finite-difference curvature — is the sense phase's hot loop: ``k`` small
-``scipy.ndimage.gaussian_filter`` + ``np.gradient`` chains per round, each
-dominated by per-call overhead rather than arithmetic. :meth:`read_many`
-batches it: patches of equal shape are stacked into one ``(n, h, w)``
-array and smoothed/differentiated once, using a hand-rolled separable
-correlation (:func:`_smooth_patches`) that replicates scipy's symmetric
-``correlate1d`` accumulation order and ``mode="nearest"`` edge handling
-bit for bit, and a batched transcription of
-:func:`repro.surfaces.curvature.grid_gaussian_curvature`. The results are
-bitwise-identical to calling :meth:`read` per node (property-tested in
-``tests/sim/test_sensing.py``); smoothing stays *per patch* on purpose —
-each node may only use data inside its own sensing square, so patch-edge
-handling is part of the model, not an artifact to optimise away. The
-snapshot meshgrid is built once per sensor and sliced per read. The noisy
-path (``noise_std > 0`` with an RNG) keeps the sequential per-read
-pipeline: noise is drawn per read, in RNG order.
+Kernel design
+-------------
+Sensing is one read per node per round, and the reads do not depend on
+each other, so :meth:`DiskSensor.read_many` senses the whole fleet at
+once and writes the packed :class:`~repro.core.cma.FleetSensing`
+directly. Every window bound comes from one vectorised ``searchsorted``;
+nodes whose windows share a shape and grid spacing are cut out of the
+snapshot with one fancy index into an ``(n, h, w)`` stack, smoothed and
+differentiated once, and masked with one in-disk test. The smoothing is a
+hand-rolled separable correlation (:func:`_smooth_patches`) that
+replicates scipy's symmetric ``correlate1d`` accumulation order and
+``mode="nearest"`` edge handling bit for bit, and the curvature a batched
+transcription of :func:`repro.surfaces.curvature.grid_gaussian_curvature`.
+Windows thinner than the 2-cell stencil sense zero curvature; windows
+outside the snapshot sense nothing. With read noise, each non-empty
+window draws its noise in node order before stacking, so the RNG stream
+is consumed as a node-by-node read consumes it. The result is
+bitwise-identical to reading each node on its own and packing the reads
+(the per-node oracle lives in ``tests/sim/test_sensing.py``). Smoothing
+stays *per patch* on purpose: each node may only use data inside its own
+sensing square, so patch-edge handling is part of the model, not an
+artifact to optimise away.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from scipy.ndimage import gaussian_filter
-
-from repro.core.cma import LocalSensing
+from repro.core.cma import FleetSensing
 from repro.fields.base import DynamicField, GridSample
-from repro.surfaces.curvature import grid_gaussian_curvature
 
 
 def _gaussian_kernel1d(sigma: float) -> Tuple[np.ndarray, int]:
@@ -151,137 +151,121 @@ class DiskSensor:
         #: ext_sensor_noise experiment.
         self.noise_std = float(noise_std)
         self._noise_rng = noise_rng
-        # Lazy snapshot-wide meshgrid (node-independent; every read
-        # slices it instead of rebuilding its own copy).
-        self._mesh: "Tuple[np.ndarray, np.ndarray] | None" = None
 
-    def _meshgrid(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Snapshot-wide ``meshgrid(xs, ys)``, computed once."""
-        if self._mesh is None:
-            self._mesh = np.meshgrid(self.snapshot.xs, self.snapshot.ys)
-        return self._mesh
+    def read_many(self, positions: np.ndarray) -> FleetSensing:
+        """Sense around every position: the fleet's in-disk samples, packed.
 
-    def _window(self, x: float, y: float) -> Tuple[int, int, int, int]:
-        """Grid-index bounds of the sensing square around ``(x, y)``."""
+        ``positions`` is ``(n, 2)``. Node ``i``'s samples — the grid points
+        of its ``Rs`` disk in row-major order, their (noisy) values and the
+        curvature of its smoothed sensing square there — are rows
+        ``offsets[i]:offsets[i + 1]`` of the result.
+        """
         xs, ys = self.snapshot.xs, self.snapshot.ys
-        ix0 = int(np.searchsorted(xs, x - self.rs))
-        ix1 = int(np.searchsorted(xs, x + self.rs, side="right"))
-        iy0 = int(np.searchsorted(ys, y - self.rs))
-        iy1 = int(np.searchsorted(ys, y + self.rs, side="right"))
-        return ix0, ix1, iy0, iy1
+        pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+        n = len(pts)
+        px, py = pts[:, 0], pts[:, 1]
+        ix0 = np.searchsorted(xs, px - self.rs)
+        ix1 = np.searchsorted(xs, px + self.rs, side="right")
+        iy0 = np.searchsorted(ys, py - self.rs)
+        iy1 = np.searchsorted(ys, py + self.rs, side="right")
+        h, w = iy1 - iy0, ix1 - ix0
+        live = np.flatnonzero((h > 0) & (w > 0))
 
-    def _gather(
-        self,
-        x: float,
-        y: float,
-        window: Tuple[int, int, int, int],
-        patch_values: np.ndarray,
-        curv: np.ndarray,
-    ) -> LocalSensing:
-        """Assemble the in-disk samples of one read from its patch."""
-        ix0, ix1, iy0, iy1 = window
-        mesh_x, mesh_y = self._meshgrid()
-        px = mesh_x[iy0:iy1, ix0:ix1]
-        py = mesh_y[iy0:iy1, ix0:ix1]
-        in_disk = (px - x) ** 2 + (py - y) ** 2 <= self.rs**2
-        return LocalSensing(
-            positions=np.column_stack([px[in_disk], py[in_disk]]),
-            values=patch_values[in_disk],
-            curvatures=curv[in_disk],
-        )
-
-    def read(self, position: np.ndarray) -> LocalSensing:
-        """Sense around ``position``: the m in-disk samples + curvatures."""
-        xs, ys = self.snapshot.xs, self.snapshot.ys
-        x, y = float(position[0]), float(position[1])
-
-        ix0, ix1, iy0, iy1 = self._window(x, y)
-        if ix0 >= ix1 or iy0 >= iy1:
-            empty = np.empty((0,))
-            return LocalSensing(
-                positions=np.empty((0, 2)), values=empty, curvatures=empty
-            )
-
-        patch_values = self.snapshot.values[iy0:iy1, ix0:ix1]
+        noise = {}
         if self.noise_std > 0.0 and self._noise_rng is not None:
             # Read noise corrupts every measurement, including the ones the
-            # curvature stencil consumes — the node cannot see clean data.
-            patch_values = patch_values + self._noise_rng.normal(
-                0.0, self.noise_std, size=patch_values.shape
-            )
-        patch = GridSample(
-            xs=xs[ix0:ix1],
-            ys=ys[iy0:iy1],
-            values=patch_values,
-        )
-        if len(patch.xs) >= 2 and len(patch.ys) >= 2:
-            curv_patch = patch
-            if self.smooth_sigma > 0:
-                curv_patch = GridSample(
-                    xs=patch.xs,
-                    ys=patch.ys,
-                    values=gaussian_filter(
-                        patch.values, self.smooth_sigma, mode="nearest"
-                    ),
+            # curvature stencil consumes. One draw per window, in node
+            # order: the order a node-by-node read consumes the RNG in.
+            for i in live:
+                noise[i] = self._noise_rng.normal(
+                    0.0, self.noise_std, size=(h[i], w[i])
                 )
-            curv = grid_gaussian_curvature(curv_patch)
-        else:
-            curv = np.zeros_like(patch.values)
-        if not self.signed:
-            curv = np.abs(curv)
 
-        return self._gather(x, y, (ix0, ix1, iy0, iy1), patch_values, curv)
-
-    def read_many(self, positions: Sequence[np.ndarray]) -> List[LocalSensing]:
-        """Batched sensing: bitwise-identical to ``[read(p) for p in ...]``.
-
-        The engine's sense phase issues one read per alive node per round;
-        doing the smoothing + curvature per call leaves most of the time
-        in scipy/numpy call overhead on tiny patches. Here equal-shape
-        patches (all interior nodes share one of at most four shapes) are
-        stacked and pushed through :func:`_smooth_patches` /
-        :func:`_patch_gaussian_curvature` in one pass. Degenerate windows
-        (thinner than 2 cells, or empty) and the noisy-RNG path fall back
-        to :meth:`read`, which also keeps the RNG draw order intact.
-        """
-        if self.noise_std > 0.0 and self._noise_rng is not None:
-            return [self.read(p) for p in positions]
-
-        results: List["LocalSensing | None"] = [None] * len(positions)
-        values = self.snapshot.values
-        xs, ys = self.snapshot.xs, self.snapshot.ys
-        # (h, w, dx, dy) -> list of (result index, x, y, window)
-        groups: dict = {}
-        for i, position in enumerate(positions):
-            x, y = float(position[0]), float(position[1])
-            window = self._window(x, y)
-            ix0, ix1, iy0, iy1 = window
-            h, w = iy1 - iy0, ix1 - ix0
-            if h < 2 or w < 2:
-                results[i] = self.read(position)
-                continue
-            # Patch grid spacings, exactly as _grid_derivatives reads them
-            # off the sliced axes (linspace steps can differ by one ulp,
-            # so they are part of the batch key).
-            dx = float(xs[ix0 + 1] - xs[ix0])
-            dy = float(ys[iy0 + 1] - ys[iy0])
-            groups.setdefault((h, w, dx, dy), []).append((i, x, y, window))
-
-        for (h, w, dx, dy), members in groups.items():
-            patches = np.stack(
-                [values[iy0:iy1, ix0:ix1] for _, _, _, (ix0, ix1, iy0, iy1) in members]
-            )
-            smoothed = patches
-            if self.smooth_sigma > 0:
-                smoothed = _smooth_patches(patches, self.smooth_sigma)
-            curv = _patch_gaussian_curvature(smoothed, dx, dy)
+        # Leading empty blocks keep an empty fleet well-shaped.
+        id_parts = [np.empty(0, dtype=np.intp)]
+        count_parts = [np.empty(0, dtype=np.intp)]
+        position_parts = [np.empty((0, 2))]
+        value_parts = [np.empty((0,))]
+        curvature_parts = [np.empty((0,))]
+        for (gh, gw, dx, dy), members in self._shape_groups(
+            live, ix0, iy0, h, w
+        ):
+            rows = iy0[members, None] + np.arange(gh)
+            cols = ix0[members, None] + np.arange(gw)
+            patches = self.snapshot.values[rows[:, :, None], cols[:, None, :]]
+            if noise:
+                patches = patches + np.stack([noise[i] for i in members])
+            if gh < 2 or gw < 2:
+                # Thinner than the finite-difference stencil.
+                curv = np.zeros_like(patches)
+            else:
+                smoothed = patches
+                if self.smooth_sigma > 0:
+                    smoothed = _smooth_patches(patches, self.smooth_sigma)
+                curv = _patch_gaussian_curvature(smoothed, dx, dy)
             if not self.signed:
                 curv = np.abs(curv)
-            for slot, (i, x, y, window) in enumerate(members):
-                results[i] = self._gather(
-                    x, y, window, patches[slot], curv[slot]
-                )
-        return results
+            gx, gy = xs[cols], ys[rows]
+            in_disk = (
+                ((gx - px[members, None]) ** 2)[:, None, :]
+                + ((gy - py[members, None]) ** 2)[:, :, None]
+                <= self.rs**2
+            )
+            gx = np.broadcast_to(gx[:, None, :], patches.shape)
+            gy = np.broadcast_to(gy[:, :, None], patches.shape)
+            id_parts.append(members)
+            count_parts.append(in_disk.sum(axis=(1, 2)))
+            position_parts.append(np.column_stack([gx[in_disk], gy[in_disk]]))
+            value_parts.append(patches[in_disk])
+            curvature_parts.append(curv[in_disk])
+
+        # The groups' rows, node-major within each group; put the nodes
+        # back in fleet order.
+        ids = np.concatenate(id_parts)
+        group_counts = np.concatenate(count_parts)
+        group_starts = np.cumsum(group_counts) - group_counts
+        counts = np.zeros(n, dtype=np.intp)
+        counts[ids] = group_counts
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        by_node = np.argsort(ids, kind="stable")
+        take = np.repeat(
+            group_starts[by_node] - offsets[ids[by_node]],
+            group_counts[by_node],
+        ) + np.arange(offsets[-1])
+        return FleetSensing(
+            positions=np.concatenate(position_parts)[take],
+            values=np.concatenate(value_parts)[take],
+            curvatures=np.concatenate(curvature_parts)[take],
+            offsets=offsets,
+        )
+
+    def _shape_groups(self, live, ix0, iy0, h, w):
+        """``((h, w, dx, dy), node ids)`` of every window shape in use.
+
+        ``dx``/``dy`` are the window's grid spacings exactly as
+        ``np.gradient`` would read them off its sliced axes (linspace steps
+        can differ by one ulp, so they are part of the key); thin windows
+        take no derivatives and key on ``0.0``. Ids ascend within a group.
+        """
+        xs, ys = self.snapshot.xs, self.snapshot.ys
+        hl, wl = h[live], w[live]
+        thin = (hl < 2) | (wl < 2)
+        x0, y0 = ix0[live], iy0[live]
+        dx = np.where(thin, 0.0, xs[np.minimum(x0 + 1, len(xs) - 1)] - xs[x0])
+        dy = np.where(thin, 0.0, ys[np.minimum(y0 + 1, len(ys) - 1)] - ys[y0])
+        keys, group = np.unique(
+            np.column_stack([hl, wl, dx, dy]), axis=0, return_inverse=True
+        )
+        group = group.ravel()
+        order = np.argsort(group, kind="stable")
+        splits = np.cumsum(np.bincount(group))[:-1]
+        return [
+            ((int(kh), int(kw), float(kdx), float(kdy)), members)
+            for (kh, kw, kdx, kdy), members in zip(
+                keys, np.split(live[order], splits)
+            )
+        ]
 
 
 class TraceSampler:

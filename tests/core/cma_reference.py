@@ -5,7 +5,9 @@ These are the one-node-at-a-time forms of :func:`repro.core.cma.plan_move`,
 ladder of :func:`repro.runtime.cma_phases.clip_move`, as the
 engine ran them before the fleet was planned in one pass. The fleet
 functions must agree with them bit for bit, row by row
-(``tests/core/test_cma_fleet.py``).
+(``tests/core/test_cma_fleet.py``). One node's sensing is a
+:class:`LocalSensing`; :func:`pack` lays a fleet's of them end to end as
+the :class:`repro.core.cma.FleetSensing` the fleet functions take.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.cma import CMAParams, LocalSensing, NeighborObservation
+from repro.core.cma import CMAParams, FleetSensing, NeighborObservation
 from repro.core.forces import ForceBreakdown, resultant_force
 from repro.geometry.primitives import BoundingBox
 from repro.geometry.spatial_index import radius_adjacency
@@ -23,6 +25,51 @@ from repro.surfaces.quadric import QuadricFitMode, fit_quadric
 
 #: Step fractions tried when clipping a move against link constraints.
 ALPHA_LADDER = (1.0, 0.75, 0.5, 0.25, 0.1, 0.0)
+
+
+@dataclass(frozen=True)
+class LocalSensing:
+    """What one node sensed inside its ``Rs`` disk this round.
+
+    ``positions``/``values`` are the ``m`` sensed samples (Table 2's
+    ``M[m][3]``); ``curvatures`` are locally estimated curvature weights at
+    those positions (Table 2's ``MdG``), produced by the sensing model.
+    """
+
+    positions: np.ndarray
+    values: np.ndarray
+    curvatures: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not (
+            len(self.positions) == len(self.values) == len(self.curvatures)
+        ):
+            raise ValueError("sensing arrays must have equal length")
+
+    @property
+    def m(self) -> int:
+        return len(self.positions)
+
+
+def pack(sensings: Sequence[LocalSensing]) -> FleetSensing:
+    """The nodes' sensings end to end, node ``i`` at ``offsets[i]``."""
+    offsets = np.zeros(len(sensings) + 1, dtype=np.intp)
+    np.cumsum([s.m for s in sensings], out=offsets[1:])
+
+    def joined(arrays, tail=()):
+        # The leading empty float block fixes the dtype and makes an
+        # empty fleet well-shaped.
+        return np.concatenate(
+            [np.empty((0, *tail))]
+            + [np.reshape(a, (-1, *tail)) for a in arrays]
+        )
+
+    return FleetSensing(
+        positions=joined([s.positions for s in sensings], (2,)),
+        values=joined([s.values for s in sensings]),
+        curvatures=joined([s.curvatures for s in sensings]),
+        offsets=offsets,
+    )
 
 
 @dataclass

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from cma_reference import LocalSensing, pack
 from repro.core.cma import (
     CMAParams,
-    FleetSensing,
-    LocalSensing,
     NeighborObservation,
     NeighborTable,
     estimate_own_curvature,
@@ -32,14 +31,14 @@ def sensing_from(fn, center, rs=5.0):
 def own_curvature(sensing, center, params):
     """One node's quadric curvature through the fleet fit."""
     return estimate_own_curvature(
-        FleetSensing.pack([sensing]), np.array([center], dtype=float), params
+        pack([sensing]), np.array([center], dtype=float), params
     )[0]
 
 
 def plan_one(pos, sensing, nbrs, params, region=None):
     """A fleet of one: node 0 at ``pos``."""
     return plan_move(
-        np.array([0]), pos[None, :], FleetSensing.pack([sensing]),
+        np.array([0]), pos[None, :], pack([sensing]),
         NeighborTable.pack([nbrs], params), params, region or REGION,
     )
 
@@ -82,7 +81,7 @@ class TestSensing:
             values=np.zeros(2),
             curvatures=np.array([0.5, 2.0]),
         )
-        pos, curv, found = FleetSensing.pack([s]).peaks()
+        pos, curv, found = pack([s]).peaks()
         assert np.allclose(pos[0], [1.0, 1.0])
         assert curv[0] == 2.0
         assert found[0]
@@ -91,7 +90,7 @@ class TestSensing:
         s = LocalSensing(
             positions=np.empty((0, 2)), values=np.empty(0), curvatures=np.empty(0)
         )
-        pos, curv, found = FleetSensing.pack([s]).peaks()
+        pos, curv, found = pack([s]).peaks()
         assert not found[0]
         assert curv[0] == 0.0 and np.array_equal(pos[0], [0.0, 0.0])
 

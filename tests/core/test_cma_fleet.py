@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 import cma_reference as ref
 from repro.core.cma import (
     CMAParams,
-    FleetSensing,
-    LocalSensing,
     NeighborObservation,
     NeighborTable,
     estimate_own_curvature,
@@ -47,8 +45,8 @@ def make_sensing(rng, center, m, zero_curvature, signed):
         curv = rng.normal(0.0, 2.0, m)
     else:
         curv = rng.exponential(1.0, m)
-    return LocalSensing(positions=pts.astype(float), values=values,
-                        curvatures=curv)
+    return ref.LocalSensing(positions=pts.astype(float), values=values,
+                            curvatures=curv)
 
 
 @st.composite
@@ -114,7 +112,7 @@ def assert_matches_oracle(params, positions, sensings, inboxes, alive,
                           region=REGION):
     n = len(positions)
     pos = np.asarray(positions, dtype=float).reshape(n, 2)
-    sensing = FleetSensing.pack(sensings)
+    sensing = ref.pack(sensings)
 
     own = estimate_own_curvature(sensing, pos, params)
     ref_own = [ref.estimate_own_curvature(s, p, params)
@@ -262,7 +260,7 @@ class TestEdgeCases:
 
     def test_empty_fleet(self):
         plan = plan_move(
-            np.empty(0, dtype=int), np.empty((0, 2)), FleetSensing.pack([]),
+            np.empty(0, dtype=int), np.empty((0, 2)), ref.pack([]),
             NeighborTable.pack([], CMAParams()), CMAParams(), REGION,
         )
         assert plan.destinations.shape == (0, 2)
