@@ -14,10 +14,13 @@ refinement loop:
 3. **Refine** — otherwise insert the grid position of maximum local error
    into the Delaunay triangulation and update ``Err``.
 
-The local-error update is *incremental*: a Bowyer–Watson insertion only
-changes the surface inside the retriangulated cavity, so only grid cells
-inside the cavity's bounding box are re-evaluated. The tests check it
-against a full recompute of the grid after every insert.
+The local-error update is *incremental* (Table 1, line 11): a
+Bowyer–Watson insertion only changes the surface on the new triangles,
+the fan around the inserted vertex, so only the grid cells those
+triangles cover are re-evaluated, each triangle over its own bounding box.
+The tests check the grid after every insert against the former
+cavity-window update, which rasterised the fan with a
+:class:`LinearSurfaceInterpolator`, and against a full recompute.
 
 Besides the paper's max-local-error criterion, the selection rule is
 pluggable (curvature / error·curvature product / random) to reproduce the
@@ -28,6 +31,7 @@ Garland & Heckbert comparison the paper cites when justifying local error
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
@@ -37,7 +41,7 @@ from repro.core.problem import OSDProblem, PlacementResult
 from repro.fields.base import GridSample
 from repro.fields.grid import GridField
 from repro.geometry.delaunay import DelaunayTriangulation
-from repro.geometry.interpolation import LinearSurfaceInterpolator
+from repro.geometry.interpolation import _INSIDE_TOL, LinearSurfaceInterpolator
 from repro.graphs.geometric import unit_disk_graph
 from repro.graphs.relay import IncrementalRelayCount, plan_relays
 from repro.graphs.traversal import is_connected
@@ -114,61 +118,78 @@ class FRAResult:
 class _ErrorTracker:
     """Maintains the triangulation and the local-error grid during FRA."""
 
-    def __init__(self, reference: GridSample) -> None:
+    def __init__(self, reference: GridSample, obs: Instrumentation) -> None:
         self.reference = reference
+        self.obs = obs
         self.tri = DelaunayTriangulation()
-        self.vertex_values: List[float] = []
+        #: (x, y, f) of each vertex, by triangulation index.
+        self.vertices: List[Tuple[float, float, float]] = []
         self.err = np.zeros_like(reference.values)
+        # Axes as lists, for bisect: the same bounds searchsorted gives.
+        self._xs = reference.xs.tolist()
+        self._ys = reference.ys.tolist()
 
     def insert(self, x: float, y: float, z: float) -> int:
         index = self.tri.insert((x, y))
-        if index != len(self.vertex_values):
+        if index != len(self.vertices):
             raise RuntimeError("triangulation index out of sync with values")
-        self.vertex_values.append(z)
-        if self.tri.n_points >= 3 and self.tri.simplices.size:
-            self._update_window(index)
+        self.vertices.append((x, y, z))
+        simp = self.tri.simplices
+        fan = simp[(simp == index).any(axis=1)]
+        if len(fan):
+            with self.obs.span("rasterize"):
+                self._update_fan(fan.tolist())
+        elif len(simp):
+            self._recompute_all()
         return index
 
-    def _interpolator(self, simplices: Optional[np.ndarray] = None,
-                      extrapolate: str = "clamp") -> LinearSurfaceInterpolator:
-        return LinearSurfaceInterpolator(
-            self.tri.points,
-            np.asarray(self.vertex_values, dtype=float),
-            triangulation=self.tri.simplices if simplices is None else simplices,
-            extrapolate=extrapolate,
-        )
-
     def _recompute_all(self) -> None:
-        approx = self._interpolator().evaluate_grid(
-            self.reference.xs, self.reference.ys
-        )
+        xyz = np.asarray(self.vertices, dtype=float)
+        approx = LinearSurfaceInterpolator(
+            xyz[:, :2], xyz[:, 2], triangulation=self.tri.simplices
+        ).evaluate_grid(self.reference.xs, self.reference.ys)
         self.err = np.abs(self.reference.values - approx)
 
-    def _update_window(self, new_index: int) -> None:
-        """Re-evaluate |f − DT| only inside the retriangulated cavity."""
-        simp = self.tri.simplices
-        new_tris = simp[(simp == new_index).any(axis=1)]
-        if len(new_tris) == 0:
-            self._recompute_all()
-            return
-        pts = self.tri.points
-        cavity = pts[np.unique(new_tris)]
+    def _update_fan(self, fan: List[List[int]]) -> None:
+        """Re-evaluate |f − DT| on the cells the new triangles cover.
+
+        Each triangle is evaluated on its own bounding-box slice of the
+        grid with the rasteriser's barycentric formula, term for term
+        (:meth:`LinearSurfaceInterpolator._bary_tables`), so every cell
+        gets the value a rasterisation of the fan gives it. Near-zero-area
+        triangles are skipped, as the interpolator drops them. A cell on a
+        shared edge keeps the first claiming row's value: the rows are
+        written in reverse, so the first one writes last.
+        """
         xs, ys = self.reference.xs, self.reference.ys
-        ix0 = int(np.searchsorted(xs, cavity[:, 0].min() - 1e-9))
-        ix1 = int(np.searchsorted(xs, cavity[:, 0].max() + 1e-9))
-        iy0 = int(np.searchsorted(ys, cavity[:, 1].min() - 1e-9))
-        iy1 = int(np.searchsorted(ys, cavity[:, 1].max() + 1e-9))
-        ix0, iy0 = max(ix0 - 1, 0), max(iy0 - 1, 0)
-        ix1, iy1 = min(ix1 + 1, len(xs)), min(iy1 + 1, len(ys))
-        if ix0 >= ix1 or iy0 >= iy1:
-            return
-        window = self._interpolator(
-            simplices=np.asarray(new_tris, dtype=int), extrapolate="nan"
-        ).evaluate_grid(xs[ix0:ix1], ys[iy0:iy1])
-        inside = ~np.isnan(window)
-        ref_window = self.reference.values[iy0:iy1, ix0:ix1]
-        err_window = self.err[iy0:iy1, ix0:ix1]
-        err_window[inside] = np.abs(ref_window - window)[inside]
+        xl, yl = self._xs, self._ys
+        vertices = self.vertices
+        for a, b, c in reversed(fan):
+            ax, ay, va = vertices[a]
+            bx, by, vb = vertices[b]
+            cx, cy, vc = vertices[c]
+            det = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
+            if abs(det) <= 1e-9:
+                continue
+            i0 = bisect_left(xl, min(ax, bx, cx) - _INSIDE_TOL)
+            i1 = bisect_right(xl, max(ax, bx, cx) + _INSIDE_TOL)
+            j0 = bisect_left(yl, min(ay, by, cy) - _INSIDE_TOL)
+            j1 = bisect_right(yl, max(ay, by, cy) + _INSIDE_TOL)
+            if i0 >= i1 or j0 >= j1:
+                continue
+            dx = xs[i0:i1] - cx
+            dy = (ys[j0:j1] - cy)[:, None]
+            wa = ((by - cy) * dx + (cx - bx) * dy) / det
+            wb = ((cy - ay) * dx + (ax - cx) * dy) / det
+            wc = 1.0 - wa - wb
+            inside = (wa >= -_INSIDE_TOL) & (wb >= -_INSIDE_TOL)
+            inside &= wc >= -_INSIDE_TOL
+            approx = wa * va + wb * vb + wc * vc
+            np.copyto(
+                self.err[j0:j1, i0:i1],
+                np.abs(self.reference.values[j0:j1, i0:i1] - approx),
+                where=inside,
+            )
 
 
 def foresighted_refinement(
@@ -200,7 +221,7 @@ def foresighted_refinement(
     obs = obs if obs is not None else get_instrumentation()
     rng = np.random.default_rng(cfg.seed)
 
-    tracker = _ErrorTracker(reference)
+    tracker = _ErrorTracker(reference, obs)
     xs, ys = reference.xs, reference.ys
     selected: List[Tuple[float, float]] = []
     used = np.zeros_like(reference.values, dtype=bool)

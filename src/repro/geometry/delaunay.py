@@ -806,6 +806,84 @@ def brio_order(points: np.ndarray) -> np.ndarray:
     return np.concatenate(rounds)
 
 
+def _dedup_kept(points: np.ndarray, tol: float) -> np.ndarray:
+    """Input indices of the points a sequential dedup keeps, ascending.
+
+    A point is dropped when an earlier *kept* point is within ``tol``:
+    both coordinate differences ``abs(dx)``, ``abs(dy)`` are ``<= tol``
+    and ``dx * dx + dy * dy <= tol * tol``, the test of
+    :meth:`DelaunayTriangulation.find_vertex`. Non-finite points are
+    always kept and match nothing; ``tol`` must be finite.
+
+    The candidate pairs come from sorted searches, not a per-point loop:
+    the points are sorted by ``(x, y)`` and each point looks, for every
+    distinct ``x`` within its padded ``tol`` window, at the run of points
+    with that ``x`` whose ``y`` is within the window too. The exact test
+    then filters the pairs, and the few points with an earlier partner are
+    settled one by one in input order, since a partner only counts if it
+    was kept itself.
+    """
+    if not math.isfinite(tol):
+        raise ValueError(f"dedup tolerance must be finite, got {tol}")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    fin = np.flatnonzero(np.isfinite(pts).all(axis=1))
+    if tol < 0 or len(fin) < 2:
+        return np.arange(n)
+    x = pts[fin, 0]
+    y = pts[fin, 1]
+    with np.errstate(over="ignore"):
+        # Padded as _VertexGrid.find pads its cell range: a difference
+        # that rounds to <= tol is at most tol * (1 + 2^-52) exactly.
+        mx = tol + 4.0 * np.spacing(np.abs(x) + tol)
+        my = tol + 4.0 * np.spacing(np.abs(y) + tol)
+        key = _xy_keys(x, y)
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+        ux = np.unique(x)
+        u0 = np.searchsorted(ux, x - mx)
+        n_u = np.searchsorted(ux, x + mx, side="right") - u0
+        q = _ranges(u0, n_u)
+        qi = np.repeat(np.arange(len(x)), n_u)
+        lo = np.searchsorted(skey, _xy_keys(ux[q], y[qi] - my[qi]))
+        hi = np.searchsorted(
+            skey, _xy_keys(ux[q], y[qi] + my[qi]), side="right"
+        )
+        n_c = np.maximum(hi - lo, 0)
+        pi = np.repeat(qi, n_c)
+        pj = order[_ranges(lo, n_c)]
+        earlier = pj < pi
+        pi, pj = pi[earlier], pj[earlier]
+        dx = np.abs(x[pj] - x[pi])
+        dy = np.abs(y[pj] - y[pi])
+        match = (dx <= tol) & (dy <= tol) & (dx * dx + dy * dy <= tol * tol)
+    pi, pj = fin[pi[match]], fin[pj[match]]
+    keep = np.ones(n, dtype=bool)
+    if len(pi):
+        by_i = np.argsort(pi, kind="stable")
+        pi, pj = pi[by_i], pj[by_i]
+        starts = np.flatnonzero(np.r_[True, pi[1:] != pi[:-1]])
+        for i, s, e in zip(pi[starts].tolist(), starts.tolist(),
+                           np.r_[starts[1:], len(pi)].tolist()):
+            keep[i] = not keep[pj[s:e]].any()
+    return np.flatnonzero(keep)
+
+
+def _xy_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x + iy``: complex numbers sort by real part, then imaginary part."""
+    key = np.empty(len(x), dtype=complex)
+    key.real = x
+    key.imag = y
+    return key
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    total = int(counts.sum())
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(starts, counts) + offsets
+
+
 def delaunay_mesh(
     points: np.ndarray, dedup_tol: float = 1e-9
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -824,13 +902,7 @@ def delaunay_mesh(
     form of :func:`canonical_simplices`.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    grid = _VertexGrid(dedup_tol if dedup_tol > 0 else 1.0)
-    kept = []
-    for i, (x, y) in enumerate(pts.tolist()):
-        if grid.find(x, y, dedup_tol) is None:
-            grid.add(x, y)
-            kept.append(i)
-    kept_idx = np.asarray(kept, dtype=int)
+    kept_idx = _dedup_kept(pts, float(dedup_tol))
     unique = pts[kept_idx]
     order = brio_order(unique)
     tri = DelaunayTriangulation(dedup_tol=dedup_tol)

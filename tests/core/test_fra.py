@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.fra as fra_module
+from fra_reference import FullRecomputeTracker, WindowErrorTracker
 from repro.core.fra import (
     FRAConfig,
     SelectionCriterion,
@@ -194,13 +195,15 @@ class TestQuality:
     def test_incremental_matches_full_recompute(
         self, bump_reference, monkeypatch
     ):
-        fast = foresighted_refinement(bump_reference, 15, RC)
-        # Oracle: re-evaluate the whole local-error grid after every insert.
-        monkeypatch.setattr(
-            fra_module._ErrorTracker, "_update_window",
-            lambda tracker, new_index: tracker._recompute_all(),
-        )
-        slow = foresighted_refinement(bump_reference, 15, RC)
+        fast = foresighted_refinement(bump_reference, 30, RC)
+        # The cavity-window update picks the same cells; a recompute of
+        # the whole grid after every insert differs only by rounding on
+        # shared edges.
+        monkeypatch.setattr(fra_module, "_ErrorTracker", WindowErrorTracker)
+        window = foresighted_refinement(bump_reference, 30, RC)
+        monkeypatch.setattr(fra_module, "_ErrorTracker", FullRecomputeTracker)
+        slow = foresighted_refinement(bump_reference, 30, RC)
+        assert np.array_equal(fast.positions, window.positions)
         assert np.allclose(fast.positions, slow.positions)
 
     def test_record_history_monotone_tail(self, bump_reference):
@@ -210,6 +213,85 @@ class TestQuality:
         assert len(result.history) >= result.n_refinement
         ks = [k for k, _ in result.history]
         assert ks == sorted(ks)
+
+
+_FIG7_FIELD = GreenOrbsLightField(side=100.0, seed=7)
+#: The fig7 reference (resolution 101: cells on the integer lattice) and
+#: the same field off the lattice, where the triangles that share an
+#: edge round the value on it differently.
+FAN_REFERENCES = [
+    sample_grid(_FIG7_FIELD, _FIG7_FIELD.region, n, t=600.0) for n in (101, 73)
+]
+
+#: One step of an insertion sequence: a cell on a boundary row or
+#: column, a neighbour of the previous cell, or any cell.
+_STEPS = st.one_of(
+    st.tuples(st.just("edge"), st.sampled_from("LRBT"), st.integers(0, 100)),
+    st.tuples(st.just("next"), st.integers(-1, 1), st.integers(-1, 1)),
+    st.tuples(st.just("any"), st.integers(0, 100), st.integers(0, 100)),
+)
+
+
+def _cells(n, steps):
+    """Cells of an ``n``-square grid: the four corners first, no repeats."""
+    last = n - 1
+    cells = [(0, 0), (last, 0), (last, last), (0, last)]
+    seen = set(cells)
+    for kind, a, b in steps:
+        ix, iy = cells[-1]
+        if kind == "edge":
+            b %= n
+            ix, iy = {"L": (0, b), "R": (last, b), "B": (b, 0), "T": (b, last)}[a]
+        elif kind == "next":
+            ix, iy = min(max(ix + a, 0), last), min(max(iy + b, 0), last)
+        else:
+            ix, iy = a % n, b % n
+        if (ix, iy) not in seen:
+            seen.add((ix, iy))
+            cells.append((ix, iy))
+    return cells
+
+
+def _insert_cell(tracker, ref, ix, iy):
+    return tracker.insert(
+        float(ref.xs[ix]), float(ref.ys[iy]), ref.value_at_index(ix, iy)
+    )
+
+
+class TestFanUpdate:
+    """The per-triangle fan update against the cavity-window oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(FAN_REFERENCES),
+        st.integers(0, 80).flatmap(
+            lambda n: st.lists(_STEPS, min_size=n, max_size=n)
+        ),
+    )
+    def test_err_equals_window_oracle_after_every_insert(self, ref, steps):
+        tracker = fra_module._ErrorTracker(ref, Instrumentation.disabled())
+        oracle = WindowErrorTracker(ref)
+        for ix, iy in _cells(len(ref.xs), steps):
+            index = _insert_cell(tracker, ref, ix, iy)
+            assert index == _insert_cell(oracle, ref, ix, iy)
+            assert np.array_equal(tracker.err, oracle.err)
+        full = FullRecomputeTracker(ref)
+        for x, y, z in tracker.vertices:
+            full.insert(x, y, z)
+        assert np.allclose(tracker.err, full.err)
+
+    def test_rasterize_span_per_update(self):
+        # One span per insert that has a triangle to update: the 3rd
+        # corner onwards.
+        ref = FAN_REFERENCES[0]
+        obs = Instrumentation.in_memory()
+        tracker = fra_module._ErrorTracker(ref, obs)
+        cells = _cells(101, [("any", 50, 50), ("next", 1, 0), ("edge", "L", 7)])
+        for ix, iy in cells:
+            _insert_cell(tracker, ref, ix, iy)
+        paths = [e.fields["path"] for e in obs.memory_events()
+                 if e.name == "span"]
+        assert paths == ["rasterize"] * (len(cells) - 2)
 
 
 class TestSelectionCriteria:

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.delaunay import DuplicatePointError
+from repro.geometry.delaunay import DuplicatePointError, _VertexGrid
 from repro.geometry.predicates import EPSILON
 from repro.geometry.primitives import Point2, PointLike
 
@@ -353,3 +353,20 @@ class ReferenceDelaunayTriangulation:
         if hit.size == 0:
             return None
         return int(hit[0])
+
+
+def reference_dedup_kept(points: np.ndarray, tol: float) -> np.ndarray:
+    """Sequential dedup: the oracle of :func:`repro.geometry.delaunay._dedup_kept`.
+
+    Walks the points in input order, keeping each one unless the hash
+    grid of the points kept so far holds one within ``tol`` (the test of
+    ``DelaunayTriangulation.find_vertex``).
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    grid = _VertexGrid(tol if tol > 0 else 1.0)
+    kept = []
+    for i, (x, y) in enumerate(pts.tolist()):
+        if grid.find(x, y, tol) is None:
+            grid.add(x, y)
+            kept.append(i)
+    return np.asarray(kept, dtype=int)

@@ -138,6 +138,10 @@ class TestFRARunLog:
         # Foresight is timed on its own, inside the refine loop.
         paths = [e.fields["path"] for e in obs.memory_events() if e.name == "span"]
         assert paths.count("fra_refine_loop/fra_foresight") > result.n_refinement
+        # Each insert after the corners updates the local-error grid once,
+        # timed as rasterize inside the loop (leftover picks come after it).
+        in_loop = [e for e in refines if e.fields["kind"] != "leftover"]
+        assert paths.count("fra_refine_loop/rasterize") == len(in_loop)
 
     def test_instrumentation_does_not_change_result(self):
         field = GreenOrbsLightField(side=50.0, seed=7, freeze_sun_at=600.0)
@@ -146,7 +150,7 @@ class TestFRARunLog:
         logged = foresighted_refinement(
             reference, k=20, rc=10.0, obs=Instrumentation.in_memory()
         )
-        assert np.allclose(plain.positions, logged.positions)
+        assert np.array_equal(plain.positions, logged.positions)
 
 
 class TestCLI:
