@@ -45,7 +45,11 @@ from repro.geometry.interpolation import _INSIDE_TOL, LinearSurfaceInterpolator
 from repro.graphs.geometric import unit_disk_graph
 from repro.graphs.relay import IncrementalRelayCount, plan_relays
 from repro.graphs.traversal import is_connected
-from repro.obs.instrument import Instrumentation, get_instrumentation
+from repro.obs.instrument import (
+    Instrumentation,
+    get_instrumentation,
+    use_instrumentation,
+)
 from repro.surfaces.curvature import grid_gaussian_curvature
 from repro.surfaces.local_error import argmax_grid
 from repro.surfaces.reconstruction import reconstruct_surface
@@ -134,12 +138,11 @@ class _ErrorTracker:
         if index != len(self.vertices):
             raise RuntimeError("triangulation index out of sync with values")
         self.vertices.append((x, y, z))
-        simp = self.tri.simplices
-        fan = simp[(simp == index).any(axis=1)]
+        fan = self.tri.new_triangles
         if len(fan):
             with self.obs.span("rasterize"):
                 self._update_fan(fan.tolist())
-        elif len(simp):
+        elif len(self.tri.simplices):
             self._recompute_all()
         return index
 
@@ -309,9 +312,10 @@ def foresighted_refinement(
                 np.asarray(selected + relay_positions, dtype=float).reshape(-1, 2),
                 history_anchors,
             ])
-            rec = reconstruct_surface(
-                reference, current, values=_grid_values(reference, current)
-            )
+            with use_instrumentation(obs):
+                rec = reconstruct_surface(
+                    reference, current, values=_grid_values(reference, current)
+                )
             history.append((len(selected), rec.delta))
 
     def relays_after(candidate: Optional[Tuple[float, float]] = None) -> int:
@@ -439,19 +443,25 @@ def solve_osd(
     config: Optional[FRAConfig] = None,
     obs: Optional[Instrumentation] = None,
 ) -> PlacementResult:
-    """Solve an :class:`OSDProblem` with FRA and evaluate the layout."""
+    """Solve an :class:`OSDProblem` with FRA and evaluate the layout.
+
+    ``obs`` (default: the ambient instrumentation) times the refinement
+    loop and every reconstruction, the final one and the history ones.
+    """
     cfg = config or FRAConfig()
+    obs = obs if obs is not None else get_instrumentation()
     result = foresighted_refinement(
         problem.reference, problem.k, problem.rc, config=cfg, obs=obs
     )
     recon_points = result.positions
     if cfg.anchors_in_reconstruction and len(result.anchor_positions):
         recon_points = np.vstack([result.positions, result.anchor_positions])
-    reconstruction = reconstruct_surface(
-        problem.reference,
-        recon_points,
-        values=_grid_values(problem.reference, recon_points),
-    )
+    with use_instrumentation(obs):
+        reconstruction = reconstruct_surface(
+            problem.reference,
+            recon_points,
+            values=_grid_values(problem.reference, recon_points),
+        )
     return PlacementResult(
         positions=result.positions,
         rc=problem.rc,

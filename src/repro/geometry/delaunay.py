@@ -13,14 +13,17 @@ Implementation notes
   three synthetic vertices are hidden from the public API.
 * Triangles live in a dict keyed by a creation id. Dicts iterate in
   insertion order, so ``simplices`` lists the live triangles in creation
-  order. A directed-edge map gives each triangle's neighbours.
+  order. Beside each triangle ``(a, b, c)`` three neighbour slots hold
+  the ids of the triangles across ``(a, b)``, ``(b, c)`` and ``(c, a)``
+  (``-1`` for none), as in Shewchuk's *Triangle*.
 * An insert is local. It walks from the last-created triangle to the one
   containing the point, then grows the cavity through bad edge neighbours
   (a neighbour within the tie window that is not bad is passed through
   without joining). The cavity triangles are
-  taken in creation order and the new fan follows the first-occurrence
-  order of their ``(a,b) (b,c) (c,a)`` edge scan, so the rows and their
-  order are what a scan over every triangle gives.
+  taken in creation order and the new fan follows the order of their
+  ``(a,b) (b,c) (c,a)`` border edges, so the rows and their order are
+  what a scan over every triangle gives. Each new triangle is wired to
+  the triangle across its border edge and to its two fan neighbours.
 * The in-circle test reads each triangle's cached circumcircle
   ``(centre, r^2)`` and the threshold ``EPSILON / |2A|``, and tests
   ``r^2 - d^2 > threshold``. Queries inside a conservative rounding band
@@ -53,6 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import chain, islice
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -265,25 +269,27 @@ class DelaunayTriangulation:
             self._dedup_tol if self._dedup_tol > 0 else 1.0
         )
 
-        # Live triangles by creation id (dict order is creation order),
-        # the ones without a super vertex again for ``simplices``, and the
-        # directed edge (u, v) -> id of the triangle holding it.
+        # Live triangles by creation id (dict order is creation order) and
+        # their neighbour slots: the ids across (a, b), (b, c) and (c, a),
+        # -1 for none. The slots are kept only while _local.
         self._tris: Dict[int, _Tri] = {}
-        self._real: Dict[int, Tuple[int, int, int]] = {}
-        self._edge: Dict[Tuple[int, int], int] = {}
+        self._nbr: Dict[int, List[int]] = {}
         self._next_id = 0
         # The walk and the grown cavity are trusted while every step so far
         # was a clean Bowyer-Watson step. False for good once a step made
         # a flat or clockwise triangle, a sliver, a triangle whose cached
         # circle misses its vertices or whose tie window is wider than its
-        # shortest edge (see _SLIVER), gave two triangles one directed
-        # edge, or had a cavity that is not a disk; from then on every
-        # insert scans all triangles (see _scan).
+        # shortest edge (see _SLIVER), had a cavity that is not a disk, or
+        # a fan that is not one closed ring (two fan triangles starting or
+        # ending at one border vertex); from then on every insert scans
+        # all triangles (see _scan) and the slots are dropped.
         self._local = True
+        # Ids of the triangles the last insert created (see new_triangles).
+        self._new_ids = range(0)
         self._simplices_cache: Optional[np.ndarray] = None
         self._points_cache: Optional[np.ndarray] = None
 
-        self._add_fan([(0, 1)], 2)
+        self._add_fan([(0, 1, -1, -1)], 2)
         if points is not None:
             for p in points:
                 self.insert(p)
@@ -316,14 +322,33 @@ class DelaunayTriangulation:
 
     @property
     def simplices(self) -> np.ndarray:
-        """Triangles as an ``(m, 3)`` int array (scipy-compatible view)."""
+        """Triangles as an ``(m, 3)`` int array (scipy-compatible view).
+
+        The live triangles without a super vertex, in creation order.
+        """
         if self._simplices_cache is None:
-            rows = chain.from_iterable(self._real.values())
-            simp = np.fromiter(rows, dtype=int, count=3 * len(self._real))
-            simp = simp.reshape(-1, 3) - _N_SUPER
+            tris = self._tris
+            rows = chain.from_iterable(map(itemgetter(0, 1, 2), tris.values()))
+            simp = np.fromiter(rows, dtype=int, count=3 * len(tris))
+            simp = simp.reshape(-1, 3)
+            simp = simp[simp.min(axis=1) >= _N_SUPER] - _N_SUPER
             simp.setflags(write=False)
             self._simplices_cache = simp
         return self._simplices_cache
+
+    @property
+    def new_triangles(self) -> np.ndarray:
+        """The real triangles the last insert created, as ``simplices`` rows.
+
+        In creation order, so they are the rows of :attr:`simplices` that
+        hold the new vertex, in the same order; empty when the last insert
+        created none (a skipped duplicate, or a fan around the new vertex
+        that only touches the super-triangle).
+        """
+        tris = self._tris
+        rows = [tris[t][:3] for t in self._new_ids]
+        simp = np.array(rows, dtype=int).reshape(-1, 3)
+        return simp[simp.min(axis=1) >= _N_SUPER] - _N_SUPER
 
     def point(self, index: int) -> Point2:
         """The coordinates of public vertex ``index``."""
@@ -347,6 +372,7 @@ class DelaunayTriangulation:
         """
         p = Point2.of(point)
         px, py = p.x, p.y
+        self._new_ids = range(0)
         dup = self._grid.find(px, py, self._dedup_tol)
         if dup is not None:
             if self._skip_duplicates:
@@ -365,7 +391,8 @@ class DelaunayTriangulation:
         The point is not added to the :meth:`find_vertex` grid: callers
         that insert here dedup on their own (see :func:`delaunay_mesh`).
         """
-        start = self._walk(px, py) if self._local else None
+        local = self._local
+        start = self._walk(px, py) if local else None
         if (
             start is not None
             and self._incircle(self._tris[start], px, py, prio) > 0
@@ -382,28 +409,37 @@ class DelaunayTriangulation:
                 "larger span"
             )
 
-        # Cavity border, interior on the left: the edges that occur once in
-        # the (a,b) (b,c) (c,a) scan of the cavity, in first-occurrence order
-        # (None marks an edge seen twice).
+        # Cavity border, interior on the left, in the order of the
+        # (a,b) (b,c) (c,a) scan of the cavity: the edges whose other
+        # side is not in the cavity. Each carries the triangle across it
+        # and the cavity triangle it came from (-1, -1 without slots).
         tris = self._tris
-        edge = self._edge
-        border: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-        for t in cavity:
-            a, b, c = tris[t][:3]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                border[key] = None if key in border else (u, v)
-        boundary = [e for e in border.values() if e is not None]
+        boundary: List[Tuple[int, int, int, int]] = []
+        if local:
+            nbr = self._nbr
+            inner = set(cavity)
+            for t in cavity:
+                a, b, c = tris.pop(t)[:3]
+                n0, n1, n2 = nbr.pop(t)
+                if n0 not in inner:
+                    boundary.append((a, b, n0, t))
+                if n1 not in inner:
+                    boundary.append((b, c, n1, t))
+                if n2 not in inner:
+                    boundary.append((c, a, n2, t))
+        else:
+            # Without slots an edge is inner when the scan meets it twice.
+            border: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+            for t in cavity:
+                a, b, c = tris.pop(t)[:3]
+                for u, v in ((a, b), (b, c), (c, a)):
+                    key = (u, v) if u < v else (v, u)
+                    border[key] = None if key in border else (u, v)
+            boundary = [(*e, -1, -1) for e in border.values() if e is not None]
         if len(boundary) != len(cavity) + 2:
             # Not a disk triangulated without inner vertices: the cavity
             # has a hole, is split, or swallows a vertex.
             self._local = False
-        for t in cavity:
-            a, b, c = tris.pop(t)[:3]
-            self._real.pop(t, None)
-            for key in ((a, b), (b, c), (c, a)):
-                if edge.get(key) == t:
-                    del edge[key]
 
         index = len(self._verts)
         self._verts.append((px, py))
@@ -422,7 +458,7 @@ class DelaunayTriangulation:
         triangle.
         """
         tris = self._tris
-        edge = self._edge
+        nbr = self._nbr
         verts = self._verts
         t = self._next_id - 1
         for _ in range(len(tris) + 1):
@@ -431,16 +467,15 @@ class DelaunayTriangulation:
             bx, by = verts[b]
             cx, cy = verts[c]
             if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0.0:
-                nxt = edge.get((b, a))
+                t = nbr[t][0]
             elif (cx - bx) * (py - by) - (cy - by) * (px - bx) < 0.0:
-                nxt = edge.get((c, b))
+                t = nbr[t][1]
             elif (ax - cx) * (py - cy) - (ay - cy) * (px - cx) < 0.0:
-                nxt = edge.get((a, c))
+                t = nbr[t][2]
             else:
                 return t
-            if nxt is None:
+            if t < 0:
                 return None
-            t = nxt
         return None
 
     def _incircle(self, tri: _Tri, px: float, py: float, prio: float) -> int:
@@ -547,16 +582,14 @@ class DelaunayTriangulation:
         triangle would also find bad triangles behind such a neighbour.
         """
         tris = self._tris
-        edge = self._edge
+        nbr = self._nbr
         incircle = self._incircle
         cavity = [start]
-        seen = {start}
+        seen = {start, -1}  # -1: no triangle across the edge
         todo = [start]
         while todo:
-            a, b, c = tris[todo.pop()][:3]
-            for key in ((b, a), (c, b), (a, c)):
-                n = edge.get(key)
-                if n is None or n in seen:
+            for n in nbr[todo.pop()]:
+                if n in seen:
                     continue
                 seen.add(n)
                 test = incircle(tris[n], px, py, prio)
@@ -593,22 +626,31 @@ class DelaunayTriangulation:
                 closed.append(t)
         return closed
 
-    def _add_fan(self, boundary: List[Tuple[int, int]], c: int) -> None:
-        """Create triangle ``(u, v, c)`` for each edge of ``boundary``, in order.
+    def _add_fan(self, boundary: List[Tuple[int, int, int, int]], c: int) -> None:
+        """Create triangle ``(u, v, c)`` for each border edge, in order.
 
-        Each new triangle gets the next creation id and caches its
-        orientation sign and circumcircle for :meth:`_incircle`. The
-        orientation is the scalar predicate's formula and EPSILON, inlined.
+        Each border edge ``(u, v, n, t)`` names the triangle ``n`` across
+        it and the removed triangle ``t`` whose slot it was. Each new
+        triangle gets the next creation id and caches its orientation sign
+        and circumcircle for :meth:`_incircle`. The orientation is the
+        scalar predicate's formula and EPSILON, inlined. While ``_local``,
+        the new triangle takes ``n`` as its neighbour across ``(u, v)``,
+        ``n`` takes it in place of ``t``, and the fan triangles are linked
+        around ``c``: the one across ``(v, c)`` is the one whose border
+        edge starts at ``v``.
         """
         verts = self._verts
         tris = self._tris
-        real = self._real
-        edge = self._edge
+        nbr = self._nbr
         local = self._local
+        # Fan triangle by the border vertex its edge starts / ends at.
+        starts: Dict[int, int] = {}
+        ends: Dict[int, int] = {}
+        links = 0
         limit = _MISS * _MISS
         cx, cy = verts[c]
         t = self._next_id
-        for a, b in boundary:
+        for a, b, n, old in boundary:
             ax, ay = verts[a]
             bx, by = verts[b]
             det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -684,13 +726,35 @@ class DelaunayTriangulation:
                 tri = (a, b, c, 0, 0.0, 0.0, -math.inf, 0.0, 0.0)
                 local = False
             tris[t] = tri
-            if a >= _N_SUPER and b >= _N_SUPER and c >= _N_SUPER:
-                real[t] = (a, b, c)
-            for key in ((a, b), (b, c), (c, a)):
-                if key in edge:
+            if local:
+                if a in starts or b in ends:
                     local = False
-                edge[key] = t
+                else:
+                    slots = [n, -1, -1]
+                    if n >= 0:
+                        slots_n = nbr[n]
+                        slots_n[slots_n.index(old)] = t
+                    s = starts.get(b)
+                    if s is not None:
+                        slots[1] = s
+                        nbr[s][2] = t
+                        links += 1
+                    e = ends.get(a)
+                    if e is not None:
+                        slots[2] = e
+                        nbr[e][1] = t
+                        links += 1
+                    starts[a] = t
+                    ends[b] = t
+                    nbr[t] = slots
             t += 1
+        if links != len(boundary) and c >= _N_SUPER:
+            # The fan is not one closed ring (the super-triangle alone has
+            # no neighbours to link).
+            local = False
+        if not local:
+            nbr.clear()
+        self._new_ids = range(self._next_id, t)
         self._next_id = t
         self._local = local
 

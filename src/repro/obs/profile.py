@@ -17,6 +17,10 @@ phase and per round:
 * **counter deltas** — per-round deltas of every scalar counter in the
   engine's metrics registry, attributing ``net.sent`` or
   ``geom.pairs_checked`` growth to the round that caused it.
+* **its own cost** — each round's wall time and ``overhead_s``, the
+  ``perf_counter`` time the profiler spent on its clock, counter and
+  tracemalloc reads and its emits, so a summary shows how much the
+  profiling itself added to the times it reports.
 
 Emitted as ``profile.phase`` / ``profile.round`` events on the normal
 bus, so they land in the same JSONL log, survive shard merging, and are
@@ -112,6 +116,9 @@ class PhaseProfiler:
         self.config = config if config is not None else ProfileConfig()
         if self.config.memory and not tracemalloc.is_tracing():
             tracemalloc.start()
+        # Wall time of this profiler's own bookkeeping (clock, counter
+        # and tracemalloc reads, emits) not yet reported in a round.
+        self._overhead_s = 0.0
 
     def _scalar_counters(self) -> Dict[str, float]:
         registry = self._engine.obs.metrics
@@ -124,13 +131,21 @@ class PhaseProfiler:
 
     @contextmanager
     def round(self) -> Iterator[None]:
-        """Time one round; emits ``profile.round`` when it ends."""
+        """Time one round; emits ``profile.round`` when it ends.
+
+        ``wall_s`` is the round's wall time, bookkeeping included, and
+        ``overhead_s`` the part of it the profiler spent on itself (the
+        previous ``profile.round`` emit counts towards this round).
+        """
+        start = time.perf_counter()
         round_index = self._engine.round_index
         counters0 = self._scalar_counters() if self.config.counters else {}
         cpu0 = time.process_time() if self.config.cpu else 0.0
+        self._overhead_s += time.perf_counter() - start
         try:
             yield
         finally:
+            end = time.perf_counter()
             fields: Dict[str, Any] = {"round": round_index}
             if self.config.cpu:
                 fields["cpu_s"] = time.process_time() - cpu0
@@ -141,24 +156,31 @@ class PhaseProfiler:
                     for name in after
                     if after[name] != counters0.get(name, 0.0)
                 }
+            before_emit = time.perf_counter()
+            fields["wall_s"] = before_emit - start
+            fields["overhead_s"] = self._overhead_s + (before_emit - end)
             self._engine.obs.emit("profile.round", **fields)
+            self._overhead_s = time.perf_counter() - before_emit
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Time one phase; emits ``profile.phase`` when it ends."""
+        start = time.perf_counter()
         mem = self.config.memory and tracemalloc.is_tracing()
         if mem:
             tracemalloc.reset_peak()
             alloc0, _ = tracemalloc.get_traced_memory()
         cpu0 = time.process_time() if self.config.cpu else 0.0
         wall0 = time.perf_counter()
+        self._overhead_s += wall0 - start
         try:
             yield
         finally:
+            wall1 = time.perf_counter()
             fields: Dict[str, Any] = {
                 "phase": name,
                 "round": self._engine.round_index,
-                "wall_s": time.perf_counter() - wall0,
+                "wall_s": wall1 - wall0,
             }
             if self.config.cpu:
                 fields["cpu_s"] = time.process_time() - cpu0
@@ -167,6 +189,7 @@ class PhaseProfiler:
                 fields["alloc_delta_b"] = alloc1 - alloc0
                 fields["alloc_peak_b"] = max(0, peak - alloc0)
             self._engine.obs.emit("profile.phase", **fields)
+            self._overhead_s += time.perf_counter() - wall1
 
 
 # ----------------------------------------------------------------------
@@ -199,6 +222,10 @@ class ProfileSummary:
     counter_totals: Dict[str, float] = dataclass_field(default_factory=dict)
     #: Whether any phase row carried allocation fields (``--profile=mem``).
     memory: bool = False
+    #: The profiler's own bookkeeping and the rounds' wall time, summed
+    #: over the rounds that report them (``None`` when none does).
+    overhead_s: Optional[float] = None
+    wall_total_s: float = 0.0
 
     @property
     def has_data(self) -> bool:
@@ -225,6 +252,11 @@ def summarize_profile(rows: Iterable[Dict[str, Any]]) -> ProfileSummary:
         elif name == "profile.round":
             summary.n_rounds += 1
             summary.cpu_total_s += float(row.get("cpu_s", 0.0))
+            if "overhead_s" in row:
+                summary.overhead_s = (
+                    (summary.overhead_s or 0.0) + float(row["overhead_s"])
+                )
+                summary.wall_total_s += float(row.get("wall_s", 0.0))
             for cname, delta in (row.get("counter_deltas") or {}).items():
                 summary.counter_totals[str(cname)] = (
                     summary.counter_totals.get(str(cname), 0.0)
@@ -280,6 +312,15 @@ def format_profile(summary: ProfileSummary, title: str = "run") -> str:
                 )
                 + f"{p.count:>7}"
             )
+    if summary.overhead_s is not None:
+        share = (
+            100.0 * summary.overhead_s / summary.wall_total_s
+            if summary.wall_total_s > 0 else 0.0
+        )
+        lines.append(
+            f"profiler overhead: {summary.overhead_s * 1e3:.2f} ms "
+            f"({share:.2f}% of profiled wall time)"
+        )
     if summary.counter_totals:
         lines.append("-- counter deltas over profiled rounds --")
         for name in sorted(summary.counter_totals):

@@ -275,6 +275,12 @@ class TestFanUpdate:
             index = _insert_cell(tracker, ref, ix, iy)
             assert index == _insert_cell(oracle, ref, ix, iy)
             assert np.array_equal(tracker.err, oracle.err)
+            # The fan the kernel hands over is the rows of simplices that
+            # hold the new vertex, in the same order.
+            simp = tracker.tri.simplices
+            assert np.array_equal(
+                tracker.tri.new_triangles, simp[(simp == index).any(axis=1)]
+            )
         full = FullRecomputeTracker(ref)
         for x, y, z in tracker.vertices:
             full.insert(x, y, z)

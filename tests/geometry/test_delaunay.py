@@ -233,6 +233,68 @@ class TestCircumcircleCache:
         assert ours.is_delaunay(eps=1e-6)
 
 
+def assert_slots_consistent(tri):
+    """Each live triangle's slots name the triangles across its edges.
+
+    Slot ``i`` of ``(a, b, c)`` covers edge ``i`` of ``(a,b) (b,c) (c,a)``.
+    A slot ``n >= 0`` names a live triangle that holds the reversed edge
+    and whose slot for it names the triangle back; ``-1`` marks exactly
+    the edges between two super-triangle vertices (indices 0..2).
+    """
+    tris = tri._tris
+    assert tri._nbr.keys() == tris.keys()
+    for t, rec in tris.items():
+        a, b, c = rec[:3]
+        for (u, v), n in zip(((a, b), (b, c), (c, a)), tri._nbr[t]):
+            assert (n == -1) == (u < 3 and v < 3), (t, (u, v), n)
+            if n == -1:
+                continue
+            na, nb, nc = tris[n][:3]
+            across = ((na, nb), (nb, nc), (nc, na))
+            assert (v, u) in across, (t, (u, v), n)
+            assert tri._nbr[n][across.index((v, u))] == t, (t, (u, v), n)
+
+
+lattice_points = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).map(
+        lambda p: (float(p[0]), float(p[1]))
+    ),
+    min_size=1, max_size=50,
+)
+uniform_points = st.lists(
+    st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+    min_size=1, max_size=60,
+)
+
+
+class TestNeighbourSlots:
+    """The neighbour slots after every insert, while the search is local."""
+
+    @given(st.one_of(lattice_points, uniform_points))
+    @settings(max_examples=60, deadline=None)
+    def test_slots_after_every_insert(self, pts):
+        tri = DelaunayTriangulation(skip_duplicates=True)
+        assert_slots_consistent(tri)
+        for p in pts:
+            tri.insert(p)
+            if not tri._local:
+                assert tri._nbr == {}
+                break
+            assert_slots_consistent(tri)
+
+    def test_slots_after_a_fan_around_a_lattice_point(self):
+        # Points on an integer lattice: every cell is cocircular, so the
+        # cavities the tie rule gives are wide and the fans long.
+        tri = DelaunayTriangulation(
+            [(float(x), float(y)) for y in range(6) for x in range(6)]
+        )
+        assert tri._local
+        assert_slots_consistent(tri)
+        tri.insert((2.5, 2.5))
+        assert len(tri.new_triangles) >= 4
+        assert_slots_consistent(tri)
+
+
 def _cached_agrees(a, b, c, queries):
     """The cached in-circle test says bad exactly when the scalar one does.
 
@@ -242,7 +304,8 @@ def _cached_agrees(a, b, c, queries):
     query ranks as the next point, so a tie is "outside" under both.
     """
     tri = DelaunayTriangulation([a, b, c], skip_duplicates=True)
-    records = [tri._tris[t] for t in tri._real]
+    records = [rec for rec in tri._tris.values() if min(rec[:3]) >= 3]
+    assert len(records) == len(tri.simplices)
     for rec in records:
         pa, pb, pc = (tri._verts[v] for v in rec[:3])
         for q in queries:

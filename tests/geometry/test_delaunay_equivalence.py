@@ -171,6 +171,52 @@ class TestEquivalence:
             assert_same_inserts(pts, **kwargs)
 
 
+def _lattice_past_the_tie_window(kind, seed):
+    """A row-major 7 x 7 lattice that ends the local search part way.
+
+    ``"fine"`` has spacing 0.001 and ``"jitter"`` spacing 0.1 with every
+    point moved by up to 1e-10: near-ties the absolute ``EPSILON`` cannot
+    tell from ties. ``"near"`` has spacing 1 and, right after a vertex
+    in the middle rows, a point 1.2e-8 from it. Each is offset by a
+    seeded draw.
+    """
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(-50.0, 50.0, size=2)
+    spacing = {"fine": 0.001, "near": 1.0, "jitter": 0.1}[kind]
+    pts = offset + _grid(7, spacing, 0.0)
+    if kind == "near":
+        v = int(rng.integers(10, 40))
+        near = pts[v] + 1.2e-8 * np.array([0.6, 0.8])
+        pts = np.vstack([pts[: v + 1], near, pts[v + 1:]])
+    elif kind == "jitter":
+        pts = pts + rng.uniform(-1e-10, 1e-10, size=pts.shape)
+    return pts
+
+
+class TestLocalSearchLostMidBuild:
+    """In-order builds that leave the local search part way through.
+
+    Before the step that ends it the insert walks and grows cavities
+    through the neighbour slots; after it every insert scans. Both
+    halves must match the oracle.
+    """
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["fine", "near", "jitter"])
+    def test_lattices(self, kind, seed, reverse):
+        pts = _lattice_past_the_tie_window(kind, seed)
+        if reverse:
+            pts = pts[::-1]
+        local = []
+        tri = DelaunayTriangulation(skip_duplicates=True)
+        for p in pts:
+            tri.insert(p)
+            local.append(tri._local)
+        assert local[5] and not local[-1]
+        assert_same_inserts(pts, skip_duplicates=True)
+
+
 class TestRarePaths:
     def test_global_fallback_then_closed_cavity(self, monkeypatch):
         # With deduplication off, an exact copy of a vertex lies on every

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from repro.core.fra import foresighted_refinement
-from repro.core.problem import OSTDProblem
+from repro.core.fra import FRAConfig, foresighted_refinement, solve_osd
+from repro.core.problem import OSDProblem, OSTDProblem
 from repro.experiments import config
 from repro.experiments.cli import main
 from repro.fields.base import sample_grid
@@ -142,6 +142,26 @@ class TestFRARunLog:
         # timed as rasterize inside the loop (leftover picks come after it).
         in_loop = [e for e in refines if e.fields["kind"] != "leftover"]
         assert paths.count("fra_refine_loop/rasterize") == len(in_loop)
+
+    def test_solve_osd_obs_gets_reconstruct_spans(self):
+        # solve_osd handed obs= directly, with nothing installed
+        # ambiently, logs the final and every history reconstruction.
+        field = GreenOrbsLightField(side=50.0, seed=7, freeze_sun_at=600.0)
+        reference = sample_grid(field, field.region, 41, t=600.0)
+        obs = Instrumentation.in_memory()
+        result = solve_osd(
+            OSDProblem(k=20, rc=10.0, reference=reference),
+            FRAConfig(record_history=True),
+            obs=obs,
+        )
+        paths = [e.fields["path"] for e in obs.memory_events() if e.name == "span"]
+        n_history = len(result.meta["history"])
+        assert n_history > 0
+        for stage in ("triangulate", "score"):
+            assert paths.count(f"reconstruct/{stage}") == 1, stage
+            assert paths.count(f"fra_refine_loop/reconstruct/{stage}") == (
+                n_history
+            ), stage
 
     def test_instrumentation_does_not_change_result(self):
         field = GreenOrbsLightField(side=50.0, seed=7, freeze_sun_at=600.0)

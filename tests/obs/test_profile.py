@@ -121,6 +121,27 @@ class TestEngineWiring:
         for name, total in totals.items():
             assert total == pytest.approx(finals[name]), name
 
+    def test_round_reports_its_own_overhead(self):
+        obs = Instrumentation.in_memory()
+        with use_instrumentation(obs), use_profiling():
+            MobileSimulation(make_problem(), resolution=21).run()
+        rounds = [
+            e.fields for e in obs.memory_events()
+            if e.name == "profile.round"
+        ]
+        phases = [
+            e.fields for e in obs.memory_events()
+            if e.name == "profile.phase"
+        ]
+        assert rounds
+        for r in rounds:
+            assert 0.0 < r["overhead_s"] < r["wall_s"]
+            in_round = sum(p["wall_s"] for p in phases
+                           if p["round"] == r["round"])
+            # The phases' windows and the profiler's bookkeeping both
+            # fall inside the round's wall time.
+            assert in_round < r["wall_s"]
+
     def test_dimensions_can_be_disabled(self):
         obs = Instrumentation.in_memory()
         cfg = ProfileConfig(cpu=False, memory=False, counters=False)
@@ -169,6 +190,21 @@ class TestReadSide:
         # No allocation data without memory tracing, so no such columns.
         assert not summary.memory
         assert "alloc" not in text
+        assert summary.overhead_s > 0.0
+        assert summary.wall_total_s > summary.overhead_s
+        share = 100.0 * summary.overhead_s / summary.wall_total_s
+        assert (
+            f"profiler overhead: {summary.overhead_s * 1e3:.2f} ms "
+            f"({share:.2f}% of profiled wall time)"
+        ) in text
+
+    def test_logs_without_overhead_print_no_overhead_line(self):
+        rows = [r for r in self._rows() if r["event"] != "profile.round"]
+        rows.append({"event": "profile.round", "t": 0.0, "round": 0,
+                     "cpu_s": 0.1})
+        summary = summarize_profile(rows)
+        assert summary.overhead_s is None
+        assert "profiler overhead" not in format_profile(summary)
 
     def test_format_shows_allocations_when_traced(self):
         summary = summarize_profile(self._rows(ProfileConfig(memory=True)))
