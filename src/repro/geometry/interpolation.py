@@ -22,11 +22,14 @@ Kernel design
 * Out-of-hull extrapolation finds each query's least-violated triangle
   with a chunked whole-array scan over (triangle, query) pairs or, for
   large workloads, a Morton-blocked search that skips the pairs whose
-  affine lower bound provably loses. A hull-edge-only candidate set would
-  be ~6x smaller but can pick a *different* least-violated triangle for
-  far queries (a large interior triangle can out-score a boundary
-  sliver), so exactness wins: both searches reproduce the sequential
-  reference bit-for-bit.
+  affine lower bound provably loses. Both walk their queries in chunks
+  of about ``_EXTRAP_CHUNK_ELEMS`` (triangle, query) or (affine row,
+  block) elements, so their working memory does not grow with the mesh
+  times the query count. A hull-edge-only candidate set would be ~6x
+  smaller but can pick a *different* least-violated triangle for far
+  queries (a large interior triangle can out-score a boundary sliver),
+  so exactness wins: both searches reproduce the sequential reference
+  bit-for-bit.
 
 Outside the convex hull of the samples ``DT`` is undefined; per DESIGN.md
 §6.3 we extrapolate with the clamped barycentric coordinates of the
@@ -495,16 +498,24 @@ class LinearSurfaceInterpolator:
     ) -> np.ndarray:
         """Least-violated triangle per query, skipping provably-losing pairs.
 
-        Queries are grouped into blocks of ``_PRUNE_BLOCK``; for each
-        (triangle, block) pair a corner-evaluated affine lower bound on the
-        violation over the block's bounding box (``min-box max_i affine_i >=
-        max_i min-box affine_i``) is compared — minus a conservative
-        rounding slack — against an exact per-block upper bound obtained
-        from two candidate triangles. Pairs that provably lose are skipped;
-        survivors are evaluated with the canonical formula and reduced with
-        the reference's first-strict-min tie rule, so the winner is exact.
-        The bound is tight for far blocks (one affine row dominates there),
-        which is precisely where the dense scan wastes its work.
+        Queries are Morton-ordered and grouped into blocks of
+        ``_PRUNE_BLOCK``. For each (triangle, block) pair a corner-evaluated
+        affine lower bound on the violation over the block's bounding box
+        (``min-box max_i affine_i >= max_i min-box affine_i``) is compared —
+        minus a conservative rounding slack — against an exact per-block
+        upper bound obtained from candidate triangles. Pairs that provably
+        lose are skipped; survivors are evaluated with the canonical formula
+        and reduced with the reference's first-strict-min tie rule, so the
+        winner is exact. The bound is tight for far blocks (one affine row
+        dominates there), which is precisely where the dense scan wastes its
+        work.
+
+        All of it runs per chunk of ``_EXTRAP_CHUNK_ELEMS // 3m`` blocks
+        (at least one), from the bounds to the tie rule and the dense
+        fallback, so the ``(blocks, 3m)`` bound matrices stay near
+        ``_EXTRAP_CHUNK_ELEMS`` elements, like the dense scan's buffers,
+        whatever the mesh and query counts. The rounding slack is set once
+        from all the queries, so the chunking moves no winner.
         """
         q = px.size
         fa, fb, fc, gx, gy, grad2 = self._prune_tables()
@@ -520,93 +531,115 @@ class LinearSurfaceInterpolator:
         qyp = np.concatenate([py, np.full(pad, py[-1])]) if pad else py
         bx = qxp.reshape(nb, _PRUNE_BLOCK)
         by = qyp.reshape(nb, _PRUNE_BLOCK)
-        bx0, bx1 = bx.min(axis=1), bx.max(axis=1)
-        by0, by1 = by.min(axis=1), by.max(axis=1)
-
-        # Lower bound per (triangle, block): each affine row minimised at
-        # its own box corner, then max over the triangle's three rows.
-        xsel = np.where(fa[:, None] >= 0.0, bx0[None, :], bx1[None, :])
-        ysel = np.where(fb[:, None] >= 0.0, by0[None, :], by1[None, :])
-        lb3 = (fa[:, None] * xsel + fb[:, None] * ysel + fc[:, None])
-        lb3 = lb3.reshape(3, m, nb)
-        lb = lb3.max(axis=0)
+        xbox = np.stack([bx.min(axis=1), bx.max(axis=1)], 1)
+        ybox = np.stack([by.min(axis=1), by.max(axis=1)], 1)
+        # Each affine row is least at the box corner its slope points
+        # away from: the low edge where the coefficient is >= 0.
+        xcorner = (fa < 0.0).astype(np.intp)
+        ycorner = (fb < 0.0).astype(np.intp)
         scale = np.abs(fa) * max(np.abs(qxp).max(), 1.0) + np.abs(fb) * max(
             np.abs(qyp).max(), 1.0
         ) + np.abs(fc)
         slack = 1e-9 * (1.0 + scale.reshape(3, m).max(axis=0))
 
-        # Exact per-query upper bounds from block candidates: nearest
-        # centroid to the block centre plus the block's two least lower
-        # bounds (the exact winner usually has one of the smallest lbs, so
-        # a second lb candidate tightens ``best`` toward the true optimum
-        # and shrinks the surviving pair set for the main evaluation).
-        bcx, bcy = (bx0 + bx1) / 2.0, (by0 + by1) / 2.0
-        d2 = (gx[:, None] - bcx[None, :]) ** 2 + (gy[:, None] - bcy[None, :]) ** 2
-        d2 *= grad2[:, None]  # approximate violation², not raw distance²
-        cand1 = np.repeat(np.argmin(d2, axis=0), _PRUNE_BLOCK)
-        best = self._violations(cand1, qxp, qyp)
-        if m > 2:
-            lb_cands = np.argpartition(lb, 1, axis=0)[:2]
-        else:
-            lb_cands = np.argmin(lb, axis=0)[None, :]
-        for cand in lb_cands:
-            np.minimum(
-                best,
-                self._violations(np.repeat(cand, _PRUNE_BLOCK), qxp, qyp),
-                out=best,
-            )
-        best_blk = best.reshape(nb, _PRUNE_BLOCK).max(axis=1)
-
-        survive = lb - slack[:, None] <= best_blk[None, :]
-        bpair, tpair = np.nonzero(survive.T)
-        # Per-query tightening: the block filter above compares a
-        # whole-box lower bound against the *loosest* candidate violation
-        # in the block, so spread-out blocks admit many hopeless
-        # (triangle, query) pairs. Re-bound each surviving pair at the
-        # individual queries with the affine row that dominated the box
-        # bound: that row evaluated at the query is still a lower bound
-        # on the exact violation (the violation is the max of the three
-        # rows) but is tight for far triangles, where one row dominates —
-        # precisely where the box bound over-admits. Every triangle
-        # achieving a query's exact minimum passes (row <= violation =
-        # min <= best) and so does the query's argmin candidate, so each
-        # query keeps at least one pair and winners and ties are
-        # unaffected.
-        ridx = lb3[:, tpair, bpair].argmax(axis=0) * m + tpair
-        rv = (
-            fa[ridx][:, None] * bx[bpair]
-            + fb[ridx][:, None] * by[bpair]
-            + fc[ridx][:, None]
-        )
-        keep = rv - slack[tpair][:, None] <= best.reshape(nb, _PRUNE_BLOCK)[bpair]
-        pair_idx, qoff = np.nonzero(keep)
-        tid = tpair[pair_idx]
-        qidx = bpair[pair_idx] * _PRUNE_BLOCK + qoff
-        viol = self._violations(tid, qxp[qidx], qyp[qidx])
-
-        order = np.argsort(qidx, kind="stable")
-        qs = qidx[order]
-        vs = viol[order]
-        newgrp = np.empty(len(qs), dtype=bool)
-        newgrp[0] = True
-        newgrp[1:] = qs[1:] != qs[:-1]
-        starts = np.flatnonzero(newgrp)
-        if len(starts) != nb * _PRUNE_BLOCK:
-            # A query lost every pair — only possible if the slack were
-            # undersized; fall back to the exhaustive scan.
-            winner = np.empty(q, dtype=np.intp)
-            winner[perm] = self._extrapolate_winners_dense(px, py)
-            return winner
-        gmin = np.minimum.reduceat(vs, starts)
-        gid = np.cumsum(newgrp) - 1
-        # Among pairs achieving the group minimum, keep the earliest; the
-        # stable sort preserves ascending triangle order within a query, so
-        # this is the reference's first-strict-improvement winner.
-        pos = np.flatnonzero(vs == gmin[gid])
-        firstpos = np.full(len(starts), len(vs), dtype=np.intp)
-        np.minimum.at(firstpos, gid[pos], pos)
         winner_full = np.empty(nb * _PRUNE_BLOCK, dtype=np.intp)
-        winner_full[qs[starts]] = tid[order][firstpos]
+        step = max(1, _EXTRAP_CHUNK_ELEMS // (3 * m))
+        for b0 in range(0, nb, step):
+            b1 = min(b0 + step, nb)
+            nc = b1 - b0
+            qs = slice(b0 * _PRUNE_BLOCK, b1 * _PRUNE_BLOCK)
+            qx, qy = qxp[qs], qyp[qs]
+            xb, yb = xbox[b0:b1], ybox[b0:b1]
+            # Lower bound per (block, triangle): each affine row minimised
+            # at its own box corner, then max over the triangle's three
+            # rows. Same terms in the same order as fa·x + fb·y + fc.
+            lb3 = xb[:, xcorner]
+            lb3 *= fa
+            ysel = yb[:, ycorner]
+            ysel *= fb
+            lb3 += ysel
+            lb3 += fc
+            # Chunk-sized temporaries are dropped once spent, so at most
+            # two are alive at a time.
+            del ysel
+            lb3 = lb3.reshape(nc, 3, m)
+            lb = lb3.max(axis=1)
+
+            # Exact per-query upper bounds from block candidates: nearest
+            # centroid to the block centre plus the block's two least lower
+            # bounds (the exact winner usually has one of the smallest lbs,
+            # so a second lb candidate tightens ``best`` toward the true
+            # optimum and shrinks the surviving pair set).
+            bcx = (xb[:, 0] + xb[:, 1]) / 2.0
+            bcy = (yb[:, 0] + yb[:, 1]) / 2.0
+            d2 = (gx[None, :] - bcx[:, None]) ** 2 + (gy[None, :] - bcy[:, None]) ** 2
+            d2 *= grad2  # approximate violation², not raw distance²
+            cand1 = np.repeat(np.argmin(d2, axis=1), _PRUNE_BLOCK)
+            del d2
+            best = self._violations(cand1, qx, qy)
+            if m > 2:
+                lb_cands = np.argpartition(lb, 1, axis=1)[:, :2]
+            else:
+                lb_cands = np.argmin(lb, axis=1)[:, None]
+            for cand in lb_cands.T:
+                np.minimum(
+                    best,
+                    self._violations(np.repeat(cand, _PRUNE_BLOCK), qx, qy),
+                    out=best,
+                )
+            best = best.reshape(nc, _PRUNE_BLOCK)
+
+            lb -= slack
+            bpair, tpair = np.nonzero(lb <= best.max(axis=1)[:, None])
+            # Per-query tightening: the block filter above compares a
+            # whole-box lower bound against the *loosest* candidate
+            # violation in the block, so spread-out blocks admit many
+            # hopeless (triangle, query) pairs. Re-bound each surviving pair
+            # at the individual queries with the affine row that dominated
+            # the box bound: that row evaluated at the query is still a
+            # lower bound on the exact violation (the violation is the max
+            # of the three rows) but is tight for far triangles, where one
+            # row dominates — precisely where the box bound over-admits.
+            # Every triangle achieving a query's exact minimum passes
+            # (row <= violation = min <= best) and so does the query's
+            # argmin candidate, so each query keeps at least one pair and
+            # winners and ties are unaffected.
+            ridx = lb3[bpair, :, tpair].argmax(axis=1) * m + tpair
+            del lb3, lb
+            gb = bpair + b0
+            rv = (
+                fa[ridx][:, None] * bx[gb]
+                + fb[ridx][:, None] * by[gb]
+                + fc[ridx][:, None]
+            )
+            keep = rv - slack[tpair][:, None] <= best[bpair]
+            pair_idx, qoff = np.nonzero(keep)
+            tid = tpair[pair_idx]
+            qidx = bpair[pair_idx] * _PRUNE_BLOCK + qoff
+            viol = self._violations(tid, qx[qidx], qy[qidx])
+
+            order = np.argsort(qidx, kind="stable")
+            qsorted = qidx[order]
+            vs = viol[order]
+            newgrp = np.empty(len(qsorted), dtype=bool)
+            newgrp[0] = True
+            newgrp[1:] = qsorted[1:] != qsorted[:-1]
+            starts = np.flatnonzero(newgrp)
+            if len(starts) != nc * _PRUNE_BLOCK:
+                # A query lost every pair — only possible if the slack were
+                # undersized; fall back to the exhaustive scan.
+                winner_full[qs] = self._extrapolate_winners_dense(qx, qy)
+                continue
+            gmin = np.minimum.reduceat(vs, starts)
+            gid = np.cumsum(newgrp) - 1
+            # Among pairs achieving the group minimum, keep the earliest;
+            # the stable sort preserves ascending triangle order within a
+            # query, so this is the reference's first-strict-improvement
+            # winner.
+            pos = np.flatnonzero(vs == gmin[gid])
+            firstpos = np.full(len(starts), len(vs), dtype=np.intp)
+            np.minimum.at(firstpos, gid[pos], pos)
+            winner_full[qs] = tid[order][firstpos]
         winner = np.empty(q, dtype=np.intp)
         winner[perm] = winner_full[:q]
         return winner

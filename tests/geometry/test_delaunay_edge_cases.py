@@ -94,3 +94,35 @@ class TestNearVertexLattice:
     )
     def test_reversed_build_succeeds(self):
         assert DelaunayTriangulation(self.points()[::-1]).n_points == 50
+
+
+class TestGridStartStaysLocal:
+    """The program's own k=2500 grid start over a 470 x 470 region.
+
+    Its lattice coordinates (odd multiples of 4.7) are not exact binary
+    fractions, so the cocircular cells become near-ties, not exact ties.
+    At BRIO insert 176 the grown cavity then has 4 triangles but 8 border
+    edges, the build leaves the local insert path, and every later insert
+    scans all triangles: the build is about 25 times slower than at side
+    500. ROADMAP item 1's exact predicates remove the failure; the strict
+    xfail makes that fix flip this test.
+    """
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: tolerance-based near-ties",
+    )
+    def test_brio_build_stays_local(self):
+        from repro.core.baselines import uniform_grid_placement
+        from repro.geometry.delaunay import _dedup_kept, brio_order
+        from repro.geometry.primitives import BoundingBox
+
+        pts = uniform_grid_placement(BoundingBox(0, 0, 470, 470), 2500)
+        unique = pts[_dedup_kept(pts, 1e-9)]
+        order = brio_order(unique)
+        # delaunay_mesh's build, stopped at the first non-local step.
+        tri = DelaunayTriangulation(dedup_tol=1e-9)
+        coords = unique[order].tolist()
+        for n, (i, (x, y)) in enumerate(zip(order.tolist(), coords)):
+            tri._insert_new(x, y, i)
+            assert tri._local, f"left the local path at insert {n}"

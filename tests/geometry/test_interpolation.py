@@ -41,6 +41,24 @@ def clamped_extrapolation_reference(interp, px, py):
     return best_value
 
 
+def lattice_margin(n, spacing, offset, cells, side):
+    """An ``n x n`` sample lattice and the grid cells outside its hull.
+
+    The samples are ``offset + spacing * i``; the queries are the cells of
+    a ``cells x cells`` grid over ``[0, side]^2`` outside the lattice's
+    square, in row-major order.
+    """
+    g = offset + spacing * np.arange(n)
+    xx, yy = np.meshgrid(g, g)
+    pts = np.c_[xx.ravel(), yy.ravel()]
+    axis = np.linspace(0.0, side, cells)
+    gx, gy = np.meshgrid(axis, axis)
+    gx, gy = gx.ravel(), gy.ravel()
+    lo, hi = g[0], g[-1]
+    out = (gx < lo) | (gx > hi) | (gy < lo) | (gy > hi)
+    return pts, gx[out], gy[out]
+
+
 class TestBarycentric:
     def test_centroid(self):
         w = barycentric_coordinates((1, 1), (0, 0), (3, 0), (0, 3))
@@ -259,6 +277,58 @@ class TestFastPathVsReference:
         ref = clamped_extrapolation_reference(interp, qx, qy)
         assert np.all(np.abs(fast - ref) <= 1e-9)
         assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize("chunk", ["one_block", 20_000, "default"])
+    def test_outside_clamp_pruned_search_lattice_ties(self, monkeypatch, chunk):
+        # A lattice's margin cells tie between triangles (458 of the 1,080
+        # here): the first triangle in `simplices` order must win, whether
+        # the blocks are searched one per chunk, a few per chunk, or all
+        # in one chunk.
+        from repro.geometry import interpolation as interp_mod
+
+        pts, qx, qy = lattice_margin(20, 10.0, 25.0, 51, 250.0)
+        interp = LinearSurfaceInterpolator(
+            pts, np.random.default_rng(3).normal(size=len(pts))
+        )
+        m = len(interp.simplices)
+        assert (m, len(qx)) == (722, 1080)
+        assert m * len(qx) > interp_mod._DENSE_EXTRAP_MAX  # pruned regime
+        viol = np.stack([
+            interp._violations(np.full(len(qx), t), qx, qy) for t in range(m)
+        ])
+        assert (viol == viol.min(axis=0)).sum(axis=0).max() > 1  # ties
+        if chunk == "one_block":
+            chunk = 3 * m
+        if chunk != "default":
+            monkeypatch.setattr(interp_mod, "_EXTRAP_CHUNK_ELEMS", chunk)
+        assert np.array_equal(
+            interp._extrapolate_winners_pruned(qx, qy),
+            interp._extrapolate_winners_dense(qx, qy),
+        )
+        fast = interp._extrapolate_clamped(qx, qy)
+        ref = clamped_extrapolation_reference(interp, qx, qy)
+        assert np.array_equal(fast, ref)
+
+    def test_pruned_search_memory_bounded_by_chunk(self):
+        # The working memory of the pruned search is set by
+        # _EXTRAP_CHUNK_ELEMS, not by triangles x queries: here one whole
+        # (3m x blocks) bound matrix alone would take about four chunks.
+        import tracemalloc
+
+        from repro.geometry import interpolation as interp_mod
+
+        pts, qx, qy = lattice_margin(50, 9.0, 29.5, 101, 500.0)
+        interp = LinearSurfaceInterpolator(pts, np.zeros(len(pts)))
+        m = len(interp.simplices)
+        assert (m, len(qx)) == (4802, 2280)
+        interp._extrapolate_clamped(qx, qy)  # build the lazy tables
+        tracemalloc.start()
+        try:
+            interp._extrapolate_clamped(qx, qy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * interp_mod._EXTRAP_CHUNK_ELEMS * 8
 
     def test_degenerate_collinear_nearest(self):
         # Collinear samples build no triangles: both paths fall back to
