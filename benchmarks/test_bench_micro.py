@@ -3,7 +3,8 @@
 These are the inner loops every experiment stands on: Delaunay insertion,
 vectorised surface evaluation, full-surface reconstruction at several
 node counts, the δ metric, relay planning, on-node curvature estimation,
-the fleet planner of one CMA round, and one full CMA simulation round.
+the fleet planner of one CMA round, the beacon-to-LCM tail of a k=2500
+round, and one full CMA simulation round.
 
 ``tools/bench_compare.py`` diffs ``--benchmark-json`` dumps of this
 suite; CI runs ``bench_compare --trajectory`` to show every committed
@@ -161,7 +162,8 @@ def test_bench_plan_round_100(benchmark):
 
     The fig10 set-up (k=100) after 5 rounds, its sense and exchange
     phases run once; each timed call refits every node, plans the fleet
-    and applies the clipped moves, from the same pre-move state.
+    from the alive rows of the exchange's table and applies the clipped
+    moves, from the same pre-move state.
     """
     field = GreenOrbsLightField(seed=7, freeze_sun_at=600.0)
     problem = OSTDProblem(
@@ -174,7 +176,7 @@ def test_bench_plan_round_100(benchmark):
     positions, alive_mask = sim.positions, sim.alive_mask
     alive_ids = np.flatnonzero(alive_mask).tolist()
     _, sensing = cma_phases.sense(sim, alive_ids)
-    inboxes = cma_phases.exchange(sim, positions, alive_mask)
+    table = cma_phases.exchange(sim, positions, alive_mask)
     pre_move = sim.state.copy()
     alive_positions = positions[alive_ids]
     n_moved = []
@@ -185,7 +187,7 @@ def test_bench_plan_round_100(benchmark):
 
     def round_plan():
         estimate_own_curvature(sensing, alive_positions, sim.params)
-        plan = cma_phases.plan(sim, positions, alive_ids, sensing, inboxes)
+        plan = cma_phases.plan(sim, positions, alive_ids, sensing, table)
         n_moved.append(cma_phases.constrain_move(sim, plan))
 
     benchmark.pedantic(round_plan, setup=restore, rounds=20, iterations=1,
@@ -202,6 +204,35 @@ def _step_simulation(k: int) -> MobileSimulation:
         speed=1.0, t0=600.0, duration=45.0,
     )
     return MobileSimulation(problem)
+
+
+def test_bench_beacons_to_lcm_2500(benchmark):
+    """Exchange → plan → constrain-move → LCM of one k=2500 round.
+
+    The cma_large set-up after one round, its sense phase run once. Each
+    timed call exchanges the beacons as one table, plans from its alive
+    rows, moves and runs the LCM repair, from the same pre-move state.
+    """
+    sim = _step_simulation(2500)
+    sim.step()
+    positions, alive_mask = sim.positions, sim.alive_mask
+    alive_ids = np.flatnonzero(alive_mask).tolist()
+    _, sensing = cma_phases.sense(sim, alive_ids)
+    pre_move = sim.state.copy()
+
+    def restore():
+        sim.state.positions[:] = pre_move.positions
+        sim.state.distance_travelled[:] = pre_move.distance_travelled
+
+    def round_tail():
+        table = cma_phases.exchange(sim, positions, alive_mask)
+        plan = cma_phases.plan(sim, positions, alive_ids, sensing, table)
+        cma_phases.constrain_move(sim, plan)
+        return cma_phases.lcm(sim, plan)
+
+    benchmark.pedantic(round_tail, setup=restore, rounds=5, iterations=1,
+                       warmup_rounds=1)
+    assert sim.state.positions.shape == (2500, 2)
 
 
 @pytest.mark.parametrize("k", [100, 400, 900, 2500])

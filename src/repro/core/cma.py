@@ -28,7 +28,7 @@ Theorem 5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -200,62 +200,98 @@ class NeighborObservation:
 
 @dataclass(frozen=True)
 class NeighborTable:
-    """The usable ``Rx`` records of ``n`` nodes as padded arrays.
+    """The ``Rx`` records of ``n`` nodes as padded arrays.
 
-    Row ``i`` holds node ``i``'s records in inbox order: ``ids``
-    (``(n, d)``, ``-1`` padding), ``positions`` (``(n, d, 2)``) and the
-    age-decayed ``curvatures`` (``(n, d)``); ``counts[i]`` of its slots
-    are filled. Records older than ``max_beacon_age`` are left out.
+    Row ``i`` holds node ``i``'s records in inbox order (ascending sender
+    id, as the exchange delivers them): ``ids`` (``(n, d)``, ``-1``
+    padding), ``positions`` (``(n, d, 2)``), ``curvatures`` (``(n, d)``)
+    and ``staleness`` (``(n, d)``, the age of each record in rounds);
+    ``counts[i]`` of its slots are filled. The exchange returns every
+    record it heard; :meth:`usable` is the planner's view of them.
+
+    Iterating the table (or indexing it by node) yields each node's
+    inbox as a list of :class:`NeighborObservation` records, built on
+    demand: a view for tests and tracing, not for the round's hot path.
     """
 
     ids: np.ndarray
     positions: np.ndarray
     curvatures: np.ndarray
+    staleness: np.ndarray
     counts: np.ndarray
 
     @classmethod
-    def pack(
+    def from_records(
         cls,
-        inboxes: Sequence[Sequence[NeighborObservation]],
-        params: CMAParams,
+        counts,
+        ids,
+        positions,
+        curvatures,
+        staleness=None,
     ) -> "NeighborTable":
-        # Graceful degradation under an unreliable network: last-known
-        # neighbour state stays usable, but its curvature pull fades with
-        # age and a record past the bound is dropped outright. Age-0
-        # records (every record, on a perfect network) pass untouched.
-        max_age = params.max_beacon_age
-        decay = params.stale_weight_decay
-        ids: List[int] = []
-        positions: list = []
-        curvatures: List[float] = []
-        counts: List[int] = []
-        for inbox in inboxes:
-            kept = 0
-            for obs in inbox:
-                if max_age is not None and obs.staleness > max_age:
-                    continue
-                ids.append(obs.node_id)
-                positions.append(obs.position)
-                curvatures.append(
-                    obs.curvature if obs.staleness == 0
-                    else obs.curvature * decay**obs.staleness
-                )
-                kept += 1
-            counts.append(kept)
+        """Lay flat records out row by row.
+
+        Node ``i``'s records are the next ``counts[i]`` entries of
+        ``ids``, ``positions`` (``(M, 2)``), ``curvatures`` and
+        ``staleness`` (all zero when omitted: a fresh exchange).
+        """
         count_arr = np.asarray(counts, dtype=np.intp)
         filled = _filled_slots(count_arr)
         table = cls(
             ids=np.full(filled.shape, -1, dtype=np.intp),
             positions=np.zeros(filled.shape + (2,)),
             curvatures=np.zeros(filled.shape),
+            staleness=np.zeros(filled.shape, dtype=np.intp),
             counts=count_arr,
         )
         table.ids[filled] = ids
-        table.positions[filled] = np.asarray(positions, dtype=float).reshape(
-            -1, 2
-        )
+        table.positions[filled] = np.reshape(positions, (-1, 2))
         table.curvatures[filled] = curvatures
+        if staleness is not None:
+            table.staleness[filled] = staleness
         return table
+
+    def rows(self, index) -> "NeighborTable":
+        """The table of the given nodes' rows, in ``index`` order."""
+        counts = self.counts[index]
+        width = int(counts.max()) if len(counts) else 0
+        return NeighborTable(
+            ids=self.ids[index, :width],
+            positions=self.positions[index, :width],
+            curvatures=self.curvatures[index, :width],
+            staleness=self.staleness[index, :width],
+            counts=counts,
+        )
+
+    def usable(self, params: CMAParams) -> "NeighborTable":
+        """The records the planner uses, with their curvature aged.
+
+        Graceful degradation under an unreliable network: last-known
+        neighbour state stays usable, but its curvature pull fades with
+        age (``G · stale_weight_decay^a``) and a record past
+        ``max_beacon_age`` is dropped outright. Age-0 records (every
+        record, on a perfect network) pass untouched. The decay factors
+        are Python ``decay**a`` floats, so each product is the one a
+        record-by-record loop computes.
+        """
+        if not self.staleness.any():
+            return self
+        keep = self.mask
+        if params.max_beacon_age is not None:
+            keep &= self.staleness <= params.max_beacon_age
+        ages = self.staleness[keep]
+        decay = params.stale_weight_decay
+        factors = np.array(
+            [decay**a for a in range(int(ages.max(initial=0)) + 1)]
+        )
+        curvatures = self.curvatures[keep]
+        return NeighborTable.from_records(
+            keep.sum(axis=1),
+            self.ids[keep],
+            self.positions[keep],
+            np.where(ages == 0, curvatures, curvatures * factors[ages]),
+            ages,
+        )
 
     @property
     def mask(self) -> np.ndarray:
@@ -268,6 +304,25 @@ class NeighborTable:
             row[:count] for row, count in
             zip(self.ids.tolist(), self.counts.tolist())
         ]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, node: int) -> List[NeighborObservation]:
+        """Node ``node``'s inbox as records (positions are copies)."""
+        count = int(self.counts[node])
+        return [
+            NeighborObservation(j, position.copy(), g, a)
+            for j, position, g, a in zip(
+                self.ids[node, :count].tolist(),
+                self.positions[node, :count],
+                self.curvatures[node, :count].tolist(),
+                self.staleness[node, :count].tolist(),
+            )
+        ]
+
+    def __iter__(self) -> Iterator[List[NeighborObservation]]:
+        return (self[node] for node in range(len(self)))
 
 
 @dataclass(frozen=True)

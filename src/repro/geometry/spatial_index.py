@@ -46,6 +46,7 @@ __all__ = [
     "CELL_MARGIN",
     "DENSE_CROSSOVER",
     "SpatialHashGrid",
+    "csr_from_rows",
     "morton_argsort",
     "radius_adjacency",
     "radius_neighbor_lists",
@@ -271,16 +272,17 @@ class SpatialHashGrid:
         return np.sort(members[within])
 
     # ------------------------------------------------------------------
-    def neighbor_lists(
+    def neighbor_csr(
         self,
         radius: Optional[float] = None,
         alive: Optional[np.ndarray] = None,
-    ) -> List[List[int]]:
-        """Per-point ascending neighbour id lists (self excluded).
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-point ascending neighbours as CSR ``(indptr, indices)``.
 
-        With ``alive`` given, dead points neither appear in any list nor
-        get neighbours of their own — exactly the masking
-        ``Radio.neighbor_ids`` applies to the dense adjacency matrix.
+        Point ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]``,
+        self excluded. With ``alive`` given, dead points neither appear
+        in any row nor get neighbours of their own — exactly the masking
+        ``Radio`` applies to the dense adjacency matrix.
         """
         n = len(self.points)
         i, j = self.query_pairs(radius)
@@ -291,9 +293,19 @@ class SpatialHashGrid:
         rows = np.concatenate([i, j])
         cols = np.concatenate([j, i])
         order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        splits = np.searchsorted(rows, np.arange(1, n))
-        return [c.tolist() for c in np.split(cols, splits)]
+        return csr_from_rows(rows[order], cols[order], n)
+
+    def neighbor_lists(
+        self,
+        radius: Optional[float] = None,
+        alive: Optional[np.ndarray] = None,
+    ) -> List[List[int]]:
+        """:meth:`neighbor_csr` as per-point ascending id lists."""
+        indptr, indices = self.neighbor_csr(radius, alive)
+        return [
+            indices[a:b].tolist()
+            for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+        ]
 
     def adjacency(self, radius: Optional[float] = None) -> np.ndarray:
         """Dense boolean within-radius matrix, diagonal ``False``."""
@@ -324,6 +336,15 @@ def radius_adjacency(points: np.ndarray, radius: float) -> np.ndarray:
         np.fill_diagonal(adj, False)
         return adj
     return SpatialHashGrid(pts, radius).adjacency()
+
+
+def csr_from_rows(
+    rows: np.ndarray, cols: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, cols)`` of ``n`` rows from row-sorted entry pairs."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
 
 
 def radius_neighbor_lists(

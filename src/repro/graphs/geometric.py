@@ -14,7 +14,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.geometry.primitives import pairwise_distances
-from repro.geometry.spatial_index import DENSE_CROSSOVER, SpatialHashGrid
+from repro.geometry.spatial_index import (
+    DENSE_CROSSOVER,
+    SpatialHashGrid,
+    csr_from_rows,
+)
 
 #: ``(indptr, indices)`` of a symmetric adjacency with ascending rows.
 CSR = Tuple[np.ndarray, np.ndarray]
@@ -32,16 +36,8 @@ def unit_disk_graph(positions: np.ndarray, radius: float) -> CSR:
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     n = len(pts)
-    if n <= DENSE_CROSSOVER:
-        adj = pairwise_distances(pts) <= radius
-        np.fill_diagonal(adj, False)
-        rows, cols = np.nonzero(adj)
-    else:
-        i, j = SpatialHashGrid(pts, radius).query_pairs()
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols
+    if n > DENSE_CROSSOVER:
+        return SpatialHashGrid(pts, radius).neighbor_csr()
+    adj = pairwise_distances(pts) <= radius
+    np.fill_diagonal(adj, False)
+    return csr_from_rows(*np.nonzero(adj), n)

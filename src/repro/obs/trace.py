@@ -26,9 +26,9 @@ bus:
     the beacon lands in the receiver's last-known-neighbour cache,
     ``lag`` rounds after it was sent.
 ``msg_use``
-    a cached beacon is served into the receiver's inbox as a
-    :class:`~repro.core.cma.NeighborObservation` with ``staleness``
-    rounds of age.
+    a cached beacon is served into the receiver's row of the
+    exchange's :class:`~repro.core.cma.NeighborTable` with
+    ``staleness`` rounds of age.
 ``msg_expire``
     a cache entry aged past ``max_age`` and is evicted unheard.
 

@@ -14,9 +14,10 @@ move: plans are made from the round's pre-move copy of the positions,
 which nothing writes.
 
 Sense and plan evaluate every alive node in one pass over packed arrays
-(:mod:`repro.core.cma`); constrain-move and LCM stay sequential in node
-order, because each move reads rows earlier movers wrote (DESIGN.md
-§6.16).
+(:mod:`repro.core.cma`), and the exchange hands the planner one
+:class:`~repro.core.cma.NeighborTable`; constrain-move and LCM stay
+sequential in node order, because each move reads rows earlier movers
+wrote, though LCM prescreens the whole table at once (DESIGN.md §6.16).
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def sense(engine, alive_ids: List[int]) -> Tuple[GridSample, FleetSensing]:
 
 def exchange(
     engine, positions: np.ndarray, alive_mask: np.ndarray
-) -> List[list]:
+) -> NeighborTable:
     """One beacon exchange round (dead nodes transmit nothing).
 
     With a :class:`~repro.sim.netmodel.network.NetworkModel` on the
@@ -132,7 +133,7 @@ def exchange(
     (loss, retries, latency, last-known-neighbour staleness), narrated by
     the engine's :class:`~repro.obs.trace.MessageTracer` when it is
     instrumented; otherwise it is the plain radio, bit-identical to the
-    seed. Returns every node's inbox.
+    seed. Returns every node's inbox as one table.
     """
     curvatures = engine.state.curvature
     if engine.network is not None:
@@ -149,15 +150,19 @@ def plan(
     positions: np.ndarray,
     alive_ids: List[int],
     sensing: FleetSensing,
-    inboxes: List[list],
+    table: NeighborTable,
 ) -> CMAPlan:
-    """Every alive node plans its move from local sensing + beacons."""
+    """Every alive node plans its move from local sensing + beacons.
+
+    ``table`` is the exchange's, one row per node; the planners read
+    the alive rows' usable records.
+    """
     params = engine.params
     return plan_move(
         np.asarray(alive_ids, dtype=np.intp),
         positions[alive_ids],
         sensing,
-        NeighborTable.pack([inboxes[i] for i in alive_ids], params),
+        table.rows(alive_ids).usable(params),
         params,
         engine.problem.region,
     )
@@ -235,54 +240,52 @@ def lcm(engine, cma_plan: CMAPlan) -> int:
 
     With movers already clipping their own steps, breaks only arise when
     two linked nodes move in the same round; the follower then chases
-    onto the mover's ``Rc`` circle. Bridge checks use the current beacon
-    positions of the mover's announced table. Returns the follower moves
-    made.
+    onto the mover's ``Rc`` circle. Each pass visits the planners in
+    node order; a planner's followers and bridges are its announced
+    table's ids, read at their live ``state.positions`` rows, which
+    earlier follower moves of the pass may have written. Returns the
+    follower moves made.
+
+    Almost every follower is still within ``Rc`` of its planner, and
+    :func:`~repro.core.lcm.lcm_adjustment` keeps those in place at
+    once. A direct-link prescreen over every (planner, follower) slot
+    skips them (:func:`_linked_slots`); the sequential loop starts at
+    the first planner with an alive follower the prescreen does not
+    clear. Only a real move changes a position, so the prescreen is
+    recomputed for the rows after each planner whose followers moved
+    and is otherwise the one a row-by-row pass would compute.
     """
     obs = engine.obs
     rc = engine.problem.rc
     state = engine.state
     positions, alive = state.positions, state.alive
+    table = cma_plan.neighbors
+    planners = cma_plan.node_ids
+    # Followers worth a look: alive, in a filled slot of an alive
+    # planner's row. Alive flags do not change during LCM.
+    open_slots = table.mask & alive[table.ids] & alive[planners][:, None]
     n_moves = 0
     n_passes = 0
-    movers = cma_plan.node_ids.tolist()
-    tables = cma_plan.neighbors.id_lists()
     for _ in range(LCM_MAX_PASSES):
         moves_this_pass = 0
-        for m, table in zip(movers, tables):
-            if not alive[m]:
-                continue
-            if table:
-                # Direct-link prescreen: almost every follower is
-                # still within Rc of the mover, and lcm_adjustment
-                # returns "stay" immediately for those. One batched
-                # distance computation (at this point in the
-                # sequential pass, so earlier moves are reflected)
-                # skips them; the conservative (1 - 1e-12) margin
-                # leaves exact-tie cases to the scalar decision.
-                fdiff = positions[table] - positions[m]
-                d2 = fdiff[:, 0] ** 2 + fdiff[:, 1] ** 2
-                rc2 = rc * rc
-                surely_linked = d2 <= rc2 * (1.0 - 1e-12)
-            else:
-                surely_linked = np.empty(0, dtype=bool)
-            for f_idx, f in enumerate(table):
-                if not alive[f] or surely_linked[f_idx]:
-                    continue
-                # Bridges are gathered (copied) here, after any
-                # earlier follower of this mover moved.
-                bridges = positions[
-                    [j for j in table if j != f and alive[j]]
-                ]
-                decision = lcm_adjustment(
-                    positions[f], positions[m], bridges, rc
+        start = 0
+        while True:
+            todo = open_slots[start:] & ~_linked_slots(
+                positions, planners[start:], table.ids[start:], rc
+            )
+            moved = 0
+            for row in (np.flatnonzero(todo.any(axis=1)) + start).tolist():
+                followers = table.ids[row, :table.counts[row]].tolist()
+                moved = _follow(
+                    engine, int(planners[row]), followers, todo[row - start]
                 )
-                if decision.must_move and decision.target is not None:
-                    target = engine.problem.region.clamp(
-                        decision.target
-                    ).as_array()
-                    state.move(f, target)
-                    moves_this_pass += 1
+                if moved:
+                    break
+            if not moved:
+                break
+            # Positions changed: prescreen the rows after this one anew.
+            moves_this_pass += moved
+            start = row + 1
         n_moves += moves_this_pass
         n_passes += 1
         if obs.enabled:
@@ -298,6 +301,41 @@ def lcm(engine, cma_plan: CMAPlan) -> int:
         obs.counter("lcm.passes").inc(n_passes)
         obs.counter("lcm.moves").inc(n_moves)
     return n_moves
+
+
+def _linked_slots(
+    positions: np.ndarray, planners: np.ndarray, ids: np.ndarray, rc: float
+) -> np.ndarray:
+    """``(rows, d)``: followers surely within ``Rc`` of their planner.
+
+    The squared distance is taken as the row-by-row check took it; the
+    conservative ``1 - 1e-12`` margin leaves exact-tie cases to
+    :func:`~repro.core.lcm.lcm_adjustment`. Padding slots read row
+    ``-1`` and must be masked by the caller.
+    """
+    fdiff = positions[ids] - positions[planners][:, None, :]
+    d2 = fdiff[..., 0] ** 2 + fdiff[..., 1] ** 2
+    rc2 = rc * rc
+    return d2 <= rc2 * (1.0 - 1e-12)
+
+
+def _follow(engine, planner: int, followers: List[int], todo: np.ndarray) -> int:
+    """One planner's LCM check for its ``todo`` followers; moves made."""
+    state = engine.state
+    positions, alive = state.positions, state.alive
+    rc = engine.problem.rc
+    moves = 0
+    for f_idx in np.flatnonzero(todo).tolist():
+        f = followers[f_idx]
+        # Bridges are gathered (copied) here, after any earlier
+        # follower of this planner moved.
+        bridges = positions[[j for j in followers if j != f and alive[j]]]
+        decision = lcm_adjustment(positions[f], positions[planner], bridges, rc)
+        if decision.must_move and decision.target is not None:
+            target = engine.problem.region.clamp(decision.target).as_array()
+            state.move(f, target)
+            moves += 1
+    return moves
 
 
 def trace_samples(

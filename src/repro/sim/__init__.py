@@ -20,7 +20,7 @@ package is that testbed:
 
 from repro.sim.sensing import DiskSensor, TraceSampler
 from repro.sim.radio import Radio
-from repro.sim.messages import BeaconMessage, TellMessage
+from repro.sim.messages import BeaconMessage
 from repro.sim.netmodel import (
     BernoulliLink,
     CrashSchedule,
@@ -78,7 +78,6 @@ __all__ = [
     "RetryPolicy",
     "RoundRecord",
     "SimulationResult",
-    "TellMessage",
     "TraceSampler",
     "TrajectoryRecorder",
     "UniformDelayModel",

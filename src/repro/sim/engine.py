@@ -297,10 +297,10 @@ class MobileSimulation:
             with obs.span("sense"), timed("sense"):
                 snapshot, sensing = cma_phases.sense(self, alive_ids)
             with obs.span("exchange"), timed("exchange"):
-                inboxes = cma_phases.exchange(self, positions, alive_mask)
+                table = cma_phases.exchange(self, positions, alive_mask)
             with obs.span("plan"), timed("plan"):
                 plan = cma_phases.plan(
-                    self, positions, alive_ids, sensing, inboxes
+                    self, positions, alive_ids, sensing, table
                 )
             with obs.span("constrain_move"), timed("constrain_move"):
                 n_moved = cma_phases.constrain_move(self, plan)

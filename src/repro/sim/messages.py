@@ -7,6 +7,8 @@ Two messages exist in CMA (Table 2):
   :class:`repro.core.cma.NeighborObservation` on the receiving side, and
 * ``tell(nd, N[q])`` announcing a planned move: the destination plus the
   mover's neighbour table, which former neighbours use for the LCM check.
+  It has no wire type: the LCM phase reads the plan's
+  :class:`repro.core.cma.NeighborTable` row of each planner.
 
 Every beacon carries an implicit **trace context**: its
 ``(sent_round, sender_id, receiver)`` triple, which
@@ -19,7 +21,6 @@ cache staleness and checkpoint/resume without any stored counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -55,23 +56,3 @@ class BeaconMessage:
             curvature=float(self.curvature),
             staleness=int(round_index) - int(self.sent_round),
         )
-
-
-@dataclass(frozen=True)
-class TellMessage:
-    """A mover's announcement: ``tell(nd, N[q][3])`` from Table 2."""
-
-    sender_id: int
-    destination: np.ndarray
-    neighbor_table: List[NeighborObservation]
-
-    def bridge_positions(self) -> List[np.ndarray]:
-        """Positions of the announced neighbours (potential LCM bridges)."""
-        return [obs.position for obs in self.neighbor_table]
-
-    def index_of(self, node_id: int):
-        """Index of ``node_id`` in the table, or ``None`` if absent."""
-        for idx, obs in enumerate(self.neighbor_table):
-            if obs.node_id == node_id:
-                return idx
-        return None

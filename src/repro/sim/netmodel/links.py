@@ -131,6 +131,13 @@ class BernoulliLink(_SeededLink):
             return True
         return bool(self._rng.random() >= self.probability)
 
+    def delivered_many(self, m: int) -> np.ndarray:
+        """``m`` deliveries at once: what ``m`` :meth:`delivered` calls
+        answer in turn, drawn as one vector from the same stream."""
+        if self.probability == 0.0:
+            return np.ones(m, dtype=bool)
+        return self._rng.random(m) >= self.probability
+
 
 class DistanceLossLink(_SeededLink):
     """Loss probability grows with distance toward the range edge.

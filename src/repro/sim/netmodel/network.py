@@ -21,7 +21,7 @@ and bit-reproducible:
    per neighbour. A neighbour not heard this round is still usable from
    cache for up to ``max_age`` rounds; every observation is stamped
    with its ``staleness`` (rounds since it was sensed) so the planner
-   can decay its weight (:meth:`repro.core.cma.NeighborTable.pack`)
+   can decay its weight (:meth:`repro.core.cma.NeighborTable.usable`)
    before the bound drops it entirely.
 
 With ``PerfectLink``, no delay model and ``max_age = 0`` the exchange
@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.cma import NeighborObservation
+from repro.core.cma import NeighborTable
 from repro.sim.netmodel.delay import (
     BeaconDelayQueue,
     PendingBeacon,
@@ -185,12 +185,15 @@ class NetworkModel:
         alive: Optional[np.ndarray],
         round_index: int,
         tracer=None,
-    ) -> List[List[NeighborObservation]]:
+    ) -> NeighborTable:
         """One beacon round under the full unreliable-network pipeline.
 
         Deterministic iteration order (due beacons in queue order, then
         receivers ascending, then senders ascending) keeps every RNG
         stream's draw sequence a pure function of the simulation state.
+        Row ``i`` of the returned table is receiver ``i``'s inbox, read
+        from its cache in ascending sender order and stamped with each
+        record's staleness.
 
         ``tracer`` (a :class:`~repro.obs.trace.MessageTracer`) narrates
         every beacon's emit→drop→retry→deliver→use chain as ``msg_*``
@@ -207,7 +210,7 @@ class NetworkModel:
             if alive is None
             else np.asarray(alive, dtype=bool).reshape(n)
         )
-        ids = radio.neighbor_ids(pts, alive=live)
+        indptr, senders = radio.neighbor_csr(pts, alive=live)
 
         # 1. Late beacons surface first: they were sent in an earlier
         # round, so a fresher same-sender beacon this round wins below.
@@ -223,41 +226,48 @@ class NetworkModel:
                     )
 
         # 2. This round's transmissions: loss, retries, then latency.
-        for i in range(n):
-            for j in ids[i]:
-                dist = float(np.hypot(*(pts[j] - pts[i])))
+        # Every in-range pair's length in one pass; the draws below stay
+        # one scalar call per delivery, in pair order.
+        receivers = np.repeat(np.arange(n), np.diff(indptr))
+        dists = np.hypot(
+            pts[senders, 0] - pts[receivers, 0],
+            pts[senders, 1] - pts[receivers, 1],
+        ).tolist()
+        for i, j, dist in zip(receivers.tolist(), senders.tolist(), dists):
+            if tracer is not None:
+                tracer.send(j, i)
+            if not self._attempt_delivery(j, i, dist, tracer):
+                continue
+            lag = self.delay.sample() if self.delay is not None else 0
+            if lag == 0:
+                self._store(
+                    i, j, pts[j, 0], pts[j, 1],
+                    float(curvatures[j]), round_index,
+                )
                 if tracer is not None:
-                    tracer.send(j, i)
-                if not self._attempt_delivery(j, i, dist, tracer):
-                    continue
-                lag = self.delay.sample() if self.delay is not None else 0
-                if lag == 0:
-                    self._store(
-                        i, j, pts[j, 0], pts[j, 1],
-                        float(curvatures[j]), round_index,
-                    )
-                    if tracer is not None:
-                        tracer.deliver(j, i, round_index)
-                else:
-                    self.queue.push(PendingBeacon(
-                        deliver_round=round_index + lag,
-                        receiver=i, sender=j,
-                        x=float(pts[j, 0]), y=float(pts[j, 1]),
-                        curvature=float(curvatures[j]),
-                        sent_round=round_index,
-                    ))
-                    if tracer is not None:
-                        tracer.delay(j, i, deliver_round=round_index + lag)
+                    tracer.deliver(j, i, round_index)
+            else:
+                self.queue.push(PendingBeacon(
+                    deliver_round=round_index + lag,
+                    receiver=i, sender=j,
+                    x=float(pts[j, 0]), y=float(pts[j, 1]),
+                    curvature=float(curvatures[j]),
+                    sent_round=round_index,
+                ))
+                if tracer is not None:
+                    tracer.delay(j, i, deliver_round=round_index + lag)
 
         # 3. Inboxes from the caches: fresh + tolerably stale entries,
         # ascending sender id (the order the plain radio produced).
         # Entries past max_age are evicted for good.
-        heard: List[List[NeighborObservation]] = []
+        counts = [0] * n
+        ids: List[int] = []
+        xy: List[List[float]] = []
+        gs: List[float] = []
+        ages: List[int] = []
         for i in range(n):
-            inbox: List[NeighborObservation] = []
             cached = self._cache.get(str(i))
             if cached is None or not live[i]:
-                heard.append(inbox)
                 continue
             for key in sorted(cached, key=int):
                 x, y, g, sent_round = cached[key]
@@ -269,14 +279,12 @@ class NetworkModel:
                     continue
                 if tracer is not None:
                     tracer.use(int(key), i, int(sent_round), age)
-                inbox.append(NeighborObservation(
-                    node_id=int(key),
-                    position=np.array([x, y], dtype=float),
-                    curvature=float(g),
-                    staleness=age,
-                ))
-            heard.append(inbox)
-        return heard
+                ids.append(int(key))
+                xy.append([x, y])
+                gs.append(g)
+                ages.append(age)
+                counts[i] += 1
+        return NeighborTable.from_records(counts, ids, xy, gs, ages)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

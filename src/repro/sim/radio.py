@@ -8,19 +8,24 @@ subject to the optional message-loss model.
 This class stays the *geometric* layer. The richer failure surface —
 distance-dependent and bursty loss, delayed beacons, retry/ack — lives in
 :class:`repro.sim.netmodel.network.NetworkModel`, which calls
-:meth:`Radio.neighbor_ids` for the in-range sets and layers the
-unreliable-network pipeline on top.
+:meth:`Radio.neighbor_csr` for the in-range sets and layers the
+unreliable-network pipeline on top. Both hand the planner one
+:class:`~repro.core.cma.NeighborTable` for the whole fleet.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cma import NeighborObservation
+from repro.core.cma import NeighborTable
 from repro.geometry.primitives import pairwise_distances
-from repro.geometry.spatial_index import DENSE_CROSSOVER, SpatialHashGrid
+from repro.geometry.spatial_index import (
+    DENSE_CROSSOVER,
+    SpatialHashGrid,
+    csr_from_rows,
+)
 from repro.obs.instrument import get_instrumentation
 from repro.sim.netmodel.failures import MessageLossModel
 
@@ -38,15 +43,19 @@ class Radio:
         # its fleet arrays in place, so one array object can hold
         # different positions from call to call. Within a round both the
         # netmodel pipeline and the plain exchange ask for the same
-        # table; any position change invalidates the key.
-        self._nbr_cache: Optional[Tuple[Tuple[bytes, bytes], List[List[int]]]] = None
+        # table; any position change invalidates the key. It holds
+        # ``[key, indptr, indices, id lists or None]``; the lists are
+        # made only when :meth:`neighbor_ids` is first asked.
+        self._nbr_cache: Optional[list] = None
 
-    def neighbor_ids(
+    def neighbor_csr(
         self, positions: np.ndarray, alive: Optional[np.ndarray] = None
-    ) -> List[List[int]]:
-        """For each node, the ids of alive nodes within ``Rc`` (excluding self).
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Alive nodes within ``Rc`` of each node, as CSR ``(indptr, indices)``.
 
-        The returned lists are cached per (positions, alive) content and
+        Node ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]``,
+        ascending, self excluded; a dead node has an empty row and is in
+        no row. The arrays are cached per (positions, alive) content and
         shared between callers within a round — treat them as read-only.
         """
         pts = np.asarray(positions, dtype=float).reshape(-1, 2)
@@ -56,64 +65,73 @@ class Radio:
             if alive is None
             else np.asarray(alive, dtype=bool).reshape(n)
         )
-        if n == 0:
-            return []
         key = (pts.tobytes(), live.tobytes())
         cached = self._nbr_cache
         if cached is not None and cached[0] == key:
-            return cached[1]
+            return cached[1], cached[2]
         if n <= DENSE_CROSSOVER:
             # Whole-matrix adjacency in one shot: dead rows/columns masked,
-            # self-links cleared, then a single row-major nonzero split into
-            # per-node lists (column indices are sorted within each row, the
-            # same order the previous per-row scan produced).
+            # self-links cleared, then a single row-major nonzero (column
+            # indices come out sorted within each row).
             adj = pairwise_distances(pts) <= self.rc
             adj &= live[None, :]
             adj &= live[:, None]
             np.fill_diagonal(adj, False)
-            rows, cols = np.nonzero(adj)
-            splits = np.searchsorted(rows, np.arange(1, n))
-            ids = [c.tolist() for c in np.split(cols, splits)]
+            indptr, indices = csr_from_rows(*np.nonzero(adj), n)
         else:
             # Cell-list neighbour discovery: O(k) at fixed density, no
-            # self-distances ever computed, bit-identical lists (the grid
+            # self-distances ever computed, bit-identical rows (the grid
             # is differential-tested against the dense oracle).
             grid = SpatialHashGrid(pts, self.rc)
-            ids = grid.neighbor_lists(alive=live)
+            indptr, indices = grid.neighbor_csr(alive=live)
             obs = get_instrumentation()
             if obs.enabled:
                 obs.counter("geom.grid_cells").inc(grid.n_cells)
                 obs.counter("geom.pairs_checked").inc(grid.pairs_checked)
-        self._nbr_cache = (key, ids)
-        return ids
+        self._nbr_cache = [key, indptr, indices, None]
+        return indptr, indices
+
+    def neighbor_ids(
+        self, positions: np.ndarray, alive: Optional[np.ndarray] = None
+    ) -> List[List[int]]:
+        """:meth:`neighbor_csr` as one ascending id list per node.
+
+        The lists are cached with the CSR rows — treat them as read-only.
+        """
+        indptr, indices = self.neighbor_csr(positions, alive)
+        cached = self._nbr_cache
+        if cached[3] is None:
+            cached[3] = [
+                indices[a:b].tolist()
+                for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+            ]
+        return cached[3]
 
     def exchange(
         self,
         positions: np.ndarray,
         curvatures: Sequence[float],
         alive: Optional[np.ndarray] = None,
-    ) -> List[List[NeighborObservation]]:
+    ) -> NeighborTable:
         """One beacon round: what each node hears from its neighbours.
 
-        Message loss (when configured) applies independently per directed
-        delivery, so a beacon may reach some neighbours and not others —
-        the two directions of a link can disagree, exactly the asymmetry
-        real lossy radios produce.
+        Row ``i`` of the returned table is node ``i``'s inbox: its
+        neighbours' beacons in ascending sender order, every record
+        fresh (staleness 0). Message loss (when configured) applies
+        independently per directed delivery, drawn in that order, so a
+        beacon may reach some neighbours and not others — the two
+        directions of a link can disagree, exactly the asymmetry real
+        lossy radios produce.
         """
         pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-        nbr_lists = self.neighbor_ids(pts, alive=alive)
-        heard: List[List[NeighborObservation]] = []
-        for i, nbrs in enumerate(nbr_lists):
-            inbox: List[NeighborObservation] = []
-            for j in nbrs:
-                if self.loss is not None and not self.loss.delivered():
-                    continue
-                inbox.append(
-                    NeighborObservation(
-                        node_id=j,
-                        position=pts[j].copy(),
-                        curvature=float(curvatures[j]),
-                    )
-                )
-            heard.append(inbox)
-        return heard
+        indptr, senders = self.neighbor_csr(pts, alive=alive)
+        counts = np.diff(indptr)
+        if self.loss is not None:
+            heard = self.loss.delivered_many(len(senders))
+            receivers = np.repeat(np.arange(len(counts)), counts)
+            counts = np.bincount(receivers[heard], minlength=len(counts))
+            senders = senders[heard]
+        return NeighborTable.from_records(
+            counts, senders, pts[senders],
+            np.asarray(curvatures, dtype=float)[senders],
+        )

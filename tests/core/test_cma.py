@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cma_reference import LocalSensing, pack
+from exchange_reference import records_table
 from repro.core.cma import (
     CMAParams,
     NeighborObservation,
-    NeighborTable,
     estimate_own_curvature,
     plan_move,
 )
@@ -39,7 +39,7 @@ def plan_one(pos, sensing, nbrs, params, region=None):
     """A fleet of one: node 0 at ``pos``."""
     return plan_move(
         np.array([0]), pos[None, :], pack([sensing]),
-        NeighborTable.pack([nbrs], params), params, region or REGION,
+        records_table([nbrs]).usable(params), params, region or REGION,
     )
 
 

@@ -15,10 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cma_reference as ref
+from exchange_reference import records_table
 from repro.core.cma import (
     CMAParams,
     NeighborObservation,
-    NeighborTable,
     estimate_own_curvature,
     plan_move,
 )
@@ -126,7 +126,7 @@ def assert_matches_oracle(params, positions, sensings, inboxes, alive,
     )
 
     plan = plan_move(np.arange(n), pos, sensing,
-                     NeighborTable.pack(inboxes, params), params, region)
+                     records_table(inboxes).usable(params), params, region)
     refs = [
         ref.plan_move(i, pos[i], sensings[i], inboxes[i], params, region,
                       own_curvature=ref_own[i])
@@ -261,7 +261,7 @@ class TestEdgeCases:
     def test_empty_fleet(self):
         plan = plan_move(
             np.empty(0, dtype=int), np.empty((0, 2)), ref.pack([]),
-            NeighborTable.pack([], CMAParams()), CMAParams(), REGION,
+            records_table([]).usable(CMAParams()), CMAParams(), REGION,
         )
         assert plan.destinations.shape == (0, 2)
         assert plan.moved.shape == (0,)

@@ -172,6 +172,7 @@ class TestValidation:
             grid = SpatialHashGrid(pts, RADIUS)
             lo, hi = grid.query_pairs()
             assert lo.size == 0 and hi.size == 0
+            assert grid.neighbor_lists() == [[]] * len(pts)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -167,7 +167,7 @@ class TestRetry:
         pts = line_positions(2)
         # Round 0 hits the burst and (max_age=0) nothing is heard; the
         # lost attempt itself ends the burst, so round 1 goes through.
-        assert run_exchange(net, pts, round_index=0) == [[], []]
+        assert list(run_exchange(net, pts, round_index=0)) == [[], []]
         heard = run_exchange(net, pts, round_index=1)
         assert [o.node_id for o in heard[0]] == [1]
 

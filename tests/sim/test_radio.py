@@ -56,8 +56,8 @@ class TestExchange:
             def __init__(self):
                 super().__init__(0.5)
 
-            def delivered(self):
-                return False
+            def delivered_many(self, m):
+                return np.zeros(m, dtype=bool)
 
         radio = Radio(10.0, loss=AlwaysLost())
         pts = np.array([[0, 0], [5, 0]], dtype=float)
