@@ -17,9 +17,10 @@ recorded log — never by recomputing:
 * :mod:`.http` — a stdlib-only HTTP/1.1 + SSE micro-layer
   (one request per connection, ``Connection: close``);
 * :mod:`.app` — :class:`ReproServer`, the asyncio application: routes,
-  the bounded worker pool, and the live/replay streams that tail the
-  job's own JSONL log with :mod:`repro.obs.watch`'s line assembler, so
-  the SSE payloads are the log's lines byte for byte;
+  the worker tasks (one single-process pool each), and the live/replay
+  streams that tail the job's own JSONL log with
+  :mod:`repro.obs.watch`'s line assembler, so the SSE payloads are the
+  log's lines byte for byte;
 * :mod:`.cli` — the ``repro-serve`` console entry point.
 
 Quick start::

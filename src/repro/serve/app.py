@@ -6,15 +6,21 @@
   :class:`~repro.serve.jobs.JobRegistry` and enqueues it; the job id *is*
   the run id, minted up front with :func:`~repro.obs.manifest.new_run_id`
   so the run directory is addressable before the first round executes;
-* **execution** — a bounded pool of worker tasks feeds a
-  ``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor`
-  running :func:`~repro.serve.worker.execute_job`, which is
+* **execution** — a bounded set of worker tasks, each feeding its own
+  one-process ``spawn``-context
+  :class:`~concurrent.futures.ProcessPoolExecutor` running
+  :func:`~repro.serve.worker.execute_job`, which is
   :func:`~repro.experiments.harness.run_recorded` — every job lands in
   the run registry with a manifest, ``obs.jsonl``, ``result.json`` and
-  checkpoints, exactly like a CLI run;
+  checkpoints, exactly like a CLI run. A pool child that dies (killed,
+  out of memory) fails only the job it was running: its worker task
+  replaces that one pool and takes the next job;
 * **streaming** — ``GET /jobs/<id>/events`` tails the job's own
   ``obs.jsonl`` with the :mod:`repro.obs.watch` line assembler and
-  frames each complete log line, verbatim, as one SSE message. Replay
+  frames each complete log line, verbatim, as one SSE message. Every
+  state change the server makes wakes the job's live streams, so the
+  closing ``end`` event follows the terminal transition at once;
+  ``poll_interval`` paces only the progress lines in between. Replay
   (``?replay=1``) re-reads the same file through the same assembler —
   live and replayed streams are byte-for-byte the same sequence, and
   replay never recomputes anything;
@@ -33,6 +39,7 @@ import asyncio
 import concurrent.futures
 import json
 import multiprocessing
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -94,7 +101,12 @@ class ReproServer:
         self._queue: Optional["asyncio.Queue[str]"] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_tasks: List[asyncio.Task] = []
-        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        # One single-process pool per worker task: a child that dies
+        # breaks only its own pool, so only the job it was running fails.
+        self._pools: List[concurrent.futures.ProcessPoolExecutor] = []
+        # Per non-terminal job, the event its live streams wait on; each
+        # state change sets it and puts a fresh one in its place.
+        self._wakeups: Dict[str, asyncio.Event] = {}
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -102,13 +114,7 @@ class ReproServer:
         self.runs_root.mkdir(parents=True, exist_ok=True)
         self.registry = JobRegistry.recover(self.runs_root)
         self._queue = asyncio.Queue()
-        # spawn, not fork: the server process runs an event loop and the
-        # ambient obs/checkpoint stacks are process-global — children
-        # must start clean.
-        self._executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
+        self._pools = [self._new_pool() for _ in range(self.workers)]
         self._worker_tasks = [
             asyncio.get_running_loop().create_task(self._worker_loop(i))
             for i in range(self.workers)
@@ -128,9 +134,9 @@ class ReproServer:
             task.cancel()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
+        for pool in self._pools:
+            pool.shutdown(wait=False)
+        self._pools = []
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -141,6 +147,24 @@ class ReproServer:
         return self.runs_root / job_id
 
     # -- execution ------------------------------------------------------
+    @staticmethod
+    def _new_pool() -> concurrent.futures.ProcessPoolExecutor:
+        # spawn, not fork: the server process runs an event loop and the
+        # ambient obs/checkpoint stacks are process-global — children
+        # must start clean.
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        )
+
+    def _notify(self, job_id: str) -> None:
+        """Wake the job's live streams: its state has just changed."""
+        old = self._wakeups.pop(job_id, None)
+        record = self.registry.maybe_get(job_id)
+        if record is not None and record.state not in TERMINAL:
+            self._wakeups[job_id] = asyncio.Event()
+        if old is not None:
+            old.set()
+
     async def _worker_loop(self, index: int) -> None:
         loop = asyncio.get_running_loop()
         queue = self._queue
@@ -154,6 +178,7 @@ class ReproServer:
                 continue
             resume = record.attempts > 1
             self.registry.transition(job_id, RUNNING)
+            self._notify(job_id)
             spec = {
                 "job_id": job_id,
                 "experiment_id": record.experiment_id,
@@ -169,11 +194,16 @@ class ReproServer:
                 spec["checkpoint_every"] = int(record.params["checkpoint_every"])
             try:
                 outcome = await loop.run_in_executor(
-                    self._executor, worker_mod.execute_job, spec
+                    self._pools[index], worker_mod.execute_job, spec
                 )
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # pool died, spec unpicklable, ...
+                if isinstance(exc, BrokenProcessPool):
+                    # The child died mid-job; a broken pool refuses all
+                    # further work, so start a fresh one for the next job.
+                    self._pools[index].shutdown(wait=False)
+                    self._pools[index] = self._new_pool()
                 outcome = {
                     "job_id": job_id,
                     "status": "failed",
@@ -192,6 +222,7 @@ class ReproServer:
                 self.registry.transition(
                     job_id, FAILED, error=outcome.get("error") or "unknown"
                 )
+            self._notify(job_id)
 
     # -- connection handling --------------------------------------------
     async def _handle_connection(
@@ -296,6 +327,7 @@ class ReproServer:
             raise HttpError(500, "server not started")
         job_id = new_run_id(experiment_id)
         record = self.registry.submit(job_id, experiment_id, params)
+        self._notify(job_id)
         await self._queue.put(job_id)
         await send_json(writer, 202, record.as_dict())
 
@@ -315,6 +347,8 @@ class ReproServer:
         if record.state == RUNNING:
             # The child confirms at its next round boundary.
             worker_mod.request_cancel_marker(self.run_dir(job_id))
+        else:
+            self._notify(job_id)  # a queued job cancels at once
         await send_json(writer, 202, record.as_dict())
 
     async def _resume(self, job_id: str, writer: asyncio.StreamWriter) -> None:
@@ -324,6 +358,7 @@ class ReproServer:
             raise HttpError(404, str(exc)) from exc
         except InvalidTransition as exc:
             raise HttpError(409, str(exc)) from exc
+        self._notify(job_id)
         worker_mod.clear_cancel_marker(self.run_dir(job_id))
         if self._queue is None:
             raise HttpError(500, "server not started")
@@ -393,7 +428,9 @@ class ReproServer:
 
         The sequence of ``data:`` payloads is exactly the sequence of
         complete lines in ``obs.jsonl`` — the conformance suite holds
-        the stream to that, byte for byte.
+        the stream to that, byte for byte. Between reads the stream
+        waits up to ``poll_interval`` for new lines, or less when the
+        job changes state.
         """
         await start_sse(writer)
         path = self._log_path(job_id)
@@ -402,6 +439,10 @@ class ReproServer:
         seq = 0
         idle_polls = 0
         while True:
+            # Take the wake-up before sampling the state: a transition
+            # after this line sets it, so the wait below cannot miss one.
+            # (Terminal jobs have none; they never reach the wait.)
+            wake = self._wakeups.get(job_id) or asyncio.Event()
             record = self.registry.maybe_get(job_id)
             terminal = record is None or record.state in TERMINAL
             lines, position = read_new_lines(path, position, assembler)
@@ -420,7 +461,10 @@ class ReproServer:
             if idle_polls % _KEEPALIVE_POLLS == 0:
                 writer.write(sse_comment())
                 await writer.drain()
-            await asyncio.sleep(self.poll_interval)
+            try:
+                await asyncio.wait_for(wake.wait(), self.poll_interval)
+            except asyncio.TimeoutError:
+                pass
         await self._end_event(job_id, writer)
 
     async def _stream_replay(

@@ -46,38 +46,51 @@ def render_topology(
     width: int = 60,
     height: int = 24,
 ) -> str:
-    """Birdview of node positions ('o') and unit-disk links ('.')."""
+    """Birdview of node positions ('o') and unit-disk links ('.').
+
+    A link joins every pair ``i < j`` with ``|p_i - p_j| <= rc`` and is
+    drawn by sampling ``p_i + f (p_j - p_i)`` at ``f = s / steps`` for
+    ``s = 0..steps``, ``steps`` being the Chebyshev distance between the
+    end cells (at least 1). The pair test and the samples are array
+    passes; ``tests/test_viz.py`` holds the output byte-identical to the
+    pair-by-pair loop.
+    """
     if width < 2 or height < 2:
         raise ValueError("width and height must each be >= 2")
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = np.full((height, width), " ")
 
-    def to_cell(x: float, y: float):
-        cx = int(round((x - region.xmin) / max(region.width, 1e-12) * (width - 1)))
-        cy = int(round((y - region.ymin) / max(region.height, 1e-12) * (height - 1)))
-        return min(max(cx, 0), width - 1), min(max(cy, 0), height - 1)
+    def to_cells(x: np.ndarray, y: np.ndarray):
+        cx = np.rint((x - region.xmin) / max(region.width, 1e-12) * (width - 1))
+        cy = np.rint((y - region.ymin) / max(region.height, 1e-12) * (height - 1))
+        return (
+            np.clip(cx, 0, width - 1).astype(int),
+            np.clip(cy, 0, height - 1).astype(int),
+        )
 
+    node_x, node_y = to_cells(pts[:, 0], pts[:, 1])
     if rc is not None:
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.linalg.norm(pts[i] - pts[j]) <= rc:
-                    steps = max(
-                        abs(to_cell(*pts[i])[0] - to_cell(*pts[j])[0]),
-                        abs(to_cell(*pts[i])[1] - to_cell(*pts[j])[1]),
-                        1,
-                    )
-                    for s in range(steps + 1):
-                        f = s / steps
-                        x = pts[i][0] + f * (pts[j][0] - pts[i][0])
-                        y = pts[i][1] + f * (pts[j][1] - pts[i][1])
-                        cx, cy = to_cell(x, y)
-                        if canvas[cy][cx] == " ":
-                            canvas[cy][cx] = "."
+        i, j = np.triu_indices(len(pts), 1)
+        diff = pts[i] - pts[j]
+        linked = np.sqrt(np.vecdot(diff, diff)) <= rc
+        i, j = i[linked], j[linked]
+        steps = np.maximum(
+            np.maximum(np.abs(node_x[i] - node_x[j]), np.abs(node_y[i] - node_y[j])),
+            1,
+        )
+        # One sample per (link, s): the link it belongs to and its s.
+        count = steps + 1
+        link = np.repeat(np.arange(len(i)), count)
+        s = np.arange(len(link)) - (np.cumsum(count) - count)[link]
+        f = s / steps[link]
+        p, q = pts[i[link]], pts[j[link]]
+        cx, cy = to_cells(
+            p[:, 0] + f * (q[:, 0] - p[:, 0]), p[:, 1] + f * (q[:, 1] - p[:, 1])
+        )
+        canvas[cy, cx] = "."
 
-    for x, y in pts:
-        cx, cy = to_cell(float(x), float(y))
-        canvas[cy][cx] = "o"
-    return "\n".join("".join(row) for row in reversed(canvas))
+    canvas[node_y, node_x] = "o"
+    return "\n".join("".join(row) for row in canvas[::-1])
 
 
 def render_series(

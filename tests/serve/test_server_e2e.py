@@ -14,19 +14,27 @@ load-bearing assertions are the ISSUE's acceptance criteria:
 * a client disconnecting mid-stream does not disturb the job;
 * concurrent submissions of the same scenario get distinct run ids and
   intact, non-interleaved logs;
-* a fresh server over the same runs root recovers the finished jobs.
+* a fresh server over the same runs root recovers the finished jobs;
+* a live stream ends as soon as its job does, however long the poll
+  interval;
+* a pool child killed mid-job fails that job only, and the job resumes
+  to the same result as an uninterrupted run.
 """
 
 import asyncio
+import contextlib
 import http.client
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
 import pytest
 
 from repro.serve.app import ReproServer
-from repro.serve.jobs import CANCELLED, DONE, TERMINAL
+from repro.serve.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, TERMINAL
 
 FAST_RUN_TIMEOUT = 120.0
 
@@ -120,11 +128,10 @@ def _log_lines(server, job_id):
 
 # -- the server under test ---------------------------------------------
 
-@pytest.fixture(scope="module")
-def server(tmp_path_factory):
-    """One ReproServer on a background thread, real socket, port 0."""
-    runs_root = tmp_path_factory.mktemp("serve-runs")
-    srv = ReproServer(runs_root, workers=2, poll_interval=0.02)
+@contextlib.contextmanager
+def _running_server(runs_root, **options):
+    """A ReproServer on a background thread, real socket, port 0."""
+    srv = ReproServer(runs_root, **options)
     loop = asyncio.new_event_loop()
     started = threading.Event()
 
@@ -137,11 +144,20 @@ def server(tmp_path_factory):
     thread = threading.Thread(target=run, name="repro-serve-test", daemon=True)
     thread.start()
     assert started.wait(30), "server failed to start"
-    yield srv
-    asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(30)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(10)
-    loop.close()
+    try:
+        yield srv
+    finally:
+        asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(30)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+
+
+@pytest.fixture(scope="module")
+def server(tmp_path_factory):
+    runs_root = tmp_path_factory.mktemp("serve-runs")
+    with _running_server(runs_root, workers=2, poll_interval=0.02) as srv:
+        yield srv
 
 
 # -- routing basics -----------------------------------------------------
@@ -367,3 +383,103 @@ class TestRestartDurability:
         assert states[job_id] == DONE
         # everything recovered came from a manifest, so it is terminal
         assert all(state in TERMINAL for state in states.values())
+
+
+# -- stream latency ------------------------------------------------------
+
+class TestPromptEnd:
+    """The ``end`` event follows the job's terminal transition, not the
+    next poll: ``poll_interval`` paces only the progress lines."""
+
+    POLL_S = 3.0
+
+    @pytest.fixture(scope="class")
+    def slow_poll_server(self, tmp_path_factory):
+        runs_root = tmp_path_factory.mktemp("serve-slow-poll")
+        with _running_server(
+            runs_root, workers=1, poll_interval=self.POLL_S
+        ) as srv:
+            # warm-up: spawn the pool child and fill its imports
+            _wait_for_state(srv.port, _submit(srv.port), {DONE})
+            yield srv
+
+    def test_stream_ends_with_the_job(self, slow_poll_server):
+        srv = slow_poll_server
+        t0 = time.monotonic()
+        job_id = _submit(srv.port)
+        stream = _collect_stream(srv.port, f"/jobs/{job_id}/events")
+        elapsed = time.monotonic() - t0
+        assert stream[-1][0] == "end"
+        assert json.loads(stream[-1][1])["state"] == DONE
+        assert [data for _, data in stream[:-1]] == _log_lines(srv, job_id)
+        assert elapsed < self.POLL_S / 2, elapsed
+
+    def test_cancelling_a_queued_job_ends_its_stream(self, slow_poll_server):
+        srv = slow_poll_server
+        # the only worker is busy, so the second job waits in the queue
+        busy = _submit(srv.port, round_delay_s=0.5)
+        _wait_for_state(srv.port, busy, {RUNNING})
+        queued = _submit(srv.port)
+        client = SseClient(srv.port, f"/jobs/{queued}/events")
+        try:
+            time.sleep(0.2)  # let the stream settle into its wait
+            _, job = _request(srv.port, "GET", f"/jobs/{queued}")
+            assert job["state"] == QUEUED
+            t0 = time.monotonic()
+            status, _ = _request(srv.port, "POST", f"/jobs/{queued}/cancel")
+            assert status == 202
+            stream = list(client.events())
+            elapsed = time.monotonic() - t0
+        finally:
+            client.close()
+            _request(srv.port, "POST", f"/jobs/{busy}/cancel")
+            _wait_for_state(srv.port, busy, TERMINAL)
+        assert stream == [
+            ("end", json.dumps({"job_id": queued, "state": CANCELLED}))
+        ]
+        assert elapsed < self.POLL_S / 2, elapsed
+
+
+# -- pool crashes --------------------------------------------------------
+
+class TestPoolWorkerCrash:
+    def test_killed_child_fails_only_its_own_job(self, tmp_path):
+        before = {p.pid for p in multiprocessing.active_children()}
+        with _running_server(tmp_path, workers=2, poll_interval=0.02) as srv:
+            jobs = [_submit(srv.port, round_delay_s=0.3) for _ in range(2)]
+            for job_id in jobs:
+                _wait_for_state(srv.port, job_id, {RUNNING})
+            children = [
+                p.pid for p in multiprocessing.active_children()
+                if p.pid not in before
+            ]
+            # both jobs are mid-run, one per pool child; kill one child
+            assert len(children) == 2
+            os.kill(children[0], signal.SIGKILL)
+
+            finished = {
+                job_id: _wait_for_state(srv.port, job_id, TERMINAL)
+                for job_id in jobs
+            }
+            states = sorted(job["state"] for job in finished.values())
+            assert states == [DONE, FAILED]
+            killed = next(j for j in jobs if finished[j]["state"] == FAILED)
+            survivor = next(j for j in jobs if j != killed)
+            assert "BrokenProcessPool" in finished[killed]["error"]
+
+            # the broken pool was replaced: later jobs run normally
+            later = _submit(srv.port)
+            assert _wait_for_state(srv.port, later, TERMINAL)["state"] == DONE
+
+            # resuming the killed job completes it with the result of an
+            # uninterrupted run
+            status, _ = _request(srv.port, "POST", f"/jobs/{killed}/resume")
+            assert status == 202
+            assert _wait_for_state(srv.port, killed, TERMINAL)["state"] == DONE
+            deltas = {
+                job_id: _request(srv.port, "GET", f"/jobs/{job_id}/result")[1][
+                    "manifest"
+                ]["final_delta"]
+                for job_id in (killed, survivor, later)
+            }
+            assert deltas[killed] == deltas[survivor] == deltas[later]
