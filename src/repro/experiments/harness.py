@@ -363,6 +363,9 @@ def run_recorded(
     runner that raises still leaves a manifest behind — ``status`` is
     ``"failed"`` and the artifacts are whatever made it to disk — so a
     crashed run is visible in the registry rather than an orphan pile.
+    Before the run starts a manifest with ``status="running"`` and no
+    artifacts is written, and the final manifest replaces it; a run
+    whose process dies outright leaves that one behind.
 
     The server-facing extensions: ``run_id`` pins the run directory
     instead of minting a fresh :func:`new_run_id` (so a caller can name
@@ -418,9 +421,11 @@ def run_recorded(
         code_version=code_version(),
         env=env_fingerprint(),
         started_at=utc_now_iso(),
+        status="running",
     )
     if resume:
         manifest.extra["resumed"] = True
+    manifest.save(run_dir / MANIFEST_NAME)
     start = time.perf_counter()
     result: Optional[ExperimentResult] = None
     try:
@@ -446,6 +451,7 @@ def run_recorded(
             }, indent=2) + "\n",
             encoding="utf-8",
         )
+        manifest.status = "complete"
     except RunPreempted:
         # Preemption is an orderly stop, not a crash: the state is
         # checkpointed, so the run is resumable — record it as such.

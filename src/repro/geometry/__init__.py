@@ -3,13 +3,14 @@
 This package implements, from scratch, the planar computational-geometry
 substrate that the paper's algorithms rest on:
 
-* robust-enough orientation and in-circle predicates (:mod:`.predicates`),
+* tolerance-based orientation and in-circle predicates for the hull and
+  point location (:mod:`.predicates`),
 * Andrew monotone-chain convex hull (:mod:`.hull`),
-* incremental Bowyer--Watson Delaunay triangulation: each insert walks to
-  the point and grows its cavity through neighbouring triangles, and a
-  tie rule keyed on point priorities makes the triangles independent of
-  the insertion order, so the measurement mesh is built in BRIO order
-  (:mod:`.delaunay`),
+* incremental Bowyer--Watson Delaunay triangulation on exact predicates:
+  each insert walks to the point and grows its cavity through
+  neighbouring triangles, and a tie rule keyed on point priorities makes
+  the triangles independent of the insertion order, so the measurement
+  mesh is built in BRIO order (:mod:`.delaunay`),
 * vectorised piecewise-linear evaluation of the triangulated surface
   ``z* = DT(x, y)`` used by the paper's reconstruction metric
   (:mod:`.interpolation`),

@@ -4,8 +4,7 @@ The paper reconstructs the environment surface from the ``k`` sampled
 positions with a Delaunay triangulation (``z* = DT(x, y)``, Section 3.1) and
 FRA refines that triangulation one insertion at a time (Table 1). This
 module provides exactly that: a triangulation that supports *incremental*
-insertion, built from scratch on the predicates in
-:mod:`repro.geometry.predicates`.
+insertion, built from scratch on two exact predicates.
 
 Implementation notes
 --------------------
@@ -15,37 +14,31 @@ Implementation notes
   insertion order, so ``simplices`` lists the live triangles in creation
   order. Beside each triangle ``(a, b, c)`` three neighbour slots hold
   the ids of the triangles across ``(a, b)``, ``(b, c)`` and ``(c, a)``
-  (``-1`` for none), as in Shewchuk's *Triangle*.
-* An insert is local. It walks from the last-created triangle to the one
-  containing the point, then grows the cavity through bad edge neighbours
-  (a neighbour within the tie window that is not bad is passed through
-  without joining). The cavity triangles are
-  taken in creation order and the new fan follows the order of their
-  ``(a,b) (b,c) (c,a)`` border edges, so the rows and their order are
-  what a scan over every triangle gives. Each new triangle is wired to
-  the triangle across its border edge and to its two fan neighbours.
-* The in-circle test reads each triangle's cached circumcircle
-  ``(centre, r^2)`` and the threshold ``EPSILON / |2A|``, and tests
-  ``r^2 - d^2 > threshold``. Queries inside a conservative rounding band
-  around the threshold re-run the exact determinant of the scalar
-  :func:`repro.geometry.predicates.incircle`, so the decision is always the
-  scalar predicate's (see ``_incircle`` and ``_CC_BAND``).
-* When the walk fails, or the triangle it reaches is not strictly bad, the
-  insert falls back to a scan over every triangle (see ``_scan``). That
-  scan also supplies the closed-circumdisk cavity for points that lie
-  exactly on circumcircles. After a degenerate step (see ``_local``) the
-  bad triangles need not be connected, so every later insert scans.
+  (``-1`` across an edge of the super-triangle), as in Shewchuk's
+  *Triangle*.
+* The orientation and in-circle predicates are exact (Shewchuk 1997,
+  *Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+  Predicates*): each is a float determinant with its stage-A error bound,
+  and only a determinant inside that bound is recomputed in integers (see
+  ``_orient`` and ``_incircle_exact``).
+* Cocircular points (common on integer grids) make the Delaunay
+  triangulation non-unique. An exact in-circle tie is resolved by a
+  symbolic perturbation keyed on each vertex's priority (see ``_bad``).
+  ``insert`` gives each point its insertion index, so every tie resolves
+  as "outside". With fixed priorities the triangles depend only on the
+  point set, not on the insertion order.
+* An insert walks from the last-created triangle to the one containing
+  the point. With exact predicates that triangle is always bad, and the
+  bad triangles form a disk, star-shaped around the point, so the cavity
+  grows from it through bad neighbours and every fan triangle is
+  counter-clockwise. The cavity triangles are taken in creation order and
+  the new fan follows the order of their ``(a,b) (b,c) (c,a)`` border
+  edges, so the rows and their order are what a scan over every triangle
+  gives. Each new triangle is wired to the triangle across its border
+  edge and to its two fan neighbours.
 * Duplicate detection (``find_vertex``) looks up a hash grid of cell side
   ``dedup_tol`` instead of scanning every vertex.
-* Cocircular points (common on integer grids) make the Delaunay
-  triangulation non-unique. Ties in the in-circle predicate are resolved
-  by a symbolic perturbation keyed on each vertex's priority (see
-  ``_incircle``). ``insert`` gives each point its insertion index, so
-  every tie resolves as "outside". With fixed priorities the triangles
-  depend only on the point set, not on the insertion order, as long as
-  every near-tie the predicate sees is an exact tie (see ``_incircle``
-  for where that fails).
-* :func:`delaunay_mesh`, the measurement build, uses that: it inserts in
+* :func:`delaunay_mesh`, the measurement build, inserts in
   :func:`brio_order` with each point's input index as its priority, and
   gets the triangles of the in-order build with short walks and small
   cavities.
@@ -54,9 +47,7 @@ Implementation notes
 from __future__ import annotations
 
 import math
-import sys
 from itertools import chain, islice
-from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -69,7 +60,7 @@ from typing import (
 
 import numpy as np
 
-from repro.geometry.predicates import EPSILON, incircle
+from repro.geometry.predicates import EPSILON
 from repro.geometry.primitives import Point2, PointLike
 from repro.geometry.spatial_index import morton_argsort
 
@@ -123,52 +114,81 @@ def canonical_simplices(simplices: np.ndarray) -> np.ndarray:
 #: Number of synthetic super-triangle vertices kept at internal indices 0..2.
 _N_SUPER = 3
 
-#: Relative half-width of the uncertainty band of the cached in-circle
-#: test (see _incircle), in units of r^2 + d^2: ~1024 ulp, times a
-#: per-triangle factor 1 + |u|_1 / r + 16 / sin^2(largest angle). The
-#: centre u is solved relative to a vertex, so its error scales with r
-#: and the conditioning of the largest angle; storing it absolutely adds
-#: one ulp of |u|, which is the |u|_1 / r term (a triangle 9 m across at
-#: x = 400 needs it). The determinant's own rounding grows with
-#: 1 / sin^2 of the largest angle. Measured on random, lattice, sliver and
-#: super-triangle needles at offsets up to 2e4, the needed band stayed
-#: below 700 ulp of that scale; real workloads still almost never reach
-#: the exact determinant.
-_CC_BAND = 1024 * sys.float_info.epsilon
-
-#: Triangles whose largest angle has 1 / sin^2 above this (within ~1.8
-#: degrees of flat) skip the cached test: the determinant decides.
-_KAPPA2_MAX = 1e3
-
 #: A find_vertex query spanning more hash-grid cells than this scans every
 #: vertex instead (only a tol much larger than dedup_tol gets there).
 _MAX_QUERY_CELLS = 64
 
-#: Limits past which a new triangle ends the local search (see _local).
-#: A sliver has a threshold EPSILON / |2A| above _SLIVER * r^2: its tie
-#: window is so wide that the mesh around it can be far from Delaunay.
-#: A cached circle that misses the triangle's own vertices by more than
-#: _MISS * r * (shortest edge), in r^2 - d^2 units, can contradict the
-#: determinant well outside the retest band. A cluster 1e-4 across under
-#: the 1e6 super-triangle makes both; on the benchmark workloads both
-#: ratios stay below 1e-8. A third limit needs no constant: a triangle
-#: whose tie window, as a distance from its circle (threshold / 2r), is
-#: wider than its shortest edge has vertices closer than the predicate
-#: resolves (vertices 1e-8 apart make one).
-_SLIVER = 1e-6
-_MISS = 1e-3
-
-#: One stored triangle: vertices a, b, c (counter-clockwise unless flat),
-#: orientation sign, circumcentre x/y, r^2, the threshold EPSILON / |2A|
-#: and the band factor of _incircle (_CC_BAND times the triangle's factor).
-_Tri = Tuple[int, int, int, int, float, float, float, float, float]
-
+#: Shewchuk's stage-A error bounds, u = 2^-53: a float orientation
+#: determinant l - r is off by at most _ORIENT_ERR * (|l| + |r|), and a
+#: float in-circle determinant by at most _INCIRCLE_ERR times its
+#: permanent (the same sum over absolute values). _TINY covers products
+#: that underflow; it holds for every coordinate up to 1e20 in magnitude.
+#: A determinant past its bound has the exact sign.
+_U = 2.0 ** -53
+_ORIENT_ERR = (3.0 + 16.0 * _U) * _U
+_INCIRCLE_ERR = (10.0 + 96.0 * _U) * _U
+_TINY = 2.0 ** -900
 
 #: Points in the first BRIO round; each later round doubles (see brio_order).
 _BRIO_FIRST = 64
 
 #: Seed of the fixed permutation that draws the BRIO rounds.
 _BRIO_SEED = 0
+
+
+def _integers(*coords: float) -> List[int]:
+    """``coords`` scaled by one shared power of two into integers."""
+    ratios = [x.as_integer_ratio() for x in coords]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
+
+
+def _orient(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> float:
+    """A number with the exact sign of ``(b - a) x (c - a)``.
+
+    Positive when ``a, b, c`` turn counter-clockwise, zero when they are
+    collinear.
+    """
+    left = (bx - ax) * (cy - ay)
+    right = (by - ay) * (cx - ax)
+    det = left - right
+    if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)) + _TINY:
+        return det
+    ax, ay, bx, by, cx, cy = _integers(ax, ay, bx, by, cx, cy)
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def _incircle_exact(
+    ax: float, ay: float, bx: float, by: float,
+    cx: float, cy: float, px: float, py: float,
+) -> int:
+    """The in-circle determinant of ``(a, b, c)`` against ``p``, in integers.
+
+    Positive when ``p`` is inside the circle through a counter-clockwise
+    ``a, b, c``, zero when it is on it.
+    """
+    ax, ay, bx, by, cx, cy, px, py = _integers(ax, ay, bx, by, cx, cy, px, py)
+    adx, ady = ax - px, ay - py
+    bdx, bdy = bx - px, by - py
+    cdx, cdy = cx - px, cy - py
+    return (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+
+
+def _dedup_tolerance(tol: float) -> float:
+    """``tol`` as a float, checked to be finite and not negative."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(
+            f"dedup tolerance must be finite and >= 0, got {tol}"
+        )
+    return tol
 
 
 class _VertexGrid:
@@ -224,6 +244,7 @@ class _VertexGrid:
         return None
 
 
+
 class DelaunayTriangulation:
     """A planar Delaunay triangulation supporting incremental insertion.
 
@@ -234,7 +255,8 @@ class DelaunayTriangulation:
     dedup_tol:
         Two points closer than this are considered the same vertex;
         re-inserting one raises :class:`DuplicatePointError` unless
-        ``skip_duplicates`` is set.
+        ``skip_duplicates`` is set. Must be finite and not negative; at
+        ``0`` only exact duplicates match.
     skip_duplicates:
         When true, inserting a duplicate silently returns the index of the
         existing vertex instead of raising.
@@ -251,7 +273,7 @@ class DelaunayTriangulation:
         skip_duplicates: bool = False,
         span: float = 1e6,
     ) -> None:
-        self._dedup_tol = float(dedup_tol)
+        self._dedup_tol = _dedup_tolerance(dedup_tol)
         self._skip_duplicates = bool(skip_duplicates)
 
         # Deliberately asymmetric super-triangle to dodge degeneracies with
@@ -261,7 +283,7 @@ class DelaunayTriangulation:
             (3.61 * span, -3.07 * span),
             (0.13 * span, 3.79 * span),
         ]
-        # Tie-break priority of each vertex (see _incircle): the super
+        # Tie-break priority of each vertex (see _bad): the super
         # vertices rank below every real one.
         self._prio: List[float] = [-3.0, -2.0, -1.0]
         # Hash grid over the real vertices for find_vertex.
@@ -269,21 +291,12 @@ class DelaunayTriangulation:
             self._dedup_tol if self._dedup_tol > 0 else 1.0
         )
 
-        # Live triangles by creation id (dict order is creation order) and
-        # their neighbour slots: the ids across (a, b), (b, c) and (c, a),
-        # -1 for none. The slots are kept only while _local.
-        self._tris: Dict[int, _Tri] = {}
+        # Live triangles (a, b, c), counter-clockwise, by creation id (dict
+        # order is creation order), and their neighbour slots: the ids
+        # across (a, b), (b, c) and (c, a), -1 across a super-triangle edge.
+        self._tris: Dict[int, Tuple[int, int, int]] = {}
         self._nbr: Dict[int, List[int]] = {}
         self._next_id = 0
-        # The walk and the grown cavity are trusted while every step so far
-        # was a clean Bowyer-Watson step. False for good once a step made
-        # a flat or clockwise triangle, a sliver, a triangle whose cached
-        # circle misses its vertices or whose tie window is wider than its
-        # shortest edge (see _SLIVER), had a cavity that is not a disk, or
-        # a fan that is not one closed ring (two fan triangles starting or
-        # ending at one border vertex); from then on every insert scans
-        # all triangles (see _scan) and the slots are dropped.
-        self._local = True
         # Ids of the triangles the last insert created (see new_triangles).
         self._new_ids = range(0)
         self._simplices_cache: Optional[np.ndarray] = None
@@ -328,7 +341,7 @@ class DelaunayTriangulation:
         """
         if self._simplices_cache is None:
             tris = self._tris
-            rows = chain.from_iterable(map(itemgetter(0, 1, 2), tris.values()))
+            rows = chain.from_iterable(tris.values())
             simp = np.fromiter(rows, dtype=int, count=3 * len(tris))
             simp = simp.reshape(-1, 3)
             simp = simp[simp.min(axis=1) >= _N_SUPER] - _N_SUPER
@@ -346,7 +359,7 @@ class DelaunayTriangulation:
         that only touches the super-triangle).
         """
         tris = self._tris
-        rows = [tris[t][:3] for t in self._new_ids]
+        rows = [tris[t] for t in self._new_ids]
         simp = np.array(rows, dtype=int).reshape(-1, 3)
         return simp[simp.min(axis=1) >= _N_SUPER] - _N_SUPER
 
@@ -363,12 +376,14 @@ class DelaunayTriangulation:
     def insert(self, point: PointLike) -> int:
         """Insert ``point``; return its public vertex index.
 
-        The point's tie-break priority (see :meth:`_incircle`) is its
-        public index: it ranks above every vertex already there, so each
-        tie resolves with the new point outside.
+        The point's tie-break priority (see :meth:`_bad`) is its public
+        index: it ranks above every vertex already there, so each tie
+        resolves with the new point outside.
 
         Raises :class:`DuplicatePointError` on (near-)duplicate input unless
-        the triangulation was built with ``skip_duplicates=True``.
+        the triangulation was built with ``skip_duplicates=True``, and
+        :class:`ValueError` for a point that is not finite or not strictly
+        inside the super-triangle.
         """
         p = Point2.of(point)
         px, py = p.x, p.y
@@ -387,22 +402,14 @@ class DelaunayTriangulation:
 
         Priorities must be distinct. With every point given its index in
         one fixed order as priority, the insertion order does not change
-        the triangles (within the limits set out in :meth:`_incircle`).
-        The point is not added to the :meth:`find_vertex` grid: callers
-        that insert here dedup on their own (see :func:`delaunay_mesh`).
+        the triangles. The point is not added to the :meth:`find_vertex`
+        grid: callers that insert here dedup on their own (see
+        :func:`delaunay_mesh`).
         """
-        local = self._local
-        start = self._walk(px, py) if local else None
-        if (
-            start is not None
-            and self._incircle(self._tris[start], px, py, prio) > 0
-        ):
-            cavity = self._grow_cavity(start, px, py, prio)
-        else:
-            cavity = self._scan(px, py, prio)
-        if not cavity:
-            # Outside every closed circumdisk: only possible when the
-            # point is outside the super-triangle.
+        start = None
+        if math.isfinite(px) and math.isfinite(py):
+            start = self._walk(px, py)
+        if start is None:
             raise ValueError(
                 f"point {Point2(px, py)} is outside the triangulation's "
                 "working area; construct DelaunayTriangulation with a "
@@ -412,34 +419,21 @@ class DelaunayTriangulation:
         # Cavity border, interior on the left, in the order of the
         # (a,b) (b,c) (c,a) scan of the cavity: the edges whose other
         # side is not in the cavity. Each carries the triangle across it
-        # and the cavity triangle it came from (-1, -1 without slots).
+        # and the cavity triangle it came from.
         tris = self._tris
+        nbr = self._nbr
+        cavity = self._grow_cavity(start, px, py, prio)
+        inner = set(cavity)
         boundary: List[Tuple[int, int, int, int]] = []
-        if local:
-            nbr = self._nbr
-            inner = set(cavity)
-            for t in cavity:
-                a, b, c = tris.pop(t)[:3]
-                n0, n1, n2 = nbr.pop(t)
-                if n0 not in inner:
-                    boundary.append((a, b, n0, t))
-                if n1 not in inner:
-                    boundary.append((b, c, n1, t))
-                if n2 not in inner:
-                    boundary.append((c, a, n2, t))
-        else:
-            # Without slots an edge is inner when the scan meets it twice.
-            border: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-            for t in cavity:
-                a, b, c = tris.pop(t)[:3]
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (u, v) if u < v else (v, u)
-                    border[key] = None if key in border else (u, v)
-            boundary = [(*e, -1, -1) for e in border.values() if e is not None]
-        if len(boundary) != len(cavity) + 2:
-            # Not a disk triangulated without inner vertices: the cavity
-            # has a hole, is split, or swallows a vertex.
-            self._local = False
+        for t in cavity:
+            a, b, c = tris.pop(t)
+            n0, n1, n2 = nbr.pop(t)
+            if n0 not in inner:
+                boundary.append((a, b, n0, t))
+            if n1 not in inner:
+                boundary.append((b, c, n1, t))
+            if n2 not in inner:
+                boundary.append((c, a, n2, t))
 
         index = len(self._verts)
         self._verts.append((px, py))
@@ -452,112 +446,56 @@ class DelaunayTriangulation:
     def _walk(self, px: float, py: float) -> Optional[int]:
         """The triangle containing ``(px, py)``, found by a visibility walk.
 
-        Starts at the last-created triangle and crosses any edge the point
-        lies strictly to the right of. Returns ``None`` when the walk
-        leaves the super-triangle or does not settle within one step per
-        triangle.
+        Starts at the last-created triangle and crosses an edge the point
+        lies strictly to the right of. A point on an edge of the
+        super-triangle crosses it too. Returns ``None`` when the walk leaves
+        the super-triangle. On a Delaunay triangulation with exact
+        orientation tests the walk cannot cycle (Edelsbrunner 1990).
         """
         tris = self._tris
         nbr = self._nbr
         verts = self._verts
         t = self._next_id - 1
-        for _ in range(len(tris) + 1):
-            a, b, c = tris[t][:3]
+        while t >= 0:
+            a, b, c = tris[t]
             ax, ay = verts[a]
             bx, by = verts[b]
             cx, cy = verts[c]
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0.0:
-                t = nbr[t][0]
-            elif (cx - bx) * (py - by) - (cy - by) * (px - bx) < 0.0:
-                t = nbr[t][1]
-            elif (ax - cx) * (py - cy) - (ay - cy) * (px - cx) < 0.0:
-                t = nbr[t][2]
-            else:
-                return t
-            if t < 0:
-                return None
+            n0, n1, n2 = nbr[t]
+            side = _orient(ax, ay, bx, by, px, py)
+            if side < 0 or (side == 0 and n0 < 0):
+                t = n0
+                continue
+            side = _orient(bx, by, cx, cy, px, py)
+            if side < 0 or (side == 0 and n1 < 0):
+                t = n1
+                continue
+            side = _orient(cx, cy, ax, ay, px, py)
+            if side < 0 or (side == 0 and n2 < 0):
+                t = n2
+                continue
+            return t
         return None
 
-    def _incircle(self, tri: _Tri, px: float, py: float, prio: float) -> int:
-        """In-circle test of ``(px, py)``, priority ``prio``, against ``tri``.
+    def _bad(
+        self, tri: Tuple[int, int, int], px: float, py: float, prio: float
+    ) -> bool:
+        """Whether ``(px, py)`` at priority ``prio`` conflicts with ``tri``.
 
-        ``1`` when the triangle is bad: its circumcircle strictly contains
-        the point, or the point is on it and the tie rule below says
-        inside. ``0`` when it is not bad but ``r^2 - d^2`` is within the
-        window ``threshold + band`` of zero (or the triangle is flat), and
-        ``-1`` when the point is clearly outside.
+        True when the triangle's circumcircle strictly contains the point,
+        or the point is exactly on it and the tie rule below says inside.
 
         Tie rule, a symbolic perturbation keyed on the priorities: each
         vertex's lifted height ``x^2 + y^2`` is raised by an infinitesimal
-        that dominates every lower priority's. When the scalar predicate
-        says tie (``|det| <= EPSILON``) and the query ranks highest of the
-        four points, raising it puts it outside. Otherwise the triangle's
-        highest vertex ``v`` decides: raising ``v`` lifts the circle's
-        plane on ``v``'s side of the opposite edge, so the triangle is bad
-        iff the query lies strictly on that side. A consistent perturbation
-        leaves one Delaunay triangulation, so the triangles do not depend
-        on the order the points were inserted in. It is consistent only
-        while every quadruple within ``EPSILON`` is truly cocircular and
-        no insert reaches the closed-circumdisk step of :meth:`_scan`,
-        which ignores priorities. ``EPSILON`` is absolute, so on finer
-        lattices than ~0.005, on points jittered by ~1e-10 or with a
-        vertex within ~1e-8 of another, near-ties that are not ties can
-        make the triangles depend on the order.
-
-        Tests cached circumcircle parameters: the scalar in-circle
-        determinant satisfies ``orient_det * incircle_det = |2A| *
-        (r^2 - d^2)`` in exact arithmetic, so the predicate's
-        ``incircle_det > EPSILON`` rule (with its orientation adjustment)
-        becomes ``r^2 - d^2 > EPSILON / |2A|``. The two formulations round
-        differently, so queries landing inside a conservative relative
-        error band around the threshold (the triangle's band factor, see
-        ``_CC_BAND``, times ``r^2 + d^2``, the magnitudes the cached
-        subtraction cancels between) are re-tested with the exact
-        determinant of the scalar
-        predicate — the decision is *always* the scalar predicate's, the
-        cache only filters the clear cases. The band matters: a query on
-        a chord of a super-triangle-sized circumcircle is inside by a
-        margin of ~1 against r^2 ~ 1e13, far below any fixed relative
-        fudge. Flat (orient == 0) triangles are never bad.
+        that dominates every lower priority's. When the query ranks
+        highest of the four points, raising it puts it outside. Otherwise
+        the triangle's highest vertex ``v`` decides: raising ``v`` lifts
+        the circle's plane on ``v``'s side of the opposite edge, so the
+        triangle is bad iff the query lies strictly on that side. A
+        consistent perturbation leaves one Delaunay triangulation, so the
+        triangles do not depend on the order the points were inserted in.
         """
-        a, b, c, orient, ux, uy, r2, thr, bw = tri
-        if orient == 0:
-            return 0
-        dx = ux - px
-        dy = uy - py
-        d2 = dx * dx + dy * dy
-        lhs = r2 - d2
-        band = bw * (r2 + d2)
-        if lhs > thr + band:
-            return 1
-        if not lhs > -thr - band:
-            return -1
-        det = self._incircle_det(a, b, c, px, py)
-        if orient < 0:
-            det = -det
-        if det > EPSILON:
-            return 1
-        if det < -EPSILON:
-            return 0
-        prios = self._prio
-        pa, pb, pc = prios[a], prios[b], prios[c]
-        if prio > pa and prio > pb and prio > pc:
-            return 0
-        if pa > pb and pa > pc:
-            u, v = b, c
-        elif pb > pc:
-            u, v = c, a
-        else:
-            u, v = a, b
-        # The highest vertex is left of u -> v when orient > 0.
-        verts = self._verts
-        ax, ay = verts[u]
-        bx, by = verts[v]
-        side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        return 1 if side * orient > 0 else 0
-
-    def _incircle_det(self, a: int, b: int, c: int, px: float, py: float) -> float:
-        """The in-circle determinant of the scalar predicate, same term order."""
+        a, b, c = tri
         verts = self._verts
         ax, ay = verts[a]
         bx, by = verts[b]
@@ -565,198 +503,104 @@ class DelaunayTriangulation:
         adx, ady = ax - px, ay - py
         bdx, bdy = bx - px, by - py
         cdx, cdy = cx - px, cy - py
-        return (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+        bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+        cdxady, adxcdy = cdx * ady, adx * cdy
+        adxbdy, bdxady = adx * bdy, bdx * ady
+        alift = adx * adx + ady * ady
+        blift = bdx * bdx + bdy * bdy
+        clift = cdx * cdx + cdy * cdy
+        det = (
+            alift * (bdxcdy - cdxbdy)
+            + blift * (cdxady - adxcdy)
+            + clift * (adxbdy - bdxady)
         )
+        bound = _INCIRCLE_ERR * (
+            alift * (abs(bdxcdy) + abs(cdxbdy))
+            + blift * (abs(cdxady) + abs(adxcdy))
+            + clift * (abs(adxbdy) + abs(bdxady))
+        ) + _TINY
+        if det > bound:
+            return True
+        if det < -bound:
+            return False
+        exact = _incircle_exact(ax, ay, bx, by, cx, cy, px, py)
+        if exact:
+            return exact > 0
+        prios = self._prio
+        pa, pb, pc = prios[a], prios[b], prios[c]
+        if prio > pa and prio > pb and prio > pc:
+            return False
+        if pa > pb and pa > pc:
+            u, v = b, c
+        elif pb > pc:
+            u, v = c, a
+        else:
+            u, v = a, b
+        # The highest vertex is left of u -> v. The point is on neither
+        # side only when it is u or v: a line meets a circle twice.
+        return _orient(*verts[u], *verts[v], px, py) > 0
 
     def _grow_cavity(
         self, start: int, px: float, py: float, prio: float
     ) -> List[int]:
-        """Bad triangles reachable from ``start``, sorted by creation id.
+        """The bad triangles, sorted by creation id.
 
-        Grows through edge neighbours. A bad neighbour joins the cavity; a
-        flat one, or one within the tie window of :meth:`_incircle` that
-        is not bad, is passed through without joining: a scan over every
-        triangle would also find bad triangles behind such a neighbour.
+        ``start`` holds the point, so it is bad; the bad triangles form a
+        disk around it, so they are the ones reached through bad
+        neighbours.
         """
         tris = self._tris
         nbr = self._nbr
-        incircle = self._incircle
+        bad = self._bad
         cavity = [start]
         seen = {start, -1}  # -1: no triangle across the edge
         todo = [start]
         while todo:
             for n in nbr[todo.pop()]:
-                if n in seen:
-                    continue
-                seen.add(n)
-                test = incircle(tris[n], px, py, prio)
-                if test >= 0:
-                    todo.append(n)
-                    if test:
+                if n not in seen:
+                    seen.add(n)
+                    if bad(tris[n], px, py, prio):
                         cavity.append(n)
+                        todo.append(n)
         cavity.sort()
         return cavity
-
-    def _scan(self, px: float, py: float, prio: float) -> List[int]:
-        """Every bad triangle, in creation order: the fallback cavity.
-
-        Bad is :meth:`_incircle`'s verdict, tie rule included. When no
-        triangle is bad the point ties with every circle around it and
-        ranks above their vertices: it is within rounding of a vertex
-        (closer than the determinant resolves, yet beyond the dedup
-        tolerance). The closed-circumdisk cavity is still a valid
-        Bowyer–Watson step, so the scan retries non-strictly with the
-        exact determinant; flat triangles stay out. An empty result means
-        the point is outside the super-triangle.
-        """
-        tris = self._tris
-        incircle = self._incircle
-        bad = [t for t, tri in tris.items() if incircle(tri, px, py, prio) > 0]
-        if bad:
-            return bad
-        closed = []
-        for t, (a, b, c, orient, *_) in tris.items():
-            if orient == 0:
-                continue
-            det = self._incircle_det(a, b, c, px, py)
-            if (det >= -EPSILON) if orient > 0 else (-det >= -EPSILON):
-                closed.append(t)
-        return closed
 
     def _add_fan(self, boundary: List[Tuple[int, int, int, int]], c: int) -> None:
         """Create triangle ``(u, v, c)`` for each border edge, in order.
 
         Each border edge ``(u, v, n, t)`` names the triangle ``n`` across
         it and the removed triangle ``t`` whose slot it was. Each new
-        triangle gets the next creation id and caches its orientation sign
-        and circumcircle for :meth:`_incircle`. The orientation is the
-        scalar predicate's formula and EPSILON, inlined. While ``_local``,
-        the new triangle takes ``n`` as its neighbour across ``(u, v)``,
-        ``n`` takes it in place of ``t``, and the fan triangles are linked
-        around ``c``: the one across ``(v, c)`` is the one whose border
-        edge starts at ``v``.
+        triangle gets the next creation id and takes ``n`` as its
+        neighbour across ``(u, v)``, ``n`` takes it in place of ``t``, and
+        the fan triangles are linked around ``c``: the one across
+        ``(v, c)`` is the one whose border edge starts at ``v``.
         """
-        verts = self._verts
         tris = self._tris
         nbr = self._nbr
-        local = self._local
         # Fan triangle by the border vertex its edge starts / ends at.
         starts: Dict[int, int] = {}
         ends: Dict[int, int] = {}
-        links = 0
-        limit = _MISS * _MISS
-        cx, cy = verts[c]
         t = self._next_id
         for a, b, n, old in boundary:
-            ax, ay = verts[a]
-            bx, by = verts[b]
-            det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if det < -EPSILON:
-                # Only a cavity that is not star-shaped around c makes a
-                # clockwise triangle.
-                local = False
-                a, b = b, a
-                ax, ay, bx, by = bx, by, ax, ay
-                # Orientation of the *stored* (swapped) triple, recomputed:
-                # this is exactly what the scalar in-circle predicate sees.
-                det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if det > EPSILON or det < -EPSILON:
-                # Circumcircle: centre, radius^2, the strictness threshold
-                # EPSILON / |2A| (the in-circle determinant divided by the
-                # doubled signed area equals r^2 - d^2 in exact
-                # arithmetic) and the band factor of _incircle. The
-                # centre is solved relative to the vertex at the largest
-                # angle, so its rounding scales with the edges, not with
-                # the coordinates (see _CC_BAND).
-                ex, ey = bx - ax, by - ay
-                fx, fy = cx - bx, cy - by
-                gx, gy = ax - cx, ay - cy
-                e2 = ex * ex + ey * ey
-                f2 = fx * fx + fy * fy
-                g2 = gx * gx + gy * gy
-                if f2 >= e2 and f2 >= g2:
-                    ox, oy, px, py, qx, qy = ax, ay, ex, ey, -gx, -gy
-                    k2 = e2 * g2
-                elif g2 >= e2:
-                    ox, oy, px, py, qx, qy = bx, by, fx, fy, -ex, -ey
-                    k2 = e2 * f2
-                else:
-                    ox, oy, px, py, qx, qy = cx, cy, gx, gy, -fx, -fy
-                    k2 = f2 * g2
-                p2 = px * px + py * py
-                q2 = qx * qx + qy * qy
-                d = 2.0 * (px * qy - py * qx)
-                rx = (qy * p2 - py * q2) / d
-                ry = (px * q2 - qx * p2) / d
-                ux = ox + rx
-                uy = oy + ry
-                r2 = rx * rx + ry * ry
-                thr = EPSILON / abs(det)
-                # 1 / sin^2 of the largest angle: past _KAPPA2_MAX the
-                # determinant decides every query (band factor inf).
-                k2 /= det * det
-                if k2 > _KAPPA2_MAX:
-                    bw = math.inf
-                else:
-                    bw = _CC_BAND * (
-                        1.0 + (abs(ux) + abs(uy)) / math.sqrt(r2) + 16.0 * k2
-                    )
-                tri = (a, b, c, 1 if det > 0 else -1, ux, uy, r2, thr, bw)
-                # How far the cached circle misses b and c, against
-                # _MISS * r * (each edge length).
-                sx, sy = bx - ux, by - uy
-                tx, ty = cx - ux, cy - uy
-                m1 = sx * sx + sy * sy - r2
-                m2 = tx * tx + ty * ty - r2
-                miss2 = max(m1 * m1, m2 * m2)
-                k = limit * r2
-                if (
-                    thr > _SLIVER * r2
-                    or miss2 > k * e2
-                    or miss2 > k * f2
-                    or miss2 > k * g2
-                    or thr * thr > 4.0 * r2 * min(e2, f2, g2)
-                ):
-                    local = False
-            else:
-                # Degenerate triangle: no finite circumcircle, never bad.
-                tri = (a, b, c, 0, 0.0, 0.0, -math.inf, 0.0, 0.0)
-                local = False
-            tris[t] = tri
-            if local:
-                if a in starts or b in ends:
-                    local = False
-                else:
-                    slots = [n, -1, -1]
-                    if n >= 0:
-                        slots_n = nbr[n]
-                        slots_n[slots_n.index(old)] = t
-                    s = starts.get(b)
-                    if s is not None:
-                        slots[1] = s
-                        nbr[s][2] = t
-                        links += 1
-                    e = ends.get(a)
-                    if e is not None:
-                        slots[2] = e
-                        nbr[e][1] = t
-                        links += 1
-                    starts[a] = t
-                    ends[b] = t
-                    nbr[t] = slots
+            tris[t] = (a, b, c)
+            slots = [n, -1, -1]
+            if n >= 0:
+                slots_n = nbr[n]
+                slots_n[slots_n.index(old)] = t
+            s = starts.get(b)
+            if s is not None:
+                slots[1] = s
+                nbr[s][2] = t
+            e = ends.get(a)
+            if e is not None:
+                slots[2] = e
+                nbr[e][1] = t
+            starts[a] = t
+            ends[b] = t
+            nbr[t] = slots
             t += 1
-        if links != len(boundary) and c >= _N_SUPER:
-            # The fan is not one closed ring (the super-triangle alone has
-            # no neighbours to link).
-            local = False
-        if not local:
-            nbr.clear()
         self._new_ids = range(self._next_id, t)
         self._next_id = t
-        self._local = local
 
     # ------------------------------------------------------------------
     # Queries
@@ -815,25 +659,6 @@ class DelaunayTriangulation:
         unique = np.unique(pairs, axis=0)
         return [(int(u), int(v)) for u, v in unique]
 
-    def is_delaunay(self, eps: float = 1e-7) -> bool:
-        """Verify the empty-circumcircle property over real triangles.
-
-        O(m·n) and deliberately evaluated with the *scalar*
-        :func:`~repro.geometry.predicates.incircle` one triangle at a time,
-        so it shares no code with the cached insertion test. Intended for
-        tests and assertions, not hot paths. Cocircular configurations
-        count as valid.
-        """
-        pts = self.points
-        for tri in self.triangles:
-            pa, pb, pc = pts[tri.a], pts[tri.b], pts[tri.c]
-            for i in range(self.n_points):
-                if tri.has_vertex(i):
-                    continue
-                if incircle(pa, pb, pc, pts[i], eps=eps) > 0:
-                    return False
-        return True
-
     def __len__(self) -> int:
         return self.n_points
 
@@ -877,7 +702,8 @@ def _dedup_kept(points: np.ndarray, tol: float) -> np.ndarray:
     both coordinate differences ``abs(dx)``, ``abs(dy)`` are ``<= tol``
     and ``dx * dx + dy * dy <= tol * tol``, the test of
     :meth:`DelaunayTriangulation.find_vertex`. Non-finite points are
-    always kept and match nothing; ``tol`` must be finite.
+    always kept and match nothing; ``tol`` must be finite and not
+    negative.
 
     The candidate pairs come from sorted searches, not a per-point loop:
     the points are sorted by ``(x, y)`` and each point looks, for every
@@ -887,12 +713,11 @@ def _dedup_kept(points: np.ndarray, tol: float) -> np.ndarray:
     settled one by one in input order, since a partner only counts if it
     was kept itself.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"dedup tolerance must be finite, got {tol}")
+    tol = _dedup_tolerance(tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
     fin = np.flatnonzero(np.isfinite(pts).all(axis=1))
-    if tol < 0 or len(fin) < 2:
+    if len(fin) < 2:
         return np.arange(n)
     x = pts[fin, 0]
     y = pts[fin, 1]
@@ -958,18 +783,17 @@ def delaunay_mesh(
     drops them. The kept points are inserted in :func:`brio_order`, each
     with its index among the kept points as its tie-break priority, so the
     triangles are the ones the in-order build makes, whatever the order
-    (within the limits of the tie rule, see
-    :meth:`DelaunayTriangulation._incircle`).
+    (see :meth:`DelaunayTriangulation._bad`).
 
     Returns ``(kept, simplices)``: the input indices of the kept points,
     ascending, and the triangles over ``points[kept]`` in the canonical
     form of :func:`canonical_simplices`.
     """
+    tri = DelaunayTriangulation(dedup_tol=dedup_tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kept_idx = _dedup_kept(pts, float(dedup_tol))
+    kept_idx = _dedup_kept(pts, tri._dedup_tol)
     unique = pts[kept_idx]
     order = brio_order(unique)
-    tri = DelaunayTriangulation(dedup_tol=dedup_tol)
     for i, (x, y) in zip(order.tolist(), unique[order].tolist()):
         tri._insert_new(x, y, i)
     return kept_idx, canonical_simplices(order[tri.simplices])

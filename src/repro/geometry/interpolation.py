@@ -91,8 +91,7 @@ class LinearSurfaceInterpolator:
         triangulation internally with
         :func:`repro.geometry.delaunay.delaunay_mesh` (duplicates
         collapsed, the first value kept; the triangles, in canonical
-        order, depend only on the point set wherever the in-circle tie
-        rule is consistent, see :func:`delaunay_mesh`).
+        order, depend only on the point set, see :func:`delaunay_mesh`).
     extrapolate:
         ``"clamp"`` (default) extends the surface outside the sample hull via
         clamped barycentric coordinates; ``"nan"`` returns NaN there.

@@ -1,11 +1,12 @@
 """Planar geometric predicates.
 
-These are the decision procedures under the Delaunay machinery: orientation
-(which side of a line), in-circle (Delaunay's empty-circumcircle test) and
-point-in-triangle. They are written against plain floats with an explicit
-epsilon, which is adequate for the paper's workloads (integer-ish grid
-coordinates in a 100x100 region); the test suite includes adversarial
-near-degenerate cases to pin down the tolerance behaviour.
+Orientation (which side of a line), in-circle (the empty-circumcircle
+test), point-in-triangle and their relatives, written against plain floats
+with an absolute tolerance ``eps``: a determinant within ``eps`` of zero
+counts as zero. They serve the convex hull, point location and the
+barycentric weights. The Delaunay kernel does not use them: it decides
+with exact predicates of its own (:mod:`repro.geometry.delaunay`), since
+a tolerance cannot tell a near-tie from a tie.
 """
 
 from __future__ import annotations

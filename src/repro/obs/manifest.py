@@ -216,7 +216,7 @@ class RunManifest:
     started_at: str = ""
     finished_at: str = ""
     duration_s: float = 0.0
-    status: str = "complete"  # "complete" | "failed"
+    status: str = "complete"  # "complete" | "failed" | "cancelled" | "running"
     round_count: int = 0
     final_delta: Optional[float] = None
     #: Scalar counter/gauge totals from the run's final metrics snapshot

@@ -12,7 +12,9 @@ machine. It is deliberately *not* the durable store: durability lives in
 the run registry (:mod:`repro.obs.registry`) — every executed job lands
 a :class:`~repro.obs.manifest.RunManifest` under the runs root, and
 :meth:`JobRegistry.recover` rebuilds the terminal jobs from those
-manifests on restart. A job that never started has no run directory and
+manifests on restart. A run writes a ``running`` manifest before it
+starts, so a job whose worker died mid-run comes back as ``failed`` and
+can be resumed. A job that never started has no run directory and
 therefore (correctly) does not survive a restart: nothing about it is
 durable.
 
@@ -64,11 +66,14 @@ TRANSITIONS: Dict[str, FrozenSet[str]] = {
     CANCELLED: frozenset({QUEUED}),
 }
 
-#: Manifest ``status`` → job state, for :meth:`JobRegistry.recover`.
+#: Manifest ``status`` → job state, for :meth:`JobRegistry.recover`. A
+#: ``running`` manifest outlived its run: the process died before the
+#: final manifest replaced it.
 _MANIFEST_STATES: Dict[str, str] = {
     "complete": DONE,
     "failed": FAILED,
     "cancelled": CANCELLED,
+    "running": FAILED,
 }
 
 
@@ -235,8 +240,8 @@ class JobRegistry:
 
         Exactly the durable jobs come back: one record per readable
         manifest whose status maps to a job state (``complete`` →
-        ``done``, ``failed`` → ``failed``, ``cancelled`` →
-        ``cancelled``), ordered by ``started_at``. Unreadable manifests
+        ``done``, ``failed`` and ``running`` → ``failed``, ``cancelled``
+        → ``cancelled``), ordered by ``started_at``. Unreadable manifests
         and unknown statuses are skipped — recovery must never refuse to
         start the server over one corrupt run.
         """
@@ -254,4 +259,6 @@ class JobRegistry:
             )
             record.state = state
             record.recovered = True
+            if manifest.status == "running":
+                record.error = "the run stopped before its final manifest"
         return registry

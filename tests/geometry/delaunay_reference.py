@@ -9,21 +9,109 @@ that.
 
 Storage is struct-of-arrays with a per-slot liveness mask; dead slots are
 compacted away (creation order kept) once they outnumber the live ones.
-``_bad_triangle_slots`` evaluates the scalar predicate's in-circle
-determinant on every live triangle, so each decision is the scalar
-predicate's by construction; the production class filters with cached
-circumcircles and must agree with it.
+``_bad_triangle_slots`` decides every live triangle exactly, with a
+predicate written apart from the kernel's: a float determinant, and
+``fractions.Fraction`` for every one within a wide margin of zero
+(:func:`exact_incircle`). The new point ranks above every vertex, so an
+exact tie is "outside".
+
+The module also holds the exact empty-circumcircle check
+(:func:`is_delaunay`) and the near-tie lattices the tests share.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.delaunay import DuplicatePointError, _VertexGrid
-from repro.geometry.predicates import EPSILON
 from repro.geometry.primitives import Point2, PointLike
+
+
+def exact_orient(a: PointLike, b: PointLike, c: PointLike) -> int:
+    """The sign of ``(b - a) x (c - a)``, in rational arithmetic."""
+    (ax, ay), (bx, by), (cx, cy) = (map(Fraction, p) for p in (a, b, c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def exact_incircle(a: PointLike, b: PointLike, c: PointLike, d: PointLike) -> int:
+    """The sign of ``d`` against the circle through ``a, b, c``, rationally.
+
+    ``+1`` inside, ``0`` on, ``-1`` outside when ``a, b, c`` turn
+    counter-clockwise (the opposite signs when they turn clockwise).
+    """
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = (
+        map(Fraction, p) for p in (a, b, c, d)
+    )
+    rows = [(x - dx, y - dy) for x, y in ((ax, ay), (bx, by), (cx, cy))]
+    (p, q), (r, s), (t, u) = rows
+    det = (
+        (p * p + q * q) * (r * u - t * s)
+        - (r * r + s * s) * (p * u - t * q)
+        + (t * t + u * u) * (p * s - r * q)
+    )
+    return (det > 0) - (det < 0)
+
+
+def is_delaunay(tri) -> bool:
+    """Exact empty-circumcircle check of ``tri``'s real triangles.
+
+    Every real triangle must be counter-clockwise and no real vertex may
+    lie strictly inside its circumcircle; a vertex on it is allowed
+    (cocircular input has several Delaunay triangulations). O(m·n) in
+    rational arithmetic: for tests only.
+    """
+    pts = [tuple(map(float, p)) for p in tri.points]
+    for a, b, c in tri.simplices.tolist():
+        pa, pb, pc = pts[a], pts[b], pts[c]
+        if exact_orient(pa, pb, pc) <= 0:
+            return False
+        for i, q in enumerate(pts):
+            if i not in (a, b, c) and exact_incircle(pa, pb, pc, q) > 0:
+                return False
+    return True
+
+
+def square_lattice(n, spacing, offset):
+    """``n x n`` points, row-major, ``spacing`` apart from ``(offset, offset)``."""
+    return np.array(
+        [(offset + spacing * x, offset + spacing * y)
+         for y in range(n) for x in range(n)]
+    )
+
+
+def near_tie_lattice(kind, seed):
+    """A row-major 7 x 7 lattice whose near-ties an absolute tolerance mixes up.
+
+    ``"fine"`` has spacing 0.001 and ``"jitter"`` spacing 0.1 with every
+    point moved by up to 1e-10: near-ties an absolute tolerance of 1e-9
+    cannot tell from ties. ``"near"`` has spacing 1 and, right after a
+    vertex in the middle rows, a point 1.2e-8 from it. Each is offset by a
+    seeded draw.
+    """
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(-50.0, 50.0, size=2)
+    spacing = {"fine": 0.001, "near": 1.0, "jitter": 0.1}[kind]
+    pts = offset + square_lattice(7, spacing, 0.0)
+    if kind == "near":
+        v = int(rng.integers(10, 40))
+        near = pts[v] + 1.2e-8 * np.array([0.6, 0.8])
+        pts = np.vstack([pts[: v + 1], near, pts[v + 1:]])
+    elif kind == "jitter":
+        pts = pts + rng.uniform(-1e-10, 1e-10, size=pts.shape)
+    return pts
+
+
+def near_vertex_lattice():
+    """A 7x7 lattice of spacing 0.005 plus one point 1.2e-8 from a vertex."""
+    g = np.arange(7) * 0.005
+    xx, yy = np.meshgrid(g, g)
+    lattice = np.c_[xx.ravel(), yy.ravel()]
+    lattice += (22.965544642994402, -32.4344379397441)
+    return np.vstack([lattice, [22.985544631399293, -32.43443794283496]])
 
 
 #: Number of synthetic super-triangle vertices kept at internal indices 0..2.
@@ -79,16 +167,11 @@ class ReferenceDelaunayTriangulation:
             self._append_vertex(x, y)
 
         # Triangle store: slot-indexed parallel arrays, first _nt slots
-        # allocated, live ones flagged in _tri_live. _tri_orient caches the
-        # orientation sign of the *stored* vertex triple (+1 CCW, 0
-        # numerically flat) so the vectorised in-circle scan can reproduce
-        # the scalar predicate's degenerate-triangle handling exactly, and
-        # _tri_xy caches the six vertex coordinates per slot (one
-        # contiguous row per coordinate) so the scan needs no per-insert
-        # index gather.
+        # allocated, live ones flagged in _tri_live. _tri_xy caches the six
+        # vertex coordinates per slot (one contiguous row per coordinate)
+        # so the scan needs no per-insert index gather.
         self._tri_buf = np.zeros((_INITIAL_CAPACITY, 3), dtype=np.int64)
         self._tri_live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
-        self._tri_orient = np.zeros(_INITIAL_CAPACITY, dtype=np.int8)
         self._tri_xy = np.zeros((6, _INITIAL_CAPACITY), dtype=float)
         self._nt = 0
         self._n_live = 0
@@ -113,17 +196,13 @@ class ReferenceDelaunayTriangulation:
         self._nv += 1
         return self._nv - 1
 
-    def _pop_vertex(self) -> None:
-        self._nv -= 1
-        self._vert_list.pop()
-
     def _grow_triangle_buffers(self, needed: int) -> None:
         cap = len(self._tri_buf)
         while cap < needed:
             cap *= 2
         if cap == len(self._tri_buf):
             return
-        for name in ("_tri_buf", "_tri_live", "_tri_orient"):
+        for name in ("_tri_buf", "_tri_live"):
             old = getattr(self, name)
             grown = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
             grown[: self._nt] = old[: self._nt]
@@ -132,18 +211,11 @@ class ReferenceDelaunayTriangulation:
         grown_xy[:, : self._nt] = self._tri_xy[:, : self._nt]
         self._tri_xy = grown_xy
 
-    def _new_slot(self) -> int:
-        if self._nt == len(self._tri_buf):
-            self._grow_triangle_buffers(self._nt + 1)
-        self._nt += 1
-        return self._nt - 1
-
     def _compact(self) -> None:
         """Drop dead triangle slots, preserving creation order of the rest."""
         live = self._tri_live[: self._nt]
         keep = np.flatnonzero(live)
         self._tri_buf[: len(keep)] = self._tri_buf[keep]
-        self._tri_orient[: len(keep)] = self._tri_orient[keep]
         self._tri_xy[:, : len(keep)] = self._tri_xy[:, keep]
         self._tri_live[: len(keep)] = True
         self._tri_live[len(keep) : self._nt] = False
@@ -191,24 +263,16 @@ class ReferenceDelaunayTriangulation:
         if self._nt > 2 * _INITIAL_CAPACITY and 2 * self._n_live < self._nt:
             self._compact()
 
-        internal_index = self._append_vertex(p.x, p.y)
-        bad_slots = self._bad_triangle_slots(p.x, p.y)
-        if bad_slots.size == 0:
-            # Strictly inside no circumcircle. For a point inside the
-            # super-triangle this means it sits exactly *on* circumcircle
-            # boundaries (degenerate input — e.g. a non-duplicate point on
-            # an existing edge). The closed-circumdisk cavity is still a
-            # valid Bowyer–Watson step, so retry non-strictly; this path
-            # cannot fire for any input the strict scan already handled.
-            bad_slots = self._bad_triangle_slots_nonstrict(p.x, p.y)
-        if bad_slots.size == 0:
-            # Outside every closed circumdisk: only possible when the
-            # point is outside the super-triangle.
-            self._pop_vertex()
+        if not (np.isfinite(p.x) and np.isfinite(p.y)) or not all(
+            exact_orient(self._vert_list[u], self._vert_list[v], (p.x, p.y)) > 0
+            for u, v in ((0, 1), (1, 2), (2, 0))
+        ):
             raise ValueError(
                 f"point {p} is outside the triangulation's working area; "
                 "construct DelaunayTriangulation with a larger span"
             )
+        internal_index = self._append_vertex(p.x, p.y)
+        bad_slots = self._bad_triangle_slots(p.x, p.y)
 
         boundary = self._cavity_boundary(bad_slots)
         self._tri_live[bad_slots] = False
@@ -219,56 +283,43 @@ class ReferenceDelaunayTriangulation:
         self._simplices_cache = None
         return internal_index - _N_SUPER
 
-    def _incircle_det(self, px: float, py: float) -> np.ndarray:
-        """The scalar predicate's in-circle determinant, every slot."""
+    def _bad_triangle_slots(self, px: float, py: float) -> np.ndarray:
+        """Live slots whose circumcircle strictly contains ``(px, py)``.
+
+        Every stored triangle is counter-clockwise. The float determinant
+        decides a slot when it is clear of zero by a margin about a
+        thousand times wider than its rounding can reach; every other live slot is
+        decided by :func:`exact_incircle`.
+        """
         n = self._nt
         xy = self._tri_xy
         adx, ady = xy[0, :n] - px, xy[1, :n] - py
         bdx, bdy = xy[2, :n] - px, xy[3, :n] - py
         cdx, cdy = xy[4, :n] - px, xy[5, :n] - py
-        return (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+        alift = adx * adx + ady * ady
+        blift = bdx * bdx + bdy * bdy
+        clift = cdx * cdx + cdy * cdy
+        det = (
+            alift * (bdx * cdy - cdx * bdy)
+            - blift * (adx * cdy - cdx * ady)
+            + clift * (adx * bdy - bdx * ady)
         )
-
-    def _bad_triangle_slots(self, px: float, py: float) -> np.ndarray:
-        """Slots whose circumcircle strictly contains ``(px, py)``.
-
-        The scalar predicate's rule: the determinant, sign-adjusted by
-        the stored orientation, exceeds EPSILON. Flat (orient == 0) slots
-        are never bad, so the cavity never grows through them.
-        """
-        det = self._incircle_det(px, py)
-        orient = self._tri_orient[: self._nt]
-        bad = self._tri_live[: self._nt] & (
-            ((orient > 0) & (det > EPSILON)) | ((orient < 0) & (-det > EPSILON))
+        scale = (
+            alift * (np.abs(bdx * cdy) + np.abs(cdx * bdy))
+            + blift * (np.abs(adx * cdy) + np.abs(cdx * ady))
+            + clift * (np.abs(adx * bdy) + np.abs(bdx * ady))
         )
-        return np.flatnonzero(bad)
-
-    def _bad_triangle_slots_nonstrict(self, px: float, py: float) -> np.ndarray:
-        """Slots whose *closed* circumdisk contains ``(px, py)``.
-
-        The fallback cavity for degenerate inserts (a point lying exactly
-        on circumcircle boundaries, which the strict scan rejects): the
-        strict scan with the inequality flipped to include the boundary;
-        flat (orient == 0) slots stay excluded, as everywhere else.
-        """
-        det = self._incircle_det(px, py)
-        orient = self._tri_orient[: self._nt]
-        bad = self._tri_live[: self._nt] & (
-            ((orient > 0) & (det >= -EPSILON))
-            | ((orient < 0) & (-det >= -EPSILON))
-        )
+        live = self._tri_live[:n]
+        bad = live & (det > 1e-12 * scale)
+        unsure = np.flatnonzero(live & (np.abs(det) <= 1e-12 * scale))
+        q = (px, py)
+        for slot in unsure.tolist():
+            a, b, c = (self._vert_list[v] for v in self._tri_buf[slot].tolist())
+            bad[slot] = exact_incircle(a, b, c, q) > 0
         return np.flatnonzero(bad)
 
     def _add_triangles(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        """Add triangles ``(a[i], b[i], c[i])`` in order, one slot each.
-
-        A clockwise triple is stored with ``a`` and ``b`` swapped; its
-        orientation is recomputed from the stored triple, which is what
-        the scalar in-circle predicate sees.
-        """
+        """Add triangles ``(a[i], b[i], c[i])`` in order, one slot each."""
         e = len(a)
         if e == 0:
             return
@@ -278,27 +329,11 @@ class ReferenceDelaunayTriangulation:
         tri[:, 1] = b
         tri[:, 2] = c
         xy = self._vert_buf[tri.ravel()].reshape(e, 3, 2)
-        ax, ay = xy[:, 0, 0], xy[:, 0, 1]
-        bx, by = xy[:, 1, 0], xy[:, 1, 1]
-        cx, cy = xy[:, 2, 0], xy[:, 2, 1]
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        swap = np.flatnonzero(det < -EPSILON)
-        if swap.size:
-            tri[swap, 0], tri[swap, 1] = tri[swap, 1], tri[swap, 0]
-            xy[swap, 0], xy[swap, 1] = xy[swap, 1], xy[swap, 0]
-            sa, sb, sc = xy[swap, 0], xy[swap, 1], xy[swap, 2]
-            det[swap] = (sb[:, 0] - sa[:, 0]) * (sc[:, 1] - sa[:, 1]) - (
-                sb[:, 1] - sa[:, 1]
-            ) * (sc[:, 0] - sa[:, 0])
         s0 = self._nt
         s1 = s0 + e
         self._nt = s1
         self._tri_buf[s0:s1] = tri
         self._tri_live[s0:s1] = True
-        orient = np.zeros(e, dtype=self._tri_orient.dtype)
-        orient[det > EPSILON] = 1
-        orient[det < -EPSILON] = -1
-        self._tri_orient[s0:s1] = orient
         self._tri_xy[:, s0:s1] = xy.reshape(e, 6).T
         self._n_live += e
         self._simplices_cache = None

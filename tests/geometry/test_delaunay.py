@@ -1,17 +1,21 @@
 """Tests for the incremental Bowyer-Watson Delaunay triangulation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaunay_reference import exact_incircle, exact_orient, is_delaunay
 from repro.geometry.delaunay import (
     DelaunayTriangulation,
     DuplicatePointError,
     Triangle,
+    _orient,
 )
 from repro.fields.grid import GridField
-from repro.geometry.predicates import circumcenter, incircle, orientation
+from repro.geometry.predicates import circumcenter, orientation
 from repro.geometry.primitives import BoundingBox
 from repro.sim.engine import default_grid_layout
 from repro.surfaces.reconstruction import reconstruct_surface
@@ -82,7 +86,7 @@ class TestDelaunayProperty:
     def test_random_points_are_delaunay(self, rng):
         pts = rng.uniform(0, 100, size=(40, 2))
         dt = DelaunayTriangulation(pts)
-        assert dt.is_delaunay(eps=1e-5)
+        assert is_delaunay(dt)
 
     def test_grid_points(self):
         # Cocircular grid points: any valid Delaunay triangulation is fine.
@@ -128,27 +132,28 @@ class TestDelaunayProperty:
         dt = DelaunayTriangulation(skip_duplicates=True)
         for p in pts:
             dt.insert(p)
-        assert dt.is_delaunay(eps=1e-4)
+        assert is_delaunay(dt)
 
     def test_point_on_existing_edge(self):
         # Hypothesis-found regression: a non-duplicate point lying exactly
-        # on an existing (near-degenerate, collinear) edge is strictly
-        # inside no circumcircle, so the strict cavity scan came up empty
-        # and insert() wrongly raised "outside the working area". The
-        # closed-circumdisk fallback must absorb it instead.
+        # on an existing (near-degenerate, collinear) edge was strictly
+        # inside no circumcircle under the old tolerance, and insert()
+        # wrongly raised "outside the working area". Exactly, a point on
+        # an edge is strictly inside the circumcircle of both triangles
+        # beside it.
         pts = [(0.0, 0.0), (0.0, 1e-05), (0.0, 5.960464477539063e-08)]
         dt = DelaunayTriangulation(skip_duplicates=True)
         for p in pts:
             dt.insert(p)
         assert dt.n_points == 3
-        assert dt.is_delaunay(eps=1e-4)
+        assert is_delaunay(dt)
 
     def test_collinear_midpoint_insert(self):
         dt = DelaunayTriangulation(skip_duplicates=True)
         for p in [(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 1.0)]:
             dt.insert(p)
         assert dt.n_points == 4
-        assert dt.is_delaunay(eps=1e-4)
+        assert is_delaunay(dt)
 
     def test_incremental_matches_batch(self, rng):
         pts = rng.uniform(0, 50, size=(30, 2))
@@ -174,7 +179,7 @@ class TestCocircularGridStart:
     def test_mesh_is_delaunay(self, grid):
         dt = DelaunayTriangulation(grid)
         assert dt.n_points == 100
-        assert dt.is_delaunay()
+        assert is_delaunay(dt)
         # A 10x10 lattice: 2 triangles per cell, 81 cells.
         assert len(dt.simplices) == 162
 
@@ -203,10 +208,10 @@ class TestLocate:
 
 
 class TestCircumcircleCache:
-    """Meshes built with the cached circumcircle test stay Delaunay.
+    """Meshes built with the kernel's in-circle test stay Delaunay.
 
-    The cached test against the whole-scan oracle, insert by insert, is
-    in test_delaunay_equivalence.py.
+    That test against the whole-scan oracle, insert by insert, is in
+    test_delaunay_equivalence.py.
     """
 
     def test_incremental_build_stays_delaunay(self, rng):
@@ -214,7 +219,7 @@ class TestCircumcircleCache:
         pts = rng.uniform(0, 100, size=(50, 2))
         for p in pts:
             dt.insert(p)
-        assert dt.is_delaunay(eps=1e-6)
+        assert is_delaunay(dt)
 
     def test_clustered_vs_scipy_edges(self, rng):
         from scipy.spatial import Delaunay as SciDT
@@ -230,7 +235,7 @@ class TestCircumcircleCache:
             a, b, c = sorted(int(v) for v in simplex)
             sci_edges |= {(a, b), (b, c), (a, c)}
         assert set(ours.edges()) == sci_edges
-        assert ours.is_delaunay(eps=1e-6)
+        assert is_delaunay(ours)
 
 
 def assert_slots_consistent(tri):
@@ -239,17 +244,18 @@ def assert_slots_consistent(tri):
     Slot ``i`` of ``(a, b, c)`` covers edge ``i`` of ``(a,b) (b,c) (c,a)``.
     A slot ``n >= 0`` names a live triangle that holds the reversed edge
     and whose slot for it names the triangle back; ``-1`` marks exactly
-    the edges between two super-triangle vertices (indices 0..2).
+    the edges between two super-triangle vertices (indices 0..2). Every
+    triangle is strictly counter-clockwise.
     """
     tris = tri._tris
     assert tri._nbr.keys() == tris.keys()
-    for t, rec in tris.items():
-        a, b, c = rec[:3]
+    for t, (a, b, c) in tris.items():
+        assert exact_orient(*(tri._verts[v] for v in (a, b, c))) > 0, t
         for (u, v), n in zip(((a, b), (b, c), (c, a)), tri._nbr[t]):
             assert (n == -1) == (u < 3 and v < 3), (t, (u, v), n)
             if n == -1:
                 continue
-            na, nb, nc = tris[n][:3]
+            na, nb, nc = tris[n]
             across = ((na, nb), (nb, nc), (nc, na))
             assert (v, u) in across, (t, (u, v), n)
             assert tri._nbr[n][across.index((v, u))] == t, (t, (u, v), n)
@@ -268,7 +274,7 @@ uniform_points = st.lists(
 
 
 class TestNeighbourSlots:
-    """The neighbour slots after every insert, while the search is local."""
+    """The neighbour slots after every insert."""
 
     @given(st.one_of(lattice_points, uniform_points))
     @settings(max_examples=60, deadline=None)
@@ -277,9 +283,6 @@ class TestNeighbourSlots:
         assert_slots_consistent(tri)
         for p in pts:
             tri.insert(p)
-            if not tri._local:
-                assert tri._nbr == {}
-                break
             assert_slots_consistent(tri)
 
     def test_slots_after_a_fan_around_a_lattice_point(self):
@@ -288,52 +291,57 @@ class TestNeighbourSlots:
         tri = DelaunayTriangulation(
             [(float(x), float(y)) for y in range(6) for x in range(6)]
         )
-        assert tri._local
         assert_slots_consistent(tri)
         tri.insert((2.5, 2.5))
         assert len(tri.new_triangles) >= 4
         assert_slots_consistent(tri)
 
 
-def _cached_agrees(a, b, c, queries):
-    """The cached in-circle test says bad exactly when the scalar one does.
+def _exact_agrees(points, queries):
+    """The kernel's two predicates say what a ``Fraction`` oracle says.
 
-    The triangle ``abc`` is the only real triangle of a three-point mesh;
-    a flat ``abc`` (or one with a duplicate vertex) has none, and then
-    there is nothing to compare. Each
-    query ranks as the next point, so a tie is "outside" under both.
+    Over a mesh of ``points``, every live triangle, the super-triangle's
+    included (their circles are 1e6 across): the in-circle test says bad
+    exactly when the query is strictly inside, since each query ranks as
+    the next point and a tie is "outside". And the orientation of each
+    query against each triangle edge has the exact sign.
     """
-    tri = DelaunayTriangulation([a, b, c], skip_duplicates=True)
-    records = [rec for rec in tri._tris.values() if min(rec[:3]) >= 3]
-    assert len(records) == len(tri.simplices)
-    for rec in records:
-        pa, pb, pc = (tri._verts[v] for v in rec[:3])
+    tri = DelaunayTriangulation(points, skip_duplicates=True)
+    for rec in tri._tris.values():
+        pa, pb, pc = (tri._verts[v] for v in rec)
         for q in queries:
-            qx, qy = float(q[0]), float(q[1])
-            cached = tri._incircle(rec, qx, qy, tri.n_points) > 0
-            scalar = incircle(pa, pb, pc, (qx, qy)) > 0
-            assert cached == scalar, (pa, pb, pc, (qx, qy))
+            q = (float(q[0]), float(q[1]))
+            bad = tri._bad(rec, *q, tri.n_points)
+            assert bad == (exact_incircle(pa, pb, pc, q) > 0), (pa, pb, pc, q)
+            for u, v in ((pa, pb), (pb, pc), (pc, pa)):
+                side = _orient(*u, *v, *q)
+                assert np.sign(side) == exact_orient(u, v, q), (u, v, q)
 
 
-offsets = st.floats(-1e4, 1e4, allow_nan=False)
+def _ulp_moves(x, y):
+    """``(x, y)`` and the eight points one ulp away in x, y or both."""
+    xs = (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+    ys = (math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf))
+    return [(u, v) for u in xs for v in ys]
+
+
+offsets = st.floats(-2e4, 2e4, allow_nan=False)
 scales = st.floats(1e-2, 1e2, allow_nan=False)
 
 
 class TestCachedInCircleAgreesWithScalar:
-    """The cache only filters the clear cases; the scalar predicate decides.
+    """The float filter only decides the clear cases; integers decide the rest.
 
-    The centre and radius are cached, so their rounding must stay inside
-    the band at any coordinate the super-triangle admits, not only near
-    the origin.
+    Each input sits inside the stage-A error bound somewhere: exact
+    lattice ties at offsets up to 2e4, super-triangle-sized circles, and
+    queries one ulp off a tie. The oracle is ``fractions.Fraction``.
     """
 
     def test_translated_lattice_corner(self):
-        # The fourth corner is cocircular: the scalar predicate says tie
-        # (0). A centre solved from absolute coordinates misses by
-        # ~3e-11 at x ~ 400, which is past the old band of ~2e-11.
+        # The fourth corner of a rectangle is exactly cocircular.
         a, b, c = (398.5, 29.4), (407.5, 29.4), (398.5, 38.5)
-        assert incircle(a, b, c, (407.5, 38.5)) == 0
-        _cached_agrees(a, b, c, [(407.5, 38.5)])
+        assert exact_incircle(a, b, c, (407.5, 38.5)) == 0
+        _exact_agrees([a, b, c], _ulp_moves(407.5, 38.5))
 
     @given(x0=offsets, y0=offsets, w=scales, h=scales)
     @settings(max_examples=200, deadline=None)
@@ -341,7 +349,8 @@ class TestCachedInCircleAgreesWithScalar:
         corners = [(x0, y0), (x0 + w, y0), (x0, y0 + h)]
         queries = [(x0 + i * w, y0 + j * h)
                    for i in range(-1, 3) for j in range(-1, 3)]
-        _cached_agrees(*corners, queries)
+        queries += _ulp_moves(x0 + w, y0 + h)
+        _exact_agrees(corners, queries)
 
     @given(
         x0=offsets, y0=offsets, scale=scales,
@@ -363,4 +372,19 @@ class TestCachedInCircleAgreesWithScalar:
             queries.append(2 * u - v)
             for s in (1 - nudge, 1 + nudge):
                 queries.append(u + s * (v - u))
-        _cached_agrees(a, b, c, queries)
+        queries += _ulp_moves(*map(float, 2 * u - pts[0]))
+        _exact_agrees([a, b, c], queries)
+
+    @given(x0=offsets, y0=offsets,
+           t=st.sampled_from([1e-12, 1e-6, 0.25, 0.5, 1 - 1e-9]))
+    @settings(max_examples=100, deadline=None)
+    def test_super_triangle_sized_circles(self, x0, y0, t):
+        # One real point: every triangle has two super vertices. Queries
+        # on the segments to the super vertices lie inside those circles
+        # by a hair against r^2 ~ 1e13.
+        tri = DelaunayTriangulation()
+        queries = []
+        for sx, sy in tri._verts:
+            qx, qy = x0 + t * (sx - x0), y0 + t * (sy - y0)
+            queries += _ulp_moves(qx, qy)
+        _exact_agrees([(x0, y0)], queries)

@@ -1,8 +1,8 @@
 """Delaunay edge cases: collinear input, shared edges, dedup tolerance."""
 
-import numpy as np
 import pytest
 
+from delaunay_reference import is_delaunay, near_vertex_lattice
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 
 
@@ -61,39 +61,29 @@ class TestLargeCoordinates:
     def test_negative_coordinates(self):
         dt = DelaunayTriangulation([(-50, -50), (50, -50), (0, 50)])
         assert len(dt.triangles) == 1
-        assert dt.is_delaunay()
+        assert is_delaunay(dt)
 
 
 class TestNearVertexLattice:
     """A 7x7 lattice of spacing 0.005 plus one point 1.2e-8 from a vertex.
 
-    The built-in tolerance calls some of the lattice's fan triangles flat,
-    and a reversed in-order build then finds no triangle holding the last
-    point. An exact orientation test removes the failure; the strict
-    xfail makes that fix flip this test.
+    An absolute tolerance on the orientation test called some of the
+    lattice's fan triangles flat, and a reversed in-order build then found
+    no triangle holding the last point. The exact orientation test builds
+    it in any order.
     """
-
-    @staticmethod
-    def points():
-        g = np.arange(7) * 0.005
-        xx, yy = np.meshgrid(g, g)
-        lattice = np.c_[xx.ravel(), yy.ravel()]
-        lattice += (22.965544642994402, -32.4344379397441)
-        return np.vstack([lattice, [22.985544631399293, -32.43443794283496]])
 
     def test_in_order_and_mesh_builds_succeed(self):
         from repro.geometry.delaunay import delaunay_mesh
 
-        assert DelaunayTriangulation(self.points()).n_points == 50
-        kept, simplices = delaunay_mesh(self.points())
+        assert DelaunayTriangulation(near_vertex_lattice()).n_points == 50
+        kept, simplices = delaunay_mesh(near_vertex_lattice())
         assert len(kept) == 50 and len(simplices) > 0
 
-    @pytest.mark.xfail(
-        strict=True, raises=ValueError,
-        reason="tolerance-based orientation: outside the working area",
-    )
     def test_reversed_build_succeeds(self):
-        assert DelaunayTriangulation(self.points()[::-1]).n_points == 50
+        tri = DelaunayTriangulation(near_vertex_lattice()[::-1])
+        assert tri.n_points == 50
+        assert is_delaunay(tri)
 
 
 class TestGridStartStaysLocal:
@@ -101,28 +91,33 @@ class TestGridStartStaysLocal:
 
     Its lattice coordinates (odd multiples of 4.7) are not exact binary
     fractions, so the cocircular cells become near-ties, not exact ties.
-    At BRIO insert 176 the grown cavity then has 4 triangles but 8 border
-    edges, the build leaves the local insert path, and every later insert
-    scans all triangles: the build is about 25 times slower than at side
-    500. ROADMAP item 1's exact predicates remove the failure; the strict
-    xfail makes that fix flip this test.
+    An absolute tolerance once made a cavity that was not a disk there
+    (at BRIO insert 176), and the build fell back to scanning every
+    triangle, about 25 times slower than at side 500. With exact
+    predicates each insert stays local: the build must do no more
+    in-circle tests per insert than 1.1 times the 500 x 500 build.
     """
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP item 1: tolerance-based near-ties",
-    )
-    def test_brio_build_stays_local(self):
+    @staticmethod
+    def in_circle_tests_per_insert(side, monkeypatch):
         from repro.core.baselines import uniform_grid_placement
-        from repro.geometry.delaunay import _dedup_kept, brio_order
+        from repro.geometry.delaunay import delaunay_mesh
         from repro.geometry.primitives import BoundingBox
 
-        pts = uniform_grid_placement(BoundingBox(0, 0, 470, 470), 2500)
-        unique = pts[_dedup_kept(pts, 1e-9)]
-        order = brio_order(unique)
-        # delaunay_mesh's build, stopped at the first non-local step.
-        tri = DelaunayTriangulation(dedup_tol=1e-9)
-        coords = unique[order].tolist()
-        for n, (i, (x, y)) in enumerate(zip(order.tolist(), coords)):
-            tri._insert_new(x, y, i)
-            assert tri._local, f"left the local path at insert {n}"
+        calls = []
+        real_bad = DelaunayTriangulation._bad
+
+        def bad(self, *args):
+            calls.append(1)
+            return real_bad(self, *args)
+
+        pts = uniform_grid_placement(BoundingBox(0, 0, side, side), 2500)
+        with monkeypatch.context() as patch:
+            patch.setattr(DelaunayTriangulation, "_bad", bad)
+            kept, _ = delaunay_mesh(pts)
+        return len(calls) / len(kept)
+
+    def test_brio_build_stays_local(self, monkeypatch):
+        near_ties = self.in_circle_tests_per_insert(470.0, monkeypatch)
+        exact_ties = self.in_circle_tests_per_insert(500.0, monkeypatch)
+        assert near_ties <= 1.1 * exact_ties, (near_ties, exact_ties)

@@ -2,7 +2,8 @@
 
 :class:`DelaunayTriangulation` walks to the point and grows the cavity
 through neighbours; :class:`ReferenceDelaunayTriangulation` (the insert as
-it was before, kept in ``delaunay_reference.py``) tests every triangle.
+in ``delaunay_reference.py``) tests every triangle with an exact
+predicate written apart from the kernel's.
 FRA rasterises ``simplices`` as they come, so the contract is exact: the
 same rows, the same vertex rotation and the same row order, checked with
 ``np.array_equal`` after every insert, and the same return value or
@@ -14,11 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaunay_reference import ReferenceDelaunayTriangulation
+from delaunay_reference import (
+    ReferenceDelaunayTriangulation,
+    near_tie_lattice,
+    square_lattice,
+)
 from repro.core.fra import FRAConfig, solve_osd
 from repro.core.problem import OSDProblem
 from repro.experiments import config
-from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
+from repro.geometry.delaunay import (
+    DelaunayTriangulation,
+    DuplicatePointError,
+    delaunay_mesh,
+)
 
 
 def _outcome(tri, point):
@@ -42,13 +51,6 @@ def assert_same_inserts(points, **kwargs):
 coord = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
 
 
-def _grid(n, spacing, offset):
-    return np.array(
-        [(offset + spacing * x, offset + spacing * y)
-         for y in range(n) for x in range(n)]
-    )
-
-
 class TestEquivalence:
     @given(st.lists(st.tuples(coord, coord), min_size=1, max_size=80))
     @settings(max_examples=40)
@@ -59,7 +61,8 @@ class TestEquivalence:
     @settings(max_examples=20)
     def test_clustered_points(self, seed):
         # Late-round CMA layouts cluster nodes tightly: near-cocircular
-        # and sliver configurations stress the cached threshold most.
+        # and sliver configurations are where the float filter is least
+        # sure.
         rng = np.random.default_rng(seed)
         centres = rng.uniform(20, 80, size=(6, 2))
         pts = np.vstack([c + rng.normal(0, 0.4, size=(12, 2)) for c in centres])
@@ -74,7 +77,7 @@ class TestEquivalence:
     @settings(max_examples=25)
     def test_row_major_grid(self, n, spacing, offset):
         # Every cell of a grid is cocircular: the tie rule decides it.
-        assert_same_inserts(_grid(n, spacing, offset))
+        assert_same_inserts(square_lattice(n, spacing, offset))
 
     @given(
         n=st.integers(2, 10),
@@ -83,7 +86,7 @@ class TestEquivalence:
     )
     @settings(max_examples=25)
     def test_shuffled_grid(self, n, spacing, seed):
-        grid = _grid(n, spacing, 0.0)
+        grid = square_lattice(n, spacing, 0.0)
         assert_same_inserts(np.random.default_rng(seed).permutation(grid))
 
     @given(
@@ -171,72 +174,67 @@ class TestEquivalence:
             assert_same_inserts(pts, **kwargs)
 
 
-def _lattice_past_the_tie_window(kind, seed):
-    """A row-major 7 x 7 lattice that ends the local search part way.
-
-    ``"fine"`` has spacing 0.001 and ``"jitter"`` spacing 0.1 with every
-    point moved by up to 1e-10: near-ties the absolute ``EPSILON`` cannot
-    tell from ties. ``"near"`` has spacing 1 and, right after a vertex
-    in the middle rows, a point 1.2e-8 from it. Each is offset by a
-    seeded draw.
-    """
-    rng = np.random.default_rng(seed)
-    offset = rng.uniform(-50.0, 50.0, size=2)
-    spacing = {"fine": 0.001, "near": 1.0, "jitter": 0.1}[kind]
-    pts = offset + _grid(7, spacing, 0.0)
-    if kind == "near":
-        v = int(rng.integers(10, 40))
-        near = pts[v] + 1.2e-8 * np.array([0.6, 0.8])
-        pts = np.vstack([pts[: v + 1], near, pts[v + 1:]])
-    elif kind == "jitter":
-        pts = pts + rng.uniform(-1e-10, 1e-10, size=pts.shape)
-    return pts
-
-
 class TestLocalSearchLostMidBuild:
-    """In-order builds that leave the local search part way through.
+    """In-order builds over lattices with near-ties and near-duplicates.
 
-    Before the step that ends it the insert walks and grows cavities
-    through the neighbour slots; after it every insert scans. Both
-    halves must match the oracle.
+    An absolute tolerance once mixed these near-ties up with ties and
+    left the local search part way through the build; the exact
+    predicates decide each one, so every insert must match the oracle.
     """
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", ["fine", "near", "jitter"])
     def test_lattices(self, kind, seed, reverse):
-        pts = _lattice_past_the_tie_window(kind, seed)
+        pts = near_tie_lattice(kind, seed)
         if reverse:
             pts = pts[::-1]
-        local = []
-        tri = DelaunayTriangulation(skip_duplicates=True)
-        for p in pts:
-            tri.insert(p)
-            local.append(tri._local)
-        assert local[5] and not local[-1]
         assert_same_inserts(pts, skip_duplicates=True)
 
 
 class TestRarePaths:
-    def test_global_fallback_then_closed_cavity(self, monkeypatch):
-        # With deduplication off, an exact copy of a vertex lies on every
-        # circumcircle through it: the walk's triangle is not strictly
-        # bad, the fallback scan finds no strictly bad triangle, and the
-        # closed-circumdisk cavity takes over. That step leaves a vertex
-        # inside the cavity, so every later insert scans as well.
-        scans = []
-        real_scan = DelaunayTriangulation._scan
+    @pytest.mark.parametrize("tol", [-1.0, -0.0 - 1e-300, np.inf, np.nan])
+    def test_dedup_tol_must_be_finite_and_not_negative(self, tol):
+        with pytest.raises(ValueError, match="dedup tolerance"):
+            DelaunayTriangulation(dedup_tol=tol)
+        with pytest.raises(ValueError, match="dedup tolerance"):
+            delaunay_mesh(np.zeros((3, 2)), dedup_tol=tol)
 
-        def scan(self, px, py, prio):
-            scans.append((px, py))
-            return real_scan(self, px, py, prio)
-
-        monkeypatch.setattr(DelaunayTriangulation, "_scan", scan)
+    def test_zero_dedup_tol_still_catches_exact_duplicates(self):
         pts = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0), (4.0, 6.0)]
-        assert_same_inserts(pts, dedup_tol=-1.0)
-        assert scans == []
-        assert_same_inserts(pts + [(4.0, 6.0), (7.0, 2.0)], dedup_tol=-1.0)
-        assert scans == [(4.0, 6.0), (7.0, 2.0)]
+        tri = DelaunayTriangulation(pts, dedup_tol=0.0)
+        with pytest.raises(DuplicatePointError, match="vertex 4"):
+            tri.insert((4.0, 6.0))
+        with pytest.raises(DuplicatePointError, match="vertex 0"):
+            tri.insert((-0.0, 0.0))
+        assert tri.insert((np.nextafter(4.0, 5.0), 6.0)) == 5
+        assert_same_inserts(
+            pts + [(4.0, 6.0), (np.nextafter(4.0, 5.0), 6.0), (7.0, 2.0)],
+            dedup_tol=0.0, skip_duplicates=True,
+        )
+        kept, _ = delaunay_mesh(np.array(pts + [(4.0, 6.0)]), dedup_tol=0.0)
+        assert kept.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "point", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 1.0), (1.0, np.nan)]
+    )
+    def test_non_finite_point_fails_before_any_predicate(self, point, monkeypatch):
+        import repro.geometry.delaunay as kernel
+
+        def no_predicate(*args):
+            raise AssertionError("a predicate ran on a non-finite point")
+
+        tri = DelaunayTriangulation([(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)])
+        before = tri.simplices.copy()
+        monkeypatch.setattr(kernel, "_orient", no_predicate)
+        monkeypatch.setattr(kernel, "_integers", no_predicate)
+        monkeypatch.setattr(DelaunayTriangulation, "_bad", no_predicate)
+        with pytest.raises(ValueError, match="working area"):
+            tri.insert(point)
+        with pytest.raises(ValueError, match="working area"):
+            delaunay_mesh(np.array([point]))
+        assert tri.n_points == 3
+        assert np.array_equal(tri.simplices, before)
 
     def test_outside_working_area(self):
         pts = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)]
@@ -253,6 +251,25 @@ class TestRarePaths:
                 pts + [(1e9, 1e9), (5.0, 3.0), (-1e8, 0.0), (np.inf, 0.0),
                        (np.nan, 1.0)]
             )
+
+    def test_point_on_a_super_triangle_edge(self):
+        # At span 100 the super vertices are (-317, -289), (361, -307) and
+        # (13, 379), so these integer points lie exactly on its edges: a
+        # fan triangle on that edge would be flat, so the point is outside.
+        pts = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)]
+        for edge_point, inward in (
+            ((-204.0, -292.0), (0.0, 1.0)),
+            ((187.0, 36.0), (-1.0, 0.0)),
+            ((-152.0, 45.0), (1.0, 0.0)),
+        ):
+            tri = DelaunayTriangulation(pts, span=100.0)
+            with pytest.raises(ValueError, match="working area"):
+                tri.insert(edge_point)
+            inside = tuple(
+                np.nextafter(c, c + d) for c, d in zip(edge_point, inward)
+            )
+            assert tri.insert(inside) == 3
+            assert_same_inserts(pts + [edge_point, inside], span=100.0)
 
     def test_duplicate_point_error(self):
         tri = DelaunayTriangulation([(1.0, 1.0), (5.0, 1.0)])

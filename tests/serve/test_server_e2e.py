@@ -18,7 +18,7 @@ load-bearing assertions are the ISSUE's acceptance criteria:
 * a live stream ends as soon as its job does, however long the poll
   interval;
 * a pool child killed mid-job fails that job only, and the job resumes
-  to the same result as an uninterrupted run.
+  to the same result as an uninterrupted run, also after a restart.
 """
 
 import asyncio
@@ -483,3 +483,44 @@ class TestPoolWorkerCrash:
                 for job_id in (killed, survivor, later)
             }
             assert deltas[killed] == deltas[survivor] == deltas[later]
+
+    def test_killed_job_survives_a_restart(self, tmp_path):
+        before = {p.pid for p in multiprocessing.active_children()}
+        with _running_server(tmp_path, workers=1, poll_interval=0.02) as srv:
+            killed = _submit(srv.port, round_delay_s=0.3)
+            log = srv.run_dir(killed) / "obs.jsonl"
+            deadline = time.monotonic() + FAST_RUN_TIMEOUT
+            # complete lines only: the child may be mid-write
+            while not log.exists() or "round" not in [
+                json.loads(line)["event"]
+                for line in log.read_text("utf-8").split("\n")[:-1]
+            ]:
+                assert time.monotonic() < deadline, "no round was logged"
+                time.sleep(0.05)
+            children = [
+                p.pid for p in multiprocessing.active_children()
+                if p.pid not in before
+            ]
+            assert len(children) == 1
+            os.kill(children[0], signal.SIGKILL)
+            job = _wait_for_state(srv.port, killed, TERMINAL)
+            assert job["state"] == FAILED
+
+        # a fresh server over the same runs root lists the job as failed
+        with _running_server(tmp_path, workers=1, poll_interval=0.02) as srv:
+            _, listed = _request(srv.port, "GET", "/jobs")
+            job = next(j for j in listed["jobs"] if j["job_id"] == killed)
+            assert job["state"] == FAILED and job["recovered"]
+
+            status, _ = _request(srv.port, "POST", f"/jobs/{killed}/resume")
+            assert status == 202
+            assert _wait_for_state(srv.port, killed, TERMINAL)["state"] == DONE
+            uninterrupted = _submit(srv.port)
+            assert _wait_for_state(srv.port, uninterrupted, TERMINAL)["state"] == DONE
+            deltas = [
+                _request(srv.port, "GET", f"/jobs/{job_id}/result")[1][
+                    "manifest"
+                ]["final_delta"]
+                for job_id in (killed, uninterrupted)
+            ]
+            assert deltas[0] == deltas[1]
