@@ -20,10 +20,8 @@ from repro.fields.greenorbs import GreenOrbsLightField
 from repro.obs import (
     Instrumentation,
     MemorySink,
-    NullSink,
     get_instrumentation,
 )
-from repro.obs.trace import MessageTracer
 from repro.sim.engine import MobileSimulation, round_scope
 from repro.sim.netmodel import NetworkModel
 
@@ -43,8 +41,8 @@ def noop_step_touches(sim):
     the engine's round frame (:func:`round_scope`: the ambient
     ``use_instrumentation`` push/pop and its ``enabled`` check), a no-op
     profiler timer around each of the eight phases, six phase spans, the
-    ``read``/``fit`` spans inside ``sense``, the ``enabled`` guards in
-    ``lcm`` and the round event, and the reconstruction's ambient
+    ``read``/``fit`` spans inside ``sense``, the ``enabled`` guards of
+    ``lcm``'s counters and the round event, and the reconstruction's ambient
     lookups (one in reconstruction, one in the grid evaluation) with the
     ``triangulate``, ``rasterize``, ``extrapolate`` and ``score`` spans
     inside ``reconstruct``.
@@ -65,7 +63,7 @@ def noop_step_touches(sim):
         with obs.span("constrain_move"), timed("constrain_move"):
             pass
         with obs.span("lcm"), timed("lcm"):
-            if obs.enabled:  # lcm's per-pass emit guard
+            if obs.enabled:  # lcm's counter guard
                 pass
         with timed("trace"):
             pass
@@ -110,13 +108,12 @@ def test_disabled_overhead_below_two_percent():
 
 
 def test_disabled_overhead_with_tracing_below_two_percent():
-    """ISSUE 6 re-assertion: with causal message tracing wired into the
-    exchange path, a disabled networked step's only new cost is the
-    ``MobileSimulation.message_tracer`` lookup (``None`` when
-    disabled) — the 2% budget must still hold."""
+    """A disabled networked step's only addition for the network counts
+    is ``NetworkModel.exchange``'s one ambient
+    ``get_instrumentation().enabled`` check — the 2% budget must still
+    hold."""
     sim = make_sim(network=NetworkModel())
     assert sim.obs.enabled is False
-    assert sim.message_tracer is None  # disabled → no tracer built
     sim.step()  # warm caches
 
     start = perf_counter()
@@ -127,12 +124,12 @@ def test_disabled_overhead_with_tracing_below_two_percent():
     start = perf_counter()
     for _ in range(n):
         noop_step_touches(sim)
-        sim.message_tracer  # the tracing addition, once per round
+        get_instrumentation().enabled  # the exchange's count guard
     touch_seconds = (perf_counter() - start) / n
 
     overhead = touch_seconds / step_seconds
     assert overhead <= 0.02, (
-        f"disabled instrumentation + tracing guard costs "
+        f"disabled instrumentation + network count guard costs "
         f"{touch_seconds * 1e6:.2f}µs/step, {overhead:.2%} of a "
         f"{step_seconds * 1e3:.1f}ms networked step (budget: 2%)"
     )
@@ -193,18 +190,6 @@ def test_bench_event_emit(benchmark):
     """Cost of one enabled emit reaching a memory sink."""
     obs = Instrumentation(sinks=[MemorySink()], enabled=True)
     benchmark(obs.emit, "tick", a=1.0, b=2)
-
-
-def test_bench_tracer_send(benchmark):
-    """Cost of narrating one beacon transmission when tracing is on.
-
-    NullSink keeps the benchmark loop from accumulating millions of
-    events; the measured cost is the trace-id format + emit + counter.
-    """
-    obs = Instrumentation(sinks=[NullSink()], enabled=True)
-    tracer = MessageTracer(obs)
-    tracer.begin_round(3)
-    benchmark(tracer.send, 1, 0)
 
 
 @pytest.mark.parametrize("enabled", [False, True])

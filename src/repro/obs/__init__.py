@@ -1,4 +1,4 @@
-"""Observability: events, metrics, timing, tracing, run records.
+"""Observability: events, metrics, timing, run records.
 
 The instrumentation substrate every perf / scaling change measures
 against, plus the read side that summarises, tails and records runs:
@@ -15,9 +15,6 @@ against, plus the read side that summarises, tails and records runs:
 * :mod:`.instrument` — the :class:`Instrumentation` bundle, off by
   default with a near-zero-overhead fast path, plus the ambient
   ``use_instrumentation`` context,
-* :mod:`.trace` — causal message tracing: deterministic beacon trace
-  ids and the ``msg_*`` life-cycle events that explain every
-  :class:`~repro.core.cma.NeighborObservation`'s provenance,
 * :mod:`.report` — aggregate a run log into per-phase wall-time shares
   and round-level metric aggregates, no rerun needed,
 * :mod:`.watch` — tail a growing run log (``repro-exp watch``'s live
@@ -100,11 +97,6 @@ from repro.obs.report import (
 )
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink, Sink
 from repro.obs.timing import PhaseTimer, Span
-from repro.obs.trace import (
-    MessageTracer,
-    beacon_trace_id,
-    observation_trace_id,
-)
 from repro.obs.watch import (
     LineAssembler,
     WatchState,
@@ -130,7 +122,6 @@ __all__ = [
     "LineAssembler",
     "MANIFEST_VERSION",
     "MemorySink",
-    "MessageTracer",
     "MetricsRegistry",
     "NullSink",
     "PhaseProfile",
@@ -149,7 +140,6 @@ __all__ = [
     "aggregate_metrics_events",
     "aggregate_run_log",
     "artifact_ref",
-    "beacon_trace_id",
     "code_version",
     "emit_run_meta",
     "env_fingerprint",
@@ -166,7 +156,6 @@ __all__ = [
     "merge_snapshots",
     "merge_summary_parts",
     "new_run_id",
-    "observation_trace_id",
     "params_hash",
     "parse_event_line",
     "read_new_lines",

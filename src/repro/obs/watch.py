@@ -7,8 +7,8 @@ file promptly) and keeps a terminal view current:
 * the latest round's δ / RMSE / components / alive count, with a δ
   sparkline over the recent window,
 * per-phase wall-time totals from the ``span`` events,
-* network counters from the ``msg_*`` causal-trace events (sent,
-  delivered, lost, stale-served).
+* network counters summed over the networked exchange's per-round
+  ``net`` events (sent, delivered, lost, stale-served, ...).
 
 The tailer (:func:`follow`) is deliberately boring: poll the file,
 yield complete lines, keep a partial trailing line buffered until its
@@ -169,6 +169,7 @@ class WatchState:
     deltas: List[float] = dataclass_field(default_factory=list)
     phase_totals: Dict[str, float] = dataclass_field(default_factory=dict)
     phase_counts: Dict[str, int] = dataclass_field(default_factory=dict)
+    #: Sums of the ``net`` events' counts, in the events' field order.
     net_counts: Dict[str, int] = dataclass_field(default_factory=dict)
 
     #: δ history kept for the sparkline (bounded).
@@ -198,8 +199,10 @@ class WatchState:
                 + float(row.get("dur_s", 0.0))
             )
             self.phase_counts[path] = self.phase_counts.get(path, 0) + 1
-        elif isinstance(name, str) and name.startswith("msg_"):
-            self.net_counts[name] = self.net_counts.get(name, 0) + 1
+        elif name == "net":
+            for key, value in row.items():
+                if key not in ("event", "t", "round"):
+                    self.net_counts[key] = self.net_counts.get(key, 0) + value
 
 
 def _sparkline(values: List[float], width: int = 40) -> str:
@@ -260,11 +263,9 @@ def render_watch(state: WatchState, title: str = "run") -> str:
                 f"n={count:<6} mean {_fmt_seconds(mean)}"
             )
     if state.net_counts:
-        parts = [
-            f"{name[len('msg_'):]}={state.net_counts[name]}"
-            for name in sorted(state.net_counts)
-        ]
-        lines.append("network: " + "  ".join(parts))
+        lines.append("network: " + "  ".join(
+            f"{name}={total}" for name, total in state.net_counts.items()
+        ))
     return "\n".join(lines)
 
 

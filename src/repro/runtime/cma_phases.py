@@ -130,17 +130,17 @@ def exchange(
 
     With a :class:`~repro.sim.netmodel.network.NetworkModel` on the
     engine, the exchange runs through the unreliable-network pipeline
-    (loss, retries, latency, last-known-neighbour staleness), narrated by
-    the engine's :class:`~repro.obs.trace.MessageTracer` when it is
-    instrumented; otherwise it is the plain radio, bit-identical to the
-    seed. Returns every node's inbox as one table.
+    (loss, retries, latency, last-known-neighbour staleness), which
+    counts the round's outcomes into the ``net`` event when
+    ``round_scope`` has made an enabled ``engine.obs`` ambient;
+    otherwise it is the plain radio, bit-identical to the seed. Returns
+    every node's inbox as one table.
     """
     curvatures = engine.state.curvature
     if engine.network is not None:
         return engine.network.exchange(
             engine.radio, positions, curvatures, alive_mask,
             engine.round_index,
-            tracer=engine.message_tracer,
         )
     return engine.radio.exchange(positions, curvatures, alive=alive_mask)
 
@@ -288,13 +288,6 @@ def lcm(engine, cma_plan: CMAPlan) -> int:
             start = row + 1
         n_moves += moves_this_pass
         n_passes += 1
-        if obs.enabled:
-            obs.emit(
-                "lcm_pass",
-                round=engine.round_index,
-                pass_index=n_passes - 1,
-                moves=moves_this_pass,
-            )
         if moves_this_pass == 0:
             break
     if obs.enabled:

@@ -7,7 +7,6 @@ package is that testbed:
   samples and local curvature estimates of Table 2,
 * :mod:`.radio` — unit-disk neighbour discovery and the per-round
   ``(x, y, G)`` exchange, with optional message loss,
-* :mod:`.messages` — the ``tell`` message (destination + neighbour table),
 * :mod:`.netmodel` — the unreliable-network subsystem: link-loss models
   (i.i.d., distance-dependent, Gilbert–Elliott bursty), beacon latency
   with staleness, retry/ack with backoff, crash/recovery churn, energy
@@ -20,7 +19,6 @@ package is that testbed:
 
 from repro.sim.sensing import DiskSensor, TraceSampler
 from repro.sim.radio import Radio
-from repro.sim.messages import BeaconMessage
 from repro.sim.netmodel import (
     BernoulliLink,
     CrashSchedule,
@@ -53,7 +51,6 @@ from repro.sim.recorders import (
 )
 
 __all__ = [
-    "BeaconMessage",
     "BernoulliLink",
     "CentralizedResult",
     "CentralizedSimulation",

@@ -22,11 +22,12 @@ in explicitly seeded models).
 
 :meth:`MobileSimulation.step` is that round, written out: failure
 injection, then each phase function of :mod:`repro.runtime.cma_phases`
-inside its span, then the ``round`` event and the recorders. The engine
-owns the run's one :class:`~repro.runtime.state.WorldState`
-(``self.state``) and exposes ``step``/``run``/``positions``/
-``alive_mask``, plus ``capture_state``/``restore_state`` for
-checkpoint/resume (see :mod:`repro.runtime.checkpoint`).
+inside its span (a networked exchange emits its ``net`` counts there),
+then the ``round`` event and the recorders. The engine owns the run's
+one :class:`~repro.runtime.state.WorldState` (``self.state``) and
+exposes ``step``/``run``/``positions``/``alive_mask``, plus
+``capture_state``/``restore_state`` for checkpoint/resume (see
+:mod:`repro.runtime.checkpoint`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.obs.instrument import (
     use_instrumentation,
 )
 from repro.obs.profile import PhaseProfiler, get_profile_config
-from repro.obs.trace import MessageTracer
 from repro.runtime import cma_phases
 from repro.runtime.checkpoint import CheckpointConfig, drive_run
 from repro.runtime.records import RoundRecord, SimulationResult
@@ -222,12 +222,6 @@ class MobileSimulation:
         self.profiler: Optional[PhaseProfiler] = (
             PhaseProfiler(self, profile_cfg)
             if profile_cfg is not None and self.obs.enabled else None
-        )
-        #: Narrates the networked exchange's beacons as ``msg_*`` events
-        #: when instrumented. Tracing draws no RNG, so traced runs stay
-        #: bit-identical to untraced ones.
-        self.message_tracer: Optional[MessageTracer] = (
-            MessageTracer(self.obs) if self.obs.enabled else None
         )
 
     # ------------------------------------------------------------------

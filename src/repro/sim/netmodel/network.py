@@ -23,6 +23,10 @@ and bit-reproducible:
    with its ``staleness`` (rounds since it was sensed) so the planner
    can decay its weight (:meth:`repro.core.cma.NeighborTable.usable`)
    before the bound drops it entirely.
+6. **Counts** — under enabled instrumentation each round adds its
+   outcomes (sent, delivered, delayed, dropped, retries, lost,
+   stale-served, expired) to the ``net.*`` counters and emits them as
+   one ``net`` event, which ``repro-exp watch`` sums.
 
 With ``PerfectLink``, no delay model and ``max_age = 0`` the exchange
 is bit-identical to the plain radio (no RNG draws, fresh beacons only,
@@ -41,6 +45,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.cma import NeighborTable
+from repro.obs.instrument import get_instrumentation
 from repro.sim.netmodel.delay import (
     BeaconDelayQueue,
     PendingBeacon,
@@ -125,40 +130,24 @@ class NetworkModel:
 
     # ------------------------------------------------------------------
     def _attempt_delivery(
-        self, sender: int, receiver: int, dist: float, tracer=None
-    ) -> bool:
+        self, sender: int, receiver: int, dist: float
+    ) -> int:
         """One logical delivery: first attempt plus bounded retries.
 
-        With a :class:`~repro.obs.trace.MessageTracer` the attempt
-        sequence is narrated as ``msg_drop``/``msg_retry``/``msg_lost``
-        events; tracing never consumes RNG draws, so traced and untraced
-        runs are bit-identical.
+        Returns the number of attempts that failed: ``0`` when the first
+        went through, every attempt the policy allows when the beacon is
+        lost.
         """
         if self.link.delivered(sender, receiver, dist):
-            return True
-        if tracer is not None:
-            tracer.drop(sender, receiver, attempt=0)
+            return 0
         if self.retry is None:
-            if tracer is not None:
-                tracer.lost(sender, receiver, attempts=1)
-            return False
+            return 1
         for attempt in range(self.retry.max_retries):
-            slots = self.retry.backoff_slots(attempt)
-            if tracer is not None:
-                tracer.retry(
-                    sender, receiver, attempt=attempt + 1, backoff_slots=slots
-                )
-            for _ in range(slots):
+            for _ in range(self.retry.backoff_slots(attempt)):
                 self.link.advance_slot(sender, receiver)
             if self.link.delivered(sender, receiver, dist):
-                return True
-            if tracer is not None:
-                tracer.drop(sender, receiver, attempt=attempt + 1)
-        if tracer is not None:
-            tracer.lost(
-                sender, receiver, attempts=self.retry.max_retries + 1
-            )
-        return False
+                return attempt + 1
+        return self.retry.max_retries + 1
 
     def _store(
         self,
@@ -184,7 +173,6 @@ class NetworkModel:
         curvatures: List[float],
         alive: Optional[np.ndarray],
         round_index: int,
-        tracer=None,
     ) -> NeighborTable:
         """One beacon round under the full unreliable-network pipeline.
 
@@ -195,14 +183,11 @@ class NetworkModel:
         from its cache in ascending sender order and stamped with each
         record's staleness.
 
-        ``tracer`` (a :class:`~repro.obs.trace.MessageTracer`) narrates
-        every beacon's emit→drop→retry→deliver→use chain as ``msg_*``
-        events. It observes without perturbing: no RNG draw, no cache
-        mutation, so a traced run's positions are bit-identical to an
-        untraced one.
+        When the ambient instrumentation is enabled, the round's outcome
+        counts go to the ``net.*`` counters and one ``net`` event. They
+        are counted whether or not anyone reads them and draw no RNG, so
+        an instrumented run is bit-identical to an uninstrumented one.
         """
-        if tracer is not None:
-            tracer.begin_round(round_index)
         pts = np.asarray(positions, dtype=float).reshape(-1, 2)
         n = len(pts)
         live = (
@@ -214,16 +199,14 @@ class NetworkModel:
 
         # 1. Late beacons surface first: they were sent in an earlier
         # round, so a fresher same-sender beacon this round wins below.
+        arrived = 0
         for beacon in self.queue.pop_due(round_index):
             if 0 <= beacon.receiver < n and live[beacon.receiver]:
                 self._store(
                     beacon.receiver, beacon.sender, beacon.x, beacon.y,
                     beacon.curvature, beacon.sent_round,
                 )
-                if tracer is not None:
-                    tracer.deliver(
-                        beacon.sender, beacon.receiver, beacon.sent_round
-                    )
+                arrived += 1
 
         # 2. This round's transmissions: loss, retries, then latency.
         # Every in-range pair's length in one pass; the draws below stay
@@ -233,19 +216,23 @@ class NetworkModel:
             pts[senders, 0] - pts[receivers, 0],
             pts[senders, 1] - pts[receivers, 1],
         ).tolist()
+        tries = 1 if self.retry is None else self.retry.max_retries + 1
+        dropped = retries = lost = delayed = 0
         for i, j, dist in zip(receivers.tolist(), senders.tolist(), dists):
-            if tracer is not None:
-                tracer.send(j, i)
-            if not self._attempt_delivery(j, i, dist, tracer):
-                continue
+            failed = self._attempt_delivery(j, i, dist)
+            if failed:
+                dropped += failed
+                if failed == tries:
+                    retries += failed - 1
+                    lost += 1
+                    continue
+                retries += failed
             lag = self.delay.sample() if self.delay is not None else 0
             if lag == 0:
                 self._store(
                     i, j, pts[j, 0], pts[j, 1],
                     float(curvatures[j]), round_index,
                 )
-                if tracer is not None:
-                    tracer.deliver(j, i, round_index)
             else:
                 self.queue.push(PendingBeacon(
                     deliver_round=round_index + lag,
@@ -254,8 +241,7 @@ class NetworkModel:
                     curvature=float(curvatures[j]),
                     sent_round=round_index,
                 ))
-                if tracer is not None:
-                    tracer.delay(j, i, deliver_round=round_index + lag)
+                delayed += 1
 
         # 3. Inboxes from the caches: fresh + tolerably stale entries,
         # ascending sender id (the order the plain radio produced).
@@ -265,6 +251,7 @@ class NetworkModel:
         xy: List[List[float]] = []
         gs: List[float] = []
         ages: List[int] = []
+        expired = 0
         for i in range(n):
             cached = self._cache.get(str(i))
             if cached is None or not live[i]:
@@ -274,16 +261,34 @@ class NetworkModel:
                 age = round_index - int(sent_round)
                 if age > self.max_age:
                     del cached[key]
-                    if tracer is not None:
-                        tracer.expire(int(key), i, int(sent_round), age)
+                    expired += 1
                     continue
-                if tracer is not None:
-                    tracer.use(int(key), i, int(sent_round), age)
                 ids.append(int(key))
                 xy.append([x, y])
                 gs.append(g)
                 ages.append(age)
                 counts[i] += 1
+
+        obs = get_instrumentation()
+        if obs.enabled:
+            sent = len(dists)
+            # Every transmission is lost, held in flight or stored now.
+            outcome = {
+                "sent": sent,
+                "delivered": arrived + sent - lost - delayed,
+                "delayed": delayed,
+                "dropped": dropped,
+                "retries": retries,
+                "lost": lost,
+                "stale_served": len(ages) - ages.count(0),
+                "expired": expired,
+            }
+            # A zero count makes no counter: the snapshot lists what
+            # happened.
+            for name, value in outcome.items():
+                if value:
+                    obs.counter("net." + name).inc(value)
+            obs.emit("net", round=round_index, **outcome)
         return NeighborTable.from_records(counts, ids, xy, gs, ages)
 
     # ------------------------------------------------------------------

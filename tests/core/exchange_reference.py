@@ -8,6 +8,11 @@ laid those inboxes out as the planner's
 :class:`~repro.core.cma.NeighborTable`. The packed exchange must agree
 with ``pack(oracle inboxes)`` array for array, and leave every RNG
 stream where the oracle leaves it (``tests/sim/test_exchange_table.py``).
+
+The network oracle narrates each beacon's life to an optional
+``narrator`` (send, drop, retry, lost, delay, deliver, use, expire),
+one call per step, so a test can count what the exchange's per-round
+``net`` event must report.
 """
 
 from __future__ import annotations
@@ -99,15 +104,13 @@ def network_inboxes(
     curvatures: Sequence[float],
     alive: Optional[np.ndarray],
     round_index: int,
-    tracer=None,
+    narrator=None,
 ) -> List[List[NeighborObservation]]:
     """``net``'s exchange with a per-pair distance and per-record inboxes.
 
     Advances ``net``'s link and delay streams, queue and caches exactly
     as the packed exchange must.
     """
-    if tracer is not None:
-        tracer.begin_round(round_index)
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     n = len(pts)
     live = (
@@ -123,15 +126,15 @@ def network_inboxes(
                 beacon.receiver, beacon.sender, beacon.x, beacon.y,
                 beacon.curvature, beacon.sent_round,
             )
-            if tracer is not None:
-                tracer.deliver(beacon.sender, beacon.receiver, beacon.sent_round)
+            if narrator is not None:
+                narrator.deliver(beacon.sender, beacon.receiver)
 
     for i in range(n):
         for j in ids[i]:
             dist = float(np.hypot(*(pts[j] - pts[i])))
-            if tracer is not None:
-                tracer.send(j, i)
-            if not net._attempt_delivery(j, i, dist, tracer):
+            if narrator is not None:
+                narrator.send(j, i)
+            if not _deliver(net, j, i, dist, narrator):
                 continue
             lag = net.delay.sample() if net.delay is not None else 0
             if lag == 0:
@@ -139,8 +142,8 @@ def network_inboxes(
                     i, j, pts[j, 0], pts[j, 1],
                     float(curvatures[j]), round_index,
                 )
-                if tracer is not None:
-                    tracer.deliver(j, i, round_index)
+                if narrator is not None:
+                    narrator.deliver(j, i)
             else:
                 net.queue.push(PendingBeacon(
                     deliver_round=round_index + lag,
@@ -149,8 +152,8 @@ def network_inboxes(
                     curvature=float(curvatures[j]),
                     sent_round=round_index,
                 ))
-                if tracer is not None:
-                    tracer.delay(j, i, deliver_round=round_index + lag)
+                if narrator is not None:
+                    narrator.delay(j, i)
 
     heard: List[List[NeighborObservation]] = []
     for i in range(n):
@@ -164,11 +167,11 @@ def network_inboxes(
             age = round_index - int(sent_round)
             if age > net.max_age:
                 del cached[key]
-                if tracer is not None:
-                    tracer.expire(int(key), i, int(sent_round), age)
+                if narrator is not None:
+                    narrator.expire(int(key), i)
                 continue
-            if tracer is not None:
-                tracer.use(int(key), i, int(sent_round), age)
+            if narrator is not None:
+                narrator.use(int(key), i, age)
             inbox.append(NeighborObservation(
                 node_id=int(key),
                 position=np.array([x, y], dtype=float),
@@ -177,6 +180,27 @@ def network_inboxes(
             ))
         heard.append(inbox)
     return heard
+
+
+def _deliver(net, sender, receiver, dist, narrator) -> bool:
+    """First attempt plus ``net.retry``'s backoff retries, narrated."""
+    if net.link.delivered(sender, receiver, dist):
+        return True
+    if narrator is not None:
+        narrator.drop(sender, receiver)
+    max_retries = 0 if net.retry is None else net.retry.max_retries
+    for attempt in range(max_retries):
+        if narrator is not None:
+            narrator.retry(sender, receiver)
+        for _ in range(net.retry.backoff_slots(attempt)):
+            net.link.advance_slot(sender, receiver)
+        if net.link.delivered(sender, receiver, dist):
+            return True
+        if narrator is not None:
+            narrator.drop(sender, receiver)
+    if narrator is not None:
+        narrator.lost(sender, receiver)
+    return False
 
 
 def records_table(

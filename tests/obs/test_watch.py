@@ -21,6 +21,10 @@ def _round(i, delta, **extra):
     return row
 
 
+def _net(i, **counts):
+    return {"event": "net", "t": float(i), "round": i, **counts}
+
+
 class TestFollow:
     def test_replays_existing_content_in_once_mode(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -212,18 +216,18 @@ class TestReadNewLines:
 
 
 class TestWatchState:
-    def test_folds_rounds_spans_and_messages(self):
+    def test_folds_rounds_spans_and_network_counts(self):
         state = WatchState()
         state.feed(_round(0, 3.0))
         state.feed({"event": "span", "t": 1.0, "phase": "sense",
                     "path": "step/sense", "dur_s": 0.25, "depth": 1})
-        state.feed({"event": "msg_send", "t": 1.0, "trace_id": "r0.n1>n0",
-                    "round": 0, "sender": 1, "receiver": 0})
-        assert state.n_events == 3
+        state.feed(_net(0, sent=4, delivered=3, lost=1))
+        state.feed(_net(1, sent=5, delivered=5, lost=0))
+        assert state.n_events == 4
         assert state.last_round["round"] == 0
         assert state.deltas == [3.0]
         assert state.phase_totals["step/sense"] == 0.25
-        assert state.net_counts["msg_send"] == 1
+        assert state.net_counts == {"sent": 9, "delivered": 8, "lost": 1}
 
     def test_nan_delta_is_not_plotted(self):
         state = WatchState()
@@ -242,13 +246,12 @@ class TestWatchState:
         state.feed(_round(0, 3.0))
         state.feed({"event": "span", "t": 1.0, "phase": "step",
                     "path": "step", "dur_s": 0.5, "depth": 0})
-        state.feed({"event": "msg_lost", "t": 1.0, "trace_id": "r0.n1>n0",
-                    "round": 0, "sender": 1, "receiver": 0, "attempts": 3})
+        state.feed(_net(0, sent=2, delivered=1, lost=1))
         text = render_watch(state, "demo")
         assert "watching: demo" in text
         assert "round    0" in text
         assert "step" in text
-        assert "lost=1" in text
+        assert "network: sent=2  delivered=1  lost=1" in text
 
     def test_render_with_no_events(self):
         text = render_watch(WatchState(), "empty")
@@ -256,6 +259,38 @@ class TestWatchState:
 
 
 class TestWatchOnce:
+    def test_once_sums_a_networked_runs_net_events(self, tmp_path):
+        from repro.core.problem import OSTDProblem
+        from repro.fields.greenorbs import GreenOrbsLightField
+        from repro.obs import Instrumentation
+        from repro.sim.engine import MobileSimulation
+        from repro.sim.netmodel import BernoulliLink, NetworkModel
+
+        field = GreenOrbsLightField(side=40.0, seed=7, freeze_sun_at=600.0)
+        problem = OSTDProblem(
+            k=8, rc=12.0, rs=6.0, region=field.region, field=field,
+            speed=1.0, t0=600.0, duration=3.0,
+        )
+        path = tmp_path / "run.jsonl"
+        obs = Instrumentation.to_jsonl(path)
+        MobileSimulation(
+            problem, resolution=21, obs=obs,
+            network=NetworkModel(BernoulliLink(0.3, seed=3), max_age=2),
+        ).run()
+        snapshot = obs.metrics.snapshot()
+        obs.close()
+        frames = []
+        state = watch(path, once=True, out=frames.append)
+        assert state.net_counts["sent"] > 0
+        assert {
+            "net." + name: total
+            for name, total in state.net_counts.items() if total
+        } == {
+            name: value for name, value in snapshot.items()
+            if name.startswith("net.")
+        }
+        assert f"network: sent={state.net_counts['sent']}  " in frames[0]
+
     def test_once_renders_single_frame_and_returns_state(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text("".join(

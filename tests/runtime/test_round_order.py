@@ -30,7 +30,6 @@ ROUND_STREAM = [
     ("span", "step/plan"),
     ("profile.phase", "constrain_move"),
     ("span", "step/constrain_move"),
-    ("lcm_pass", None),
     ("profile.phase", "lcm"),
     ("span", "step/lcm"),
     ("profile.phase", "trace"),

@@ -8,7 +8,9 @@ which laid those inboxes out for the planner. Over several rounds of
 moving, dying fleets, every table must be ``np.array_equal`` to
 ``pack(oracle inboxes)``, the planner's view of it equal to the packed
 alive inboxes, the per-node records equal to the oracle's, and every
-RNG stream, queue and cache where the oracle leaves them.
+RNG stream, queue and cache where the oracle leaves them. Each
+instrumented network round's ``net`` event must hold the counts of the
+oracle's narration, and the uninstrumented exchange the same table.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from hypothesis import strategies as st
 
 import exchange_reference as ref
 from repro.core.cma import CMAParams
-from repro.obs.instrument import Instrumentation
-from repro.obs.trace import MessageTracer
+from repro.obs.instrument import Instrumentation, use_instrumentation
 from repro.sim.netmodel import (
     BernoulliLink,
     DistanceLossLink,
@@ -97,6 +98,49 @@ def planner_params(draw):
     )
 
 
+NET_COUNTS = ("sent", "delivered", "delayed", "dropped", "retries", "lost",
+              "stale_served", "expired")
+
+
+class Tally:
+    """Counts the oracle's narration as the ``net`` event must report it."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(NET_COUNTS, 0)
+
+    def _add(self, name):
+        self.counts[name] += 1
+
+    def send(self, sender, receiver):
+        self._add("sent")
+
+    def drop(self, sender, receiver):
+        self._add("dropped")
+
+    def retry(self, sender, receiver):
+        self._add("retries")
+
+    def lost(self, sender, receiver):
+        self._add("lost")
+
+    def delay(self, sender, receiver):
+        self._add("delayed")
+
+    def deliver(self, sender, receiver):
+        self._add("delivered")
+
+    def use(self, sender, receiver, staleness):
+        if staleness > 0:
+            self._add("stale_served")
+
+    def expire(self, sender, receiver):
+        self._add("expired")
+
+
+def dumped(net):
+    return json.dumps(net.state_dict(), default=str)
+
+
 def check_round(table, inboxes, alive, params):
     assert_tables_equal(table, ref.pack(inboxes, RAW))
     alive_ids = np.flatnonzero(alive).tolist()
@@ -146,22 +190,35 @@ def test_network_matches_oracle(fleet, link, max_delay, retry, max_age,
             max_age=max_age,
         )
 
-    net, twin = build(), build()
-    obs, twin_obs = Instrumentation.in_memory(), Instrumentation.in_memory()
-    tracer, twin_tracer = MessageTracer(obs), MessageTracer(twin_obs)
+    net, twin, plain = build(), build(), build()
+    obs = Instrumentation.in_memory()
+    totals = dict.fromkeys(NET_COUNTS, 0)
     for r, (pts, curv, alive) in enumerate(fleet):
-        table = net.exchange(Radio(RC), pts, curv, alive, r, tracer=tracer)
+        with use_instrumentation(obs):
+            table = net.exchange(Radio(RC), pts, curv, alive, r)
+        tally = Tally()
         inboxes = ref.network_inboxes(
-            twin, Radio(RC), pts, curv, alive, r, tracer=twin_tracer
+            twin, Radio(RC), pts, curv, alive, r, narrator=tally
         )
         check_round(table, inboxes, alive, params)
-        assert json.dumps(net.state_dict(), default=str) == json.dumps(
-            twin.state_dict(), default=str
+        assert dumped(net) == dumped(twin)
+        (event,) = obs.bus.sinks[0].events[r:]
+        assert event.name == "net"
+        assert event.fields == {"round": r, **tally.counts}
+        assert_tables_equal(
+            plain.exchange(Radio(RC), pts, curv, alive, r), table
         )
-    narrated = [(e.name, e.fields) for e in obs.bus.sinks[0].events]
-    assert narrated == [
-        (e.name, e.fields) for e in twin_obs.bus.sinks[0].events
-    ]
+        assert dumped(plain) == dumped(net)
+        for name, value in tally.counts.items():
+            totals[name] += value
+    snapshot = obs.metrics.snapshot()
+    assert {
+        name: snapshot.get("net." + name, 0) for name in NET_COUNTS
+    } == totals
+    assert not any(
+        name.startswith("net.") and value == 0
+        for name, value in snapshot.items()
+    )
 
 
 class _DistanceSpy(DistanceLossLink):
