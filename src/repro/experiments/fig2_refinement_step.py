@@ -37,7 +37,7 @@ def run(fast: bool = False) -> ExperimentResult:
         )
         return float(local_error_grid(reference, interp).sum())
 
-    before_triangles = len(tri.triangles)
+    before_triangles = len(tri.simplices)
     before_error = total_error()
     before_art = render_triangulation(
         tri.points, tri.simplices, reference.region, width=40, height=16
@@ -52,7 +52,7 @@ def run(fast: bool = False) -> ExperimentResult:
     tri.insert((float(xs[ix]), float(ys[iy])))
     values.append(reference.value_at_index(ix, iy))
 
-    after_triangles = len(tri.triangles)
+    after_triangles = len(tri.simplices)
     after_error = total_error()
     interp_after = LinearSurfaceInterpolator(
         tri.points, np.asarray(values), triangulation=tri.simplices

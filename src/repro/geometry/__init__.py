@@ -3,14 +3,15 @@
 This package implements, from scratch, the planar computational-geometry
 substrate that the paper's algorithms rest on:
 
-* tolerance-based orientation and in-circle predicates for the hull and
-  point location (:mod:`.predicates`),
+* tolerance-based orientation and in-circle predicates for the hull
+  (:mod:`.predicates`),
 * Andrew monotone-chain convex hull (:mod:`.hull`),
 * incremental Bowyer--Watson Delaunay triangulation on exact predicates:
   each insert walks to the point and grows its cavity through
   neighbouring triangles, and a tie rule keyed on point priorities makes
   the triangles independent of the insertion order, so the measurement
-  mesh is built in BRIO order (:mod:`.delaunay`),
+  mesh is built in BRIO order and carried to moved points by flips and
+  vertex relocation (:mod:`.delaunay`),
 * vectorised piecewise-linear evaluation of the triangulated surface
   ``z* = DT(x, y)`` used by the paper's reconstruction metric
   (:mod:`.interpolation`),
@@ -39,7 +40,6 @@ from repro.geometry.primitives import (
 )
 from repro.geometry.delaunay import (
     DelaunayTriangulation,
-    Triangle,
     canonical_simplices,
     delaunay_mesh,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "Point2",
     "Point3",
     "SpatialHashGrid",
-    "Triangle",
     "barycentric_coordinates",
     "canonical_simplices",
     "convex_hull",

@@ -36,52 +36,29 @@ Implementation notes
   edges, so the rows and their order are what a scan over every triangle
   gives. Each new triangle is wired to the triangle across its border
   edge and to its two fan neighbours.
-* Duplicate detection (``find_vertex``) looks up a hash grid of cell side
+* Duplicate detection on ``insert`` looks up a hash grid of cell side
   ``dedup_tol`` instead of scanning every vertex.
 * :func:`delaunay_mesh`, the measurement build, inserts in
   :func:`brio_order` with each point's input index as its priority, and
   gets the triangles of the in-order build with short walks and small
   cavities.
+* :class:`DelaunayMesher` carries that mesh to the next call's moved
+  points: Lawson flips plus removal and re-insertion of the vertices
+  whose move would invert a triangle (see
+  ``DelaunayTriangulation._move_to``) give the triangles a fresh build
+  gives.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, islice
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.predicates import EPSILON
 from repro.geometry.primitives import Point2, PointLike
 from repro.geometry.spatial_index import morton_argsort
-
-
-class Triangle(NamedTuple):
-    """Vertex indices of one triangle, counter-clockwise."""
-
-    a: int
-    b: int
-    c: int
-
-    def edges(self) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-        """The three undirected edges as frozensets of vertex indices."""
-        return (
-            frozenset((self.a, self.b)),
-            frozenset((self.b, self.c)),
-            frozenset((self.c, self.a)),
-        )
-
-    def has_vertex(self, index: int) -> bool:
-        return index in (self.a, self.b, self.c)
 
 
 class DuplicatePointError(ValueError):
@@ -114,7 +91,7 @@ def canonical_simplices(simplices: np.ndarray) -> np.ndarray:
 #: Number of synthetic super-triangle vertices kept at internal indices 0..2.
 _N_SUPER = 3
 
-#: A find_vertex query spanning more hash-grid cells than this scans every
+#: A duplicate query spanning more hash-grid cells than this scans every
 #: vertex instead (only a tol much larger than dedup_tol gets there).
 _MAX_QUERY_CELLS = 64
 
@@ -179,6 +156,56 @@ def _incircle_exact(
         + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
         + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
     )
+
+
+def _not_ccw(pos: np.ndarray, simp: np.ndarray) -> np.ndarray:
+    """Which triangles ``simp`` over ``pos`` are not counter-clockwise.
+
+    The float orientation determinant of every row at once, with the
+    stage-A bound of :func:`_orient`; only rows inside the bound go to
+    :func:`_orient`.
+    """
+    a, b, c = pos[simp[:, 0]], pos[simp[:, 1]], pos[simp[:, 2]]
+    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    det = left - right
+    sure = np.abs(det) > _ORIENT_ERR * (np.abs(left) + np.abs(right)) + _TINY
+    out = sure & (det < 0)
+    for r in np.flatnonzero(~sure).tolist():
+        out[r] = _orient(*a[r].tolist(), *b[r].tolist(), *c[r].tolist()) <= 0
+    return out
+
+
+def _surely_outside(
+    pos: np.ndarray, simp: np.ndarray, apex: np.ndarray
+) -> np.ndarray:
+    """Where the float stage of ``_bad(simp[i], pos[apex[i]], ...)`` says no.
+
+    The same operations in the same order as ``DelaunayTriangulation._bad``,
+    so each row's determinant and bound are the ones it computes: a row
+    marked here is outside its circle whatever the priorities.
+    """
+    p = pos[apex]
+    adx, ady = (pos[simp[:, 0]] - p).T
+    bdx, bdy = (pos[simp[:, 1]] - p).T
+    cdx, cdy = (pos[simp[:, 2]] - p).T
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = (
+        alift * (bdxcdy - cdxbdy)
+        + blift * (cdxady - adxcdy)
+        + clift * (adxbdy - bdxady)
+    )
+    bound = _INCIRCLE_ERR * (
+        alift * (np.abs(bdxcdy) + np.abs(cdxbdy))
+        + blift * (np.abs(cdxady) + np.abs(adxcdy))
+        + clift * (np.abs(adxbdy) + np.abs(bdxady))
+    ) + _TINY
+    return det < -bound
 
 
 def _dedup_tolerance(tol: float) -> float:
@@ -286,7 +313,7 @@ class DelaunayTriangulation:
         # Tie-break priority of each vertex (see _bad): the super
         # vertices rank below every real one.
         self._prio: List[float] = [-3.0, -2.0, -1.0]
-        # Hash grid over the real vertices for find_vertex.
+        # Hash grid over the inserted vertices, for duplicates.
         self._grid = _VertexGrid(
             self._dedup_tol if self._dedup_tol > 0 else 1.0
         )
@@ -329,11 +356,6 @@ class DelaunayTriangulation:
         return self._points_cache
 
     @property
-    def triangles(self) -> List[Triangle]:
-        """Triangles not incident to the super-triangle, as *public* indices."""
-        return [Triangle(int(a), int(b), int(c)) for a, b, c in self.simplices]
-
-    @property
     def simplices(self) -> np.ndarray:
         """Triangles as an ``(m, 3)`` int array (scipy-compatible view).
 
@@ -362,13 +384,6 @@ class DelaunayTriangulation:
         rows = [tris[t] for t in self._new_ids]
         simp = np.array(rows, dtype=int).reshape(-1, 3)
         return simp[simp.min(axis=1) >= _N_SUPER] - _N_SUPER
-
-    def point(self, index: int) -> Point2:
-        """The coordinates of public vertex ``index``."""
-        if not 0 <= index < self.n_points:
-            raise IndexError(f"vertex index {index} out of range")
-        x, y = self._verts[index + _N_SUPER]
-        return Point2(x, y)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -402,27 +417,30 @@ class DelaunayTriangulation:
 
         Priorities must be distinct. With every point given its index in
         one fixed order as priority, the insertion order does not change
-        the triangles. The point is not added to the :meth:`find_vertex`
-        grid: callers that insert here dedup on their own (see
+        the triangles. The point is not added to the duplicate grid:
+        callers that insert here dedup on their own (see
         :func:`delaunay_mesh`).
         """
-        start = None
-        if math.isfinite(px) and math.isfinite(py):
-            start = self._walk(px, py)
-        if start is None:
-            raise ValueError(
-                f"point {Point2(px, py)} is outside the triangulation's "
-                "working area; construct DelaunayTriangulation with a "
-                "larger span"
-            )
+        start = self._walk(px, py, self._next_id - 1)
+        index = len(self._verts)
+        self._verts.append((px, py))
+        self._prio.append(prio)
+        self._fill(start, index)
+        return index - _N_SUPER
 
+    def _fill(self, start: int, v: int) -> None:
+        """Replace the triangles vertex ``v`` conflicts with by a fan on it.
+
+        ``start`` is the triangle holding ``v``'s position.
+        """
         # Cavity border, interior on the left, in the order of the
         # (a,b) (b,c) (c,a) scan of the cavity: the edges whose other
         # side is not in the cavity. Each carries the triangle across it
         # and the cavity triangle it came from.
         tris = self._tris
         nbr = self._nbr
-        cavity = self._grow_cavity(start, px, py, prio)
+        px, py = self._verts[v]
+        cavity = self._grow_cavity(start, px, py, self._prio[v])
         inner = set(cavity)
         boundary: List[Tuple[int, int, int, int]] = []
         for t in cavity:
@@ -434,28 +452,25 @@ class DelaunayTriangulation:
                 boundary.append((b, c, n1, t))
             if n2 not in inner:
                 boundary.append((c, a, n2, t))
-
-        index = len(self._verts)
-        self._verts.append((px, py))
-        self._prio.append(prio)
-        self._add_fan(boundary, index)
+        self._add_fan(boundary, v)
         self._simplices_cache = None
         self._points_cache = None
-        return index - _N_SUPER
 
-    def _walk(self, px: float, py: float) -> Optional[int]:
+    def _walk(self, px: float, py: float, t: int) -> int:
         """The triangle containing ``(px, py)``, found by a visibility walk.
 
-        Starts at the last-created triangle and crosses an edge the point
-        lies strictly to the right of. A point on an edge of the
-        super-triangle crosses it too. Returns ``None`` when the walk leaves
-        the super-triangle. On a Delaunay triangulation with exact
-        orientation tests the walk cannot cycle (Edelsbrunner 1990).
+        Starts at triangle ``t`` and crosses an edge the point lies
+        strictly to the right of. A point on an edge of the super-triangle
+        crosses it too. On a Delaunay triangulation with exact orientation
+        tests the walk cannot cycle (Edelsbrunner 1990). Raises
+        :class:`ValueError` for a point that is not finite or that the
+        walk leaves the super-triangle for.
         """
         tris = self._tris
         nbr = self._nbr
         verts = self._verts
-        t = self._next_id - 1
+        if not (math.isfinite(px) and math.isfinite(py)):
+            t = -1
         while t >= 0:
             a, b, c = tris[t]
             ax, ay = verts[a]
@@ -475,7 +490,11 @@ class DelaunayTriangulation:
                 t = n2
                 continue
             return t
-        return None
+        raise ValueError(
+            f"point {Point2(px, py)} is outside the triangulation's "
+            "working area; construct DelaunayTriangulation with a "
+            "larger span"
+        )
 
     def _bad(
         self, tri: Tuple[int, int, int], px: float, py: float, prio: float
@@ -603,61 +622,232 @@ class DelaunayTriangulation:
         self._next_id = t
 
     # ------------------------------------------------------------------
-    # Queries
+    # Moving the vertices
     # ------------------------------------------------------------------
-    def find_vertex(self, point: PointLike, tol: float = 1e-9) -> Optional[int]:
-        """Public index of an existing vertex within ``tol``, else ``None``.
+    def _move_to(self, xy: np.ndarray) -> None:
+        """Move every real vertex to ``xy`` and repair to Delaunay.
 
-        The lowest such index: a vertex matches when both coordinate
-        differences are within ``tol`` and its squared distance is within
-        ``tol * tol``.
+        ``xy`` holds the new positions in public index order; priorities
+        stay. The triangles afterwards are the ones a fresh build of the
+        moved points makes:
+
+        1. Vertices whose move would invert a triangle (super-triangle
+           ones included) are held at their old positions, until no
+           triangle inverts. Every triangle is then counter-clockwise and
+           the super-triangle is fixed, so the mesh is a triangulation of
+           the moved and held points.
+        2. Lawson flips, decided by :meth:`_bad`, make it Delaunay. Under
+           the priority perturbation the lifted points are in general
+           position, so every flip lowers the lifted surface and the flips
+           end at the one Delaunay triangulation.
+        3. Each held vertex is removed (:meth:`_remove`) and inserted at
+           its new position with its own priority.
         """
-        p = Point2.of(point)
-        return self._grid.find(p.x, p.y, float(tol))
+        verts = self._verts
+        old = np.array(verts, dtype=float)
+        pos = old.copy()
+        pos[_N_SUPER:] = xy
+        moved = (pos != old).any(axis=1)
+        if not moved.any():
+            return
+        self._simplices_cache = None
+        self._points_cache = None
+        self._new_ids = range(0)
+        tris = self._tris
+        m = len(tris)
+        ids = np.fromiter(tris, dtype=np.intp, count=m)
+        simp = np.fromiter(
+            chain.from_iterable(tris.values()), dtype=np.intp, count=3 * m
+        ).reshape(-1, 3)
 
-    def locate(self, point: PointLike) -> Optional[Triangle]:
-        """The real triangle containing ``point`` (boundary inclusive).
+        rows = np.flatnonzero(moved[simp].any(axis=1))
+        held = np.zeros(len(pos), dtype=bool)
+        while True:
+            flat = _not_ccw(pos, simp[rows])
+            hold = simp[rows[flat]].ravel()
+            hold = np.unique(hold[moved[hold] & ~held[hold]])
+            if not len(hold):
+                break
+            held[hold] = True
+            pos[hold] = old[hold]
+        free = np.flatnonzero(moved & ~held)
+        for v, x, y in zip(free.tolist(), *pos[free].T.tolist()):
+            verts[v] = (x, y)
+        self._flip_from(ids, simp, moved & ~held, pos)
 
-        Returns ``None`` when the point is outside the convex hull of the
-        real vertices. Evaluated as one whole-array orientation test per
-        edge, matching the scalar ``point_in_triangle`` predicate.
+        held_ids = np.flatnonzero(held).tolist()
+        if held_ids:
+            self._relocate(held_ids, xy[held[_N_SUPER:]])
+
+    def _relocate(self, held: List[int], xy: np.ndarray) -> None:
+        """Move each vertex ``held[i]`` to ``xy[i]`` by removal and insertion.
+
+        One vertex at a time, so each hole is one vertex's link. When the
+        new position is exactly where a held vertex not yet moved stands,
+        that one is removed first.
         """
-        p = Point2.of(point)
-        simp = self.simplices
-        if simp.size == 0:
-            return None
-        pts = self._real_points()
-        a = pts[simp[:, 0]]
-        b = pts[simp[:, 1]]
-        c = pts[simp[:, 2]]
+        tris = self._tris
+        verts = self._verts
+        # A triangle of each held vertex still in the mesh; after its
+        # removal, one near where it was.
+        start = dict.fromkeys(held, -1)
+        for t, tri in tris.items():
+            for v in tri:
+                if v in start:
+                    start[v] = t
+        standing = {verts[v]: v for v in held}
+        for v, (x, y) in zip(held, xy.tolist()):
+            for u in (v, standing.get((x, y))):
+                if u is not None and standing.get(verts[u]) == u:
+                    del standing[verts[u]]
+                    self._remove(u, start[u], start)
+            verts[v] = (x, y)
+            hint = start[v] if start[v] in tris else self._next_id - 1
+            self._fill(self._walk(x, y, hint), v)
+            for t in self._new_ids:
+                for u in tris[t]:
+                    if u in start:
+                        start[u] = t
 
-        def orient_sign(ox, oy, tx, ty) -> np.ndarray:
-            det = (tx - ox) * (p.y - oy) - (ty - oy) * (p.x - ox)
-            return np.where(det > EPSILON, 1, np.where(det < -EPSILON, -1, 0))
+    def _flip_from(
+        self, ids: np.ndarray, simp: np.ndarray, moved: np.ndarray,
+        pos: np.ndarray,
+    ) -> None:
+        """Lawson-flip the mesh ``(ids, simp)`` to Delaunay after a move.
 
-        o1 = orient_sign(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
-        o2 = orient_sign(b[:, 0], b[:, 1], c[:, 0], c[:, 1])
-        o3 = orient_sign(c[:, 0], c[:, 1], a[:, 0], a[:, 1])
-        inside = ((o1 >= 0) & (o2 >= 0) & (o3 >= 0)) | (
-            (o1 <= 0) & (o2 <= 0) & (o3 <= 0)
-        )
-        idx = np.flatnonzero(inside)
-        if idx.size == 0:
-            return None
-        a_, b_, c_ = simp[idx[0]]
-        return Triangle(int(a_), int(b_), int(c_))
+        Only an edge whose two triangles hold a ``moved`` vertex can have
+        stopped being locally Delaunay. Those edges are screened with the
+        float stage of :meth:`_bad` as one array pass; the ones it cannot
+        call surely Delaunay are tested exactly, flipped when bad, and each
+        flip queues the four edges around it.
+        """
+        tris = self._tris
+        nbr = self._nbr
+        nbrs = np.fromiter(
+            chain.from_iterable(map(nbr.__getitem__, tris)),
+            dtype=np.intp, count=3 * len(ids),
+        ).reshape(-1, 3)
+        row_of = np.full(self._next_id, -1, dtype=np.intp)
+        row_of[ids] = np.arange(len(ids))
+        near = moved[simp].any(axis=1)
+        rows, slots = np.nonzero(near[:, None] & (nbrs >= 0))
+        across = nbrs[rows, slots]
+        other = row_of[across]
+        # Each edge once: from its lower id when both sides are near.
+        once = ~near[other] | (ids[rows] < across)
+        rows, slots, other = rows[once], slots[once], other[once]
+        back = np.argmax(nbrs[other] == ids[rows][:, None], axis=1)
+        apex = simp[other, (back + 2) % 3]
+        unsure = ~_surely_outside(pos, simp[rows], apex)
+        queue = list(zip(ids[rows[unsure]].tolist(), slots[unsure].tolist()))
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """Undirected edges between real vertices (public indices, sorted)."""
-        simp = self.simplices
-        if simp.size == 0:
-            return []
-        pairs = np.vstack(
-            [simp[:, (0, 1)], simp[:, (1, 2)], simp[:, (2, 0)]]
-        )
-        pairs.sort(axis=1)
-        unique = np.unique(pairs, axis=0)
-        return [(int(u), int(v)) for u, v in unique]
+        verts = self._verts
+        prio = self._prio
+        bad = self._bad
+        while queue:
+            t, j = queue.pop()
+            tri = tris.get(t)
+            if tri is None:
+                continue
+            n = nbr[t][j]
+            if n < 0:
+                continue
+            k = nbr[n].index(t)
+            d = tris[n][(k + 2) % 3]
+            if bad(tri, *verts[d], prio[d]):
+                queue.extend(self._flip(t, j, n, k))
+
+    def _flip(self, t: int, j: int, n: int, k: int) -> List[Tuple[int, int]]:
+        """Flip the edge in slot ``j`` of triangle ``t`` (slot ``k`` of ``n``).
+
+        ``t`` is ``(p, q, r)`` from slot ``j`` and ``n`` is ``(q, p, s)``
+        from slot ``k``; they become ``(p, s, r)`` and ``(s, q, r)``.
+        Returns the four edges around the new pair as ``(id, slot)``.
+        """
+        tris = self._tris
+        nbr = self._nbr
+        tri, slots = tris.pop(t), nbr.pop(t)
+        p, q, r = tri[j], tri[(j + 1) % 3], tri[(j + 2) % 3]
+        qr, rp = slots[(j + 1) % 3], slots[(j + 2) % 3]
+        tri, slots = tris.pop(n), nbr.pop(n)
+        s = tri[(k + 2) % 3]
+        ps, sq = slots[(k + 1) % 3], slots[(k + 2) % 3]
+        u = self._next_id
+        w = u + 1
+        self._next_id += 2
+        tris[u] = (p, s, r)
+        nbr[u] = [ps, w, rp]
+        tris[w] = (s, q, r)
+        nbr[w] = [sq, qr, u]
+        for x, gone, new in ((ps, n, u), (rp, t, u), (sq, n, w), (qr, t, w)):
+            if x >= 0:
+                back = nbr[x]
+                back[back.index(gone)] = new
+        return [(u, 0), (u, 2), (w, 0), (w, 1)]
+
+    def _remove(self, v: int, t: int, start: Dict[int, int]) -> None:
+        """Remove vertex ``v`` of triangle ``t`` and re-triangulate its hole.
+
+        The hole is the polygon of ``v``'s link. Ears are cut off it while
+        it has more than three corners: an ear is a convex corner whose
+        circle, by :meth:`_bad`, holds no other link vertex, and such an
+        ear is a triangle of the Delaunay triangulation without ``v``
+        (Devillers 2002). One always exists, cocircular links included,
+        since the perturbation leaves one Delaunay triangulation of the
+        link. ``start`` maps vertices still to be removed to a triangle
+        of theirs; the new triangles keep it current, and ``start[v]``
+        becomes one of them.
+        """
+        tris = self._tris
+        nbr = self._nbr
+        verts = self._verts
+        prio = self._prio
+        # The link, counter-clockwise, and per link edge the triangle
+        # across it with the slot there that points into the hole.
+        poly: List[int] = []
+        outer: List[Tuple[int, int]] = []
+        first = t
+        while True:
+            tri, slots = tris.pop(t), nbr.pop(t)
+            i = tri.index(v)
+            poly.append(tri[(i + 1) % 3])
+            n = slots[(i + 1) % 3]
+            outer.append((n, nbr[n].index(t) if n >= 0 else -1))
+            t = slots[(i + 2) % 3]
+            if t == first:
+                break
+
+        bad = self._bad
+        while True:
+            size = len(poly)
+            for i in range(size):
+                ear = (poly[i - 1], poly[i], poly[(i + 1) % size])
+                if _orient(*verts[ear[0]], *verts[ear[1]], *verts[ear[2]]) > 0 \
+                        and not any(
+                            bad(ear, *verts[q], prio[q])
+                            for q in poly if q not in ear
+                        ):
+                    break
+            else:
+                raise AssertionError(f"no Delaunay ear around vertex {v}")
+            new = self._next_id
+            self._next_id += 1
+            tris[new] = ear
+            # The third edge is a new diagonal until the last triangle.
+            edges = [outer[i - 1], outer[i],
+                     outer[(i + 1) % size] if size == 3 else (-1, -1)]
+            nbr[new] = [x for x, _ in edges]
+            for x, slot in edges:
+                if x >= 0:
+                    nbr[x][slot] = new
+            for x in ear:
+                if x in start:
+                    start[x] = new
+            if size == 3:
+                start[v] = new
+                return
+            outer[i - 1] = (new, 2)
+            del outer[i], poly[i]
 
     def __len__(self) -> int:
         return self.n_points
@@ -700,8 +890,8 @@ def _dedup_kept(points: np.ndarray, tol: float) -> np.ndarray:
 
     A point is dropped when an earlier *kept* point is within ``tol``:
     both coordinate differences ``abs(dx)``, ``abs(dy)`` are ``<= tol``
-    and ``dx * dx + dy * dy <= tol * tol``, the test of
-    :meth:`DelaunayTriangulation.find_vertex`. Non-finite points are
+    and ``dx * dx + dy * dy <= tol * tol``, the duplicate test of
+    :meth:`DelaunayTriangulation.insert`. Non-finite points are
     always kept and match nothing; ``tol`` must be finite and not
     negative.
 
@@ -773,6 +963,69 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + offsets
 
 
+class DelaunayMesher:
+    """The Delaunay triangles over a point set, carried from call to call.
+
+    Each call returns what :func:`delaunay_mesh` returns for its points.
+    The first call builds the triangulation in :func:`brio_order`; later
+    calls repair the last call's triangulation to the new positions (see
+    :meth:`DelaunayTriangulation._move_to`) when they can. That needs the
+    points to be the same ones in the same order, named by ``ids``, and
+    the dedup to keep the same of them. Any other call builds afresh:
+    without ``ids``, or when the ids or the kept points differ. The
+    priorities are the kept indices either way, so the triangles are the
+    same.
+    """
+
+    def __init__(self, dedup_tol: float = 1e-9) -> None:
+        self._dedup_tol = _dedup_tolerance(dedup_tol)
+        self._tri: Optional[DelaunayTriangulation] = None
+        #: Kept index of each vertex, by public index (the BRIO order).
+        self._order = np.zeros(0, dtype=int)
+        self._ids: Optional[np.ndarray] = None
+        self._kept = np.zeros(0, dtype=int)
+
+    def __call__(
+        self, points: np.ndarray, ids: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(kept, simplices)`` over ``points``, as :func:`delaunay_mesh`.
+
+        ``ids`` names each point; the mesh is carried when they equal the
+        last call's.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        kept = _dedup_kept(pts, self._dedup_tol)
+        unique = pts[kept]
+        tri, self._tri = self._tri, None
+        carry = (
+            tri is not None
+            and ids is not None
+            and self._ids is not None
+            and np.array_equal(ids, self._ids)
+            and np.array_equal(kept, self._kept)
+            and bool(np.isfinite(unique).all())
+        )
+        if carry:
+            tri._move_to(unique[self._order])
+        else:
+            del tri  # free the old mesh before the build
+            tri = self._build(unique)
+        # Only a mesh with ids can be carried, so only that one is kept.
+        self._tri = None if ids is None else tri
+        self._ids = None if ids is None else np.array(ids, copy=True)
+        self._kept = kept
+        return kept, canonical_simplices(self._order[tri.simplices])
+
+    def _build(self, unique: np.ndarray) -> DelaunayTriangulation:
+        """A fresh triangulation of ``unique``, inserted in BRIO order."""
+        tri = DelaunayTriangulation(dedup_tol=self._dedup_tol)
+        order = brio_order(unique)
+        for i, (x, y) in zip(order.tolist(), unique[order].tolist()):
+            tri._insert_new(x, y, i)
+        self._order = order
+        return tri
+
+
 def delaunay_mesh(
     points: np.ndarray, dedup_tol: float = 1e-9
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -787,13 +1040,7 @@ def delaunay_mesh(
 
     Returns ``(kept, simplices)``: the input indices of the kept points,
     ascending, and the triangles over ``points[kept]`` in the canonical
-    form of :func:`canonical_simplices`.
+    form of :func:`canonical_simplices`. A one-shot
+    :class:`DelaunayMesher`.
     """
-    tri = DelaunayTriangulation(dedup_tol=dedup_tol)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kept_idx = _dedup_kept(pts, tri._dedup_tol)
-    unique = pts[kept_idx]
-    order = brio_order(unique)
-    for i, (x, y) in zip(order.tolist(), unique[order].tolist()):
-        tri._insert_new(x, y, i)
-    return kept_idx, canonical_simplices(order[tri.simplices])
+    return DelaunayMesher(dedup_tol)(points)

@@ -40,7 +40,7 @@ cells of a fig10 round (DESIGN.md §6.3 has the measurement).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -95,6 +95,12 @@ class LinearSurfaceInterpolator:
     extrapolate:
         ``"clamp"`` (default) extends the surface outside the sample hull via
         clamped barycentric coordinates; ``"nan"`` returns NaN there.
+    mesher:
+        What builds the triangulation when ``triangulation`` is ``None``:
+        a callable with the ``(kept, simplices)`` contract of
+        :func:`delaunay_mesh`, such as a
+        :class:`repro.geometry.delaunay.DelaunayMesher` carried between
+        calls. Defaults to :func:`delaunay_mesh`.
     """
 
     def __init__(
@@ -103,6 +109,9 @@ class LinearSurfaceInterpolator:
         values: np.ndarray,
         triangulation: Union[DelaunayTriangulation, np.ndarray, None] = None,
         extrapolate: str = "clamp",
+        mesher: Optional[
+            Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+        ] = None,
     ) -> None:
         if extrapolate not in ("clamp", "nan"):
             raise ValueError(f"unknown extrapolate mode: {extrapolate!r}")
@@ -120,7 +129,7 @@ class LinearSurfaceInterpolator:
             # Build internally, collapsing duplicate positions (keeping the
             # first value seen) so triangle indices stay aligned with the
             # point/value arrays.
-            kept, self.simplices = delaunay_mesh(self.points)
+            kept, self.simplices = (mesher or delaunay_mesh)(self.points)
             self.points = self.points[kept]
             self.values = self.values[kept]
         elif isinstance(triangulation, DelaunayTriangulation):

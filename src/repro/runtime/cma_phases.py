@@ -22,6 +22,7 @@ wrote, though LCM prescreens the whole table at once (DESIGN.md §6.16).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -368,6 +369,8 @@ def measure(
 ) -> RoundRecord:
     """Reconstruct from the nodes' own samples and score δ vs the truth.
 
+    The mesh is the engine's carried one, named by the alive node ids; a
+    round with trace samples has points without ids, so it builds afresh.
     The movement counts and the plan's force magnitudes are carried into
     the round's record.
     """
@@ -405,7 +408,10 @@ def measure(
             n_trace_samples=0,
         )
 
-    reconstruction = reconstruct_surface(snapshot, pts, values=values)
+    ids = None if n_trace else np.flatnonzero(alive_now)
+    reconstruction = reconstruct_surface(
+        snapshot, pts, values=values, mesher=partial(engine.mesher, ids=ids)
+    )
     labels = connected_components(
         unit_disk_graph(alive_positions, engine.problem.rc)
     )

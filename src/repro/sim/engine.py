@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.cma import CMAParams
 from repro.core.problem import OSTDProblem
 from repro.core.baselines import uniform_grid_placement
+from repro.geometry.delaunay import DelaunayMesher
 from repro.obs.instrument import (
     Instrumentation,
     get_instrumentation,
@@ -201,6 +202,10 @@ class MobileSimulation:
         #: Gaussian read noise on every sensed value (paper: noiseless).
         self.sensor_noise_std = float(sensor_noise_std)
         self._sensor_rng = np.random.default_rng(sensor_noise_seed)
+        #: The measurement mesh, carried from round to round (see
+        #: :func:`repro.runtime.cma_phases.measure`); not part of the
+        #: captured state.
+        self.mesher = DelaunayMesher()
 
         if initial_positions is None:
             initial_positions = default_grid_layout(
@@ -322,7 +327,8 @@ class MobileSimulation:
 
         A copy of :attr:`state` plus every RNG stream's exact position
         (sensor noise, message loss) and the fault models' state, so a
-        restored run continues bit-identically.
+        restored run continues bit-identically. The carried measurement
+        mesh is left out: it is a cache of the positions.
         """
         state = self.state.copy()
         state.rng_states["sensor"] = self._sensor_rng.bit_generator.state
@@ -343,13 +349,16 @@ class MobileSimulation:
 
         The engine must have been constructed with the same problem and
         the same optional models (loss, schedule, sampler) as the run the
-        state was captured from; only the mutable state is restored.
+        state was captured from; only the mutable state is restored. The
+        carried measurement mesh is dropped, so the next round builds it
+        afresh.
         """
         if state.k != self.state.k:
             raise ValueError(
                 f"state has {state.k} nodes, engine has {self.state.k}"
             )
         self.state = state.copy()
+        self.mesher = DelaunayMesher()
         # RNG and model states live in their owners, loaded below.
         self.state.rng_states, self.state.aux = {}, {}
         if "sensor" in state.rng_states:

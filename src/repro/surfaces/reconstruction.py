@@ -8,7 +8,7 @@ Delaunay-triangulate, evaluate ``DT`` on the reference grid, and score δ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -43,11 +43,18 @@ def reconstruct_surface(
     positions: np.ndarray,
     values: Optional[np.ndarray] = None,
     field: Optional[Field] = None,
+    mesher: Optional[
+        Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    ] = None,
 ) -> Reconstruction:
     """Rebuild the surface from samples at ``positions`` and score it.
 
     Either pass the sampled ``values`` directly (what real nodes would
     report), or a ``field`` to sample — exactly one of the two.
+    ``mesher`` triangulates the samples (see
+    :class:`~repro.geometry.interpolation.LinearSurfaceInterpolator`); a
+    run that reconstructs every round passes one it carries between
+    rounds.
 
     Under enabled instrumentation the work is timed as a ``reconstruct``
     span with ``triangulate`` (the Delaunay build), ``rasterize`` and
@@ -73,7 +80,7 @@ def reconstruct_surface(
     obs = get_instrumentation()
     with obs.span("reconstruct"):
         with obs.span("triangulate"):
-            interp = LinearSurfaceInterpolator(pts, vals)
+            interp = LinearSurfaceInterpolator(pts, vals, mesher=mesher)
         surface = GridSample(
             xs=reference.xs,
             ys=reference.ys,

@@ -16,7 +16,8 @@ predicate written apart from the kernel's: a float determinant, and
 exact tie is "outside".
 
 The module also holds the exact empty-circumcircle check
-(:func:`is_delaunay`) and the near-tie lattices the tests share.
+(:func:`is_delaunay`), the edge list of a mesh (:func:`mesh_edges`) and
+the near-tie lattices the tests share.
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ def is_delaunay(tri) -> bool:
             if i not in (a, b, c) and exact_incircle(pa, pb, pc, q) > 0:
                 return False
     return True
+
+
+def mesh_edges(tri) -> List[Tuple[int, int]]:
+    """Undirected edges of ``tri``'s real triangles, as sorted index pairs."""
+    simp = np.asarray(tri.simplices).reshape(-1, 3)
+    pairs = np.sort(np.vstack([simp[:, (0, 1)], simp[:, (1, 2)], simp[:, (2, 0)]]), axis=1)
+    return [(int(u), int(v)) for u, v in np.unique(pairs, axis=0)]
 
 
 def square_lattice(n, spacing, offset):

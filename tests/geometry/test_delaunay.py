@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaunay_reference import exact_incircle, exact_orient, is_delaunay
+from delaunay_reference import (
+    exact_incircle,
+    exact_orient,
+    is_delaunay,
+    mesh_edges,
+)
 from repro.geometry.delaunay import (
     DelaunayTriangulation,
     DuplicatePointError,
-    Triangle,
     _orient,
 )
 from repro.fields.grid import GridField
@@ -21,38 +25,24 @@ from repro.sim.engine import default_grid_layout
 from repro.surfaces.reconstruction import reconstruct_surface
 
 
-class TestTriangle:
-    def test_edges(self):
-        t = Triangle(0, 1, 2)
-        assert frozenset((0, 1)) in t.edges()
-        assert frozenset((1, 2)) in t.edges()
-        assert frozenset((2, 0)) in t.edges()
-
-    def test_has_vertex(self):
-        t = Triangle(3, 5, 9)
-        assert t.has_vertex(5)
-        assert not t.has_vertex(4)
-
-
 class TestBasics:
     def test_empty(self):
         dt = DelaunayTriangulation()
         assert dt.n_points == 0
-        assert dt.triangles == []
         assert dt.simplices.shape == (0, 3)
 
     def test_single_triangle(self):
         dt = DelaunayTriangulation([(0, 0), (10, 0), (0, 10)])
         assert dt.n_points == 3
-        assert len(dt.triangles) == 1
-        tri = dt.triangles[0]
+        assert len(dt.simplices) == 1
+        a, b, c = dt.simplices[0]
         pts = dt.points
-        assert orientation(pts[tri.a], pts[tri.b], pts[tri.c]) == 1  # CCW
+        assert orientation(pts[a], pts[b], pts[c]) == 1  # CCW
 
     def test_square_two_triangles(self):
         dt = DelaunayTriangulation([(0, 0), (10, 0), (10, 10), (0, 10)])
-        assert len(dt.triangles) == 2
-        assert len(dt.edges()) == 5  # 4 sides + 1 diagonal
+        assert len(dt.simplices) == 2
+        assert len(mesh_edges(dt)) == 5  # 4 sides + 1 diagonal
 
     def test_duplicate_raises(self):
         dt = DelaunayTriangulation([(0, 0), (1, 0)])
@@ -66,11 +56,9 @@ class TestBasics:
         assert i == j == 0
         assert dt.n_points == 1
 
-    def test_point_accessor(self):
+    def test_points_in_insertion_order(self):
         dt = DelaunayTriangulation([(1, 2), (3, 4)])
-        assert tuple(dt.point(0)) == (1.0, 2.0)
-        with pytest.raises(IndexError):
-            dt.point(2)
+        assert dt.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_out_of_span_raises(self):
         dt = DelaunayTriangulation(span=10.0)
@@ -94,7 +82,7 @@ class TestDelaunayProperty:
         dt = DelaunayTriangulation(pts)
         assert dt.n_points == 25
         # Euler: for n points with h on the hull, triangles = 2n - h - 2.
-        assert len(dt.triangles) == 2 * 25 - 16 - 2
+        assert len(dt.simplices) == 2 * 25 - 16 - 2
 
     def test_scipy_triangle_count(self, rng):
         from scipy.spatial import Delaunay as SciDT
@@ -102,7 +90,7 @@ class TestDelaunayProperty:
         pts = rng.uniform(0, 100, size=(80, 2))
         ours = DelaunayTriangulation(pts)
         theirs = SciDT(pts)
-        assert len(ours.triangles) == len(theirs.simplices)
+        assert len(ours.simplices) == len(theirs.simplices)
 
     def test_scipy_edge_sets_match(self, rng):
         from scipy.spatial import Delaunay as SciDT
@@ -114,7 +102,7 @@ class TestDelaunayProperty:
         for simplex in theirs.simplices:
             a, b, c = sorted(int(v) for v in simplex)
             sci_edges |= {(a, b), (b, c), (a, c)}
-        assert set(ours.edges()) == sci_edges
+        assert set(mesh_edges(ours)) == sci_edges
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -161,7 +149,7 @@ class TestDelaunayProperty:
         incremental = DelaunayTriangulation()
         for p in pts:
             incremental.insert(p)
-        assert set(batch.edges()) == set(incremental.edges())
+        assert set(mesh_edges(batch)) == set(mesh_edges(incremental))
 
 
 class TestCocircularGridStart:
@@ -192,21 +180,6 @@ class TestCocircularGridStart:
         assert np.array_equal(a.surface.values, b.surface.values)
 
 
-class TestLocate:
-    def test_inside(self):
-        dt = DelaunayTriangulation([(0, 0), (10, 0), (0, 10)])
-        tri = dt.locate((2, 2))
-        assert tri is not None
-
-    def test_outside_hull(self):
-        dt = DelaunayTriangulation([(0, 0), (10, 0), (0, 10)])
-        assert dt.locate((50, 50)) is None
-
-    def test_on_vertex(self):
-        dt = DelaunayTriangulation([(0, 0), (10, 0), (0, 10), (10, 10)])
-        assert dt.locate((0, 0)) is not None
-
-
 class TestCircumcircleCache:
     """Meshes built with the kernel's in-circle test stay Delaunay.
 
@@ -234,7 +207,7 @@ class TestCircumcircleCache:
         for simplex in theirs.simplices:
             a, b, c = sorted(int(v) for v in simplex)
             sci_edges |= {(a, b), (b, c), (a, c)}
-        assert set(ours.edges()) == sci_edges
+        assert set(mesh_edges(ours)) == sci_edges
         assert is_delaunay(ours)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from delaunay_reference import is_delaunay, near_vertex_lattice
+from delaunay_reference import is_delaunay, mesh_edges, near_vertex_lattice
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 
 
@@ -10,13 +10,13 @@ class TestCollinearInput:
     def test_collinear_points_have_no_triangles(self):
         dt = DelaunayTriangulation([(0, 0), (5, 5), (10, 10)])
         assert dt.n_points == 3
-        assert dt.triangles == []
-        assert dt.edges() == []
+        assert len(dt.simplices) == 0
+        assert mesh_edges(dt) == []
 
     def test_triangle_appears_once_off_line(self):
         dt = DelaunayTriangulation([(0, 0), (5, 5), (10, 10)])
         dt.insert((5, 0))
-        assert len(dt.triangles) == 2  # fan around the off-line point
+        assert len(dt.simplices) == 2  # fan around the off-line point
 
 
 class TestDedupTolerance:
@@ -27,25 +27,22 @@ class TestDedupTolerance:
         dt.insert((0.0, 5e-3))  # outside tolerance: fine
         assert dt.n_points == 2
 
-    def test_find_vertex_radius(self):
-        dt = DelaunayTriangulation([(1.0, 1.0)])
-        assert dt.find_vertex((1.0, 1.0)) == 0
-        assert dt.find_vertex((1.0, 1.0 + 1e-10)) == 0
-        assert dt.find_vertex((1.1, 1.0)) is None
-        assert dt.find_vertex((1.0, 1.05), tol=0.1) == 0
+    def test_duplicate_radius(self):
+        dt = DelaunayTriangulation([(1.0, 1.0)], skip_duplicates=True)
+        assert dt.insert((1.0, 1.0)) == 0
+        assert dt.insert((1.0, 1.0 + 1e-10)) == 0
+        assert dt.insert((1.1, 1.0)) == 1
+        wide = DelaunayTriangulation(
+            [(1.0, 1.0)], dedup_tol=0.1, skip_duplicates=True
+        )
+        assert wide.insert((1.0, 1.05)) == 0
 
 
 class TestSharedEdgeQueries:
-    def test_locate_point_on_shared_edge(self):
-        dt = DelaunayTriangulation([(0, 0), (10, 0), (10, 10), (0, 10)])
-        # The diagonal is shared by both triangles; either is acceptable.
-        tri = dt.locate((5.0, 5.0))
-        assert tri is not None
-
     def test_edges_unique_and_sorted(self, rng):
         pts = rng.uniform(0, 30, size=(20, 2))
         dt = DelaunayTriangulation(pts)
-        edges = dt.edges()
+        edges = mesh_edges(dt)
         assert edges == sorted(set(edges))
         for u, v in edges:
             assert u < v
@@ -56,11 +53,11 @@ class TestLargeCoordinates:
         dt = DelaunayTriangulation(span=1e9)
         for p in [(0, 0), (1e8, 0), (0, 1e8), (1e8, 1e8)]:
             dt.insert(p)
-        assert len(dt.triangles) == 2
+        assert len(dt.simplices) == 2
 
     def test_negative_coordinates(self):
         dt = DelaunayTriangulation([(-50, -50), (50, -50), (0, 50)])
-        assert len(dt.triangles) == 1
+        assert len(dt.simplices) == 1
         assert is_delaunay(dt)
 
 
